@@ -7,6 +7,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from typing import Any
 
 import numpy as np
@@ -119,14 +120,8 @@ def default_config(overrides: dict[str, Any] | None = None) -> SurveyConfig:
         _fail("aggregation", "expected 'max' or 'mean'")
     if merged["target"] not in ("power", "service"):
         _fail("target", "expected 'power' or 'service'")
-    if merged["max_measurements"] is not None:
-        mm = merged["max_measurements"]
-        if isinstance(mm, bool) or not isinstance(mm, int) or mm < 0:
-            _fail("max_measurements", "expected a nonnegative integer or null")
     if merged["uncertainty_threshold"] is not None:
         _as_number("uncertainty_threshold", merged["uncertainty_threshold"])
-    if merged["max_measurements"] is None and merged["uncertainty_threshold"] is None:
-        raise ConfigError("set max_measurements and/or uncertainty_threshold")
     seed = merged["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         _fail("seed", "expected an unsigned 64-bit integer")
@@ -310,18 +305,24 @@ def _parse_snapshots(raw: str | None) -> tuple[int, ...]:
 
 
 def _apply_overrides(cfg: SurveyConfig, ns: argparse.Namespace) -> SurveyConfig:
-    from dataclasses import replace
-
     if getattr(ns, "seed", None) is not None:
         if not 0 <= ns.seed < 2**64:
             raise ConfigError("invalid value for 'seed': expected an unsigned 64-bit integer")
         cfg = replace(cfg, seed=ns.seed)
     if getattr(ns, "planner", None) is not None:
         try:
-            cfg = replace(cfg, planner=PlannerKind(ns.planner))
+            kind = PlannerKind(ns.planner)
         except ValueError:
             raise ConfigError(f"invalid value for 'planner': {ns.planner!r}") from None
+        cfg = _with_planner(cfg, kind)
     return cfg
+
+
+def _with_planner(cfg: SurveyConfig, kind: PlannerKind) -> SurveyConfig:
+    try:
+        return replace(cfg, planner=kind)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _load_for(ns: argparse.Namespace) -> SurveyConfig:
@@ -364,8 +365,6 @@ def cmd_survey(ns: argparse.Namespace) -> int:
 
 
 def cmd_montecarlo(ns: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     cfg = _load_for(ns)
     if ns.runs < 1:
         raise ConfigError("--runs must be at least 1")
@@ -378,13 +377,16 @@ def cmd_montecarlo(ns: argparse.Namespace) -> int:
             raise ConfigError("--planners must name at least one planner")
     else:
         kinds = [cfg.planner]
+    if cfg.uncertainty_threshold is not None:
+        _fail("uncertainty_threshold", "montecarlo needs fixed-length runs; remove the threshold")
+    configs = [_with_planner(cfg, kind) for kind in kinds]
     os.makedirs(ns.out_dir, exist_ok=True)
-    for kind in kinds:
-        result = monte_carlo(replace(cfg, planner=kind), ns.runs)
-        path = os.path.join(ns.out_dir, f"montecarlo_{kind.value}.csv")
-        _write_montecarlo(result, path)
-        final = result.mean_total_unc_service[-1] if len(result.t) else float("nan")
-        print(f"montecarlo: planner={kind.value} runs={ns.runs} final_unc_service={final:.4f}")
+    for run_cfg in configs:
+        result = monte_carlo(run_cfg, ns.runs)
+        name = run_cfg.planner.value
+        _write_montecarlo(result, os.path.join(ns.out_dir, f"montecarlo_{name}.csv"))
+        final = result.mean_total_unc_service[-1]
+        print(f"montecarlo: planner={name} runs={ns.runs} final_unc_service={final:.4f}")
     return 0
 
 

@@ -14,6 +14,13 @@ maintained two ways:
   covariance downdate, keeping the per-measurement cost independent of how
   many measurements were already absorbed.
 
+The posterior covariance depends only on where the measurements were taken
+and on the kernel, never on the measured values or on which transmitter is
+observed. A survey therefore keeps one covariance shared by all transmitters
+(:func:`init_posteriors`) and conditions it in place, once per measurement,
+while each transmitter's mean moves by its own innovation
+(:func:`condition_in_place`).
+
 Off-grid measurements couple to the grid through the shadowing correlation:
 the grid posterior acts as a summary of the past, which is what makes the
 online recursion constant-cost. A measurement taken exactly on a grid point
@@ -48,7 +55,9 @@ __all__ = [
     "PosteriorState",
     "ObservationCoefficients",
     "init_posterior",
+    "init_posteriors",
     "observation_coefficients",
+    "condition_in_place",
     "online_update",
     "batch_posterior",
     "service_probability",
@@ -60,6 +69,9 @@ VAR_FLOOR = 1e-9
 
 # Points closer than this (meters) to a grid node count as on-grid.
 ON_GRID_TOL = 1e-9
+
+# Rows of the covariance downdated per step; bounds the rank-one temporary.
+_ROW_BLOCK = 64
 
 
 @dataclass
@@ -143,6 +155,20 @@ def init_posterior(grid: GridSpec, params: ChannelParams, tx: int) -> PosteriorS
     return PosteriorState(mean=_prior_mean(grid, params, tx).copy(), cov=ctx.prior_cov.copy())
 
 
+def init_posteriors(grid: GridSpec, params: ChannelParams) -> list[PosteriorState]:
+    """Priors for every transmitter, all holding one shared covariance array.
+
+    Each state has its own mean; their ``cov`` attributes are the same array,
+    which :func:`condition_in_place` updates once per measurement.
+    """
+    ctx = _kernel_context(grid, params.shadow_var, params.corr_distance, params.fading_var)
+    cov = ctx.prior_cov.copy()
+    return [
+        PosteriorState(mean=_prior_mean(grid, params, k).copy(), cov=cov)
+        for k in range(params.num_transmitters)
+    ]
+
+
 @functools.lru_cache(maxsize=4096)
 def _observation_parts(
     grid: GridSpec,
@@ -207,33 +233,70 @@ def observation_coefficients(
     )
 
 
-def online_update(
-    state: PosteriorState, coeffs: ObservationCoefficients, y: float
-) -> PosteriorState:
-    """Condition the posterior on one measurement ``y`` (gain-form rank-one update)."""
-    if not np.isfinite(y):
-        raise ValueError("measurement value must be finite")
-    if not np.isfinite(coeffs.offset) or not np.all(np.isfinite(coeffs.weights)):
-        raise ValueError("observation coefficients must be finite")
-    a = coeffs.weights
-    if coeffs.grid_index is not None:
-        j = coeffs.grid_index
-        cov_a = state.cov[:, j].copy()
-        denom = coeffs.noise_var + float(cov_a[j])
-        predicted = float(state.mean[j])
+def condition_in_place(
+    states: Sequence[PosteriorState],
+    coeffs: Sequence[ObservationCoefficients],
+    values: Sequence[float],
+) -> None:
+    """Condition posteriors that share one covariance on one measurement, in place.
+
+    ``states[k]`` is transmitter ``k``'s posterior, ``coeffs[k]`` its
+    observation model at the measurement position and ``values[k]`` its
+    measured value. All states must hold the same ``cov`` array and all models
+    the same weights, grid index and residual variance, as
+    :func:`observation_coefficients` gives them at one position. The gain and
+    the rank-one covariance downdate are computed once; each mean moves by its
+    own innovation. Nothing is modified when an argument is rejected.
+    """
+    if not states or not len(states) == len(coeffs) == len(values):
+        raise ValueError("need one observation model and one value per posterior")
+    cov = states[0].cov
+    first = coeffs[0]
+    for state, c, y in zip(states, coeffs, values):
+        if state.cov is not cov:
+            raise ValueError("posteriors must share one covariance array")
+        if not np.isfinite(y):
+            raise ValueError("measurement value must be finite")
+        if not np.isfinite(c.offset) or not np.all(np.isfinite(c.weights)):
+            raise ValueError("observation coefficients must be finite")
+        if (
+            c.grid_index != first.grid_index
+            or c.noise_var != first.noise_var
+            or not (c.weights is first.weights or np.array_equal(c.weights, first.weights))
+        ):
+            raise ValueError("observation models must share one position")
+    a = first.weights
+    j = first.grid_index
+    if j is not None:
+        cov_a = cov[:, j].copy()
+        denom = first.noise_var + float(cov_a[j])
+        predicted = [float(s.mean[j]) for s in states]
     else:
-        cov_a = state.cov @ a
-        denom = coeffs.noise_var + float(a @ cov_a)
-        predicted = float(a @ state.mean)
+        cov_a = cov @ a
+        denom = first.noise_var + float(a @ cov_a)
+        predicted = [float(a @ s.mean) for s in states]
     gain = cov_a / denom
     # outer(b, b) is bit-exactly symmetric, so the update preserves symmetry
     # without a correction pass
     scaled = cov_a / np.sqrt(denom)
-    cov = state.cov - np.outer(scaled, scaled)
+    for i in range(0, scaled.shape[0], _ROW_BLOCK):
+        cov[i : i + _ROW_BLOCK] -= np.multiply.outer(scaled[i : i + _ROW_BLOCK], scaled)
     # Roundoff from near-exact observations can leave tiny negative variances.
     np.fill_diagonal(cov, np.maximum(np.diagonal(cov), 0.0))
-    innovation = float(y) - predicted - coeffs.offset
-    return PosteriorState(mean=state.mean + gain * innovation, cov=cov)
+    for state, c, y, pred in zip(states, coeffs, values, predicted):
+        state.mean += gain * (float(y) - pred - c.offset)
+
+
+def online_update(
+    state: PosteriorState, coeffs: ObservationCoefficients, y: float
+) -> PosteriorState:
+    """Condition the posterior on one measurement ``y`` (gain-form rank-one update).
+
+    Returns a new state and leaves ``state`` unchanged.
+    """
+    new = state.copy()
+    condition_in_place([new], [coeffs], [y])
+    return new
 
 
 def batch_posterior(

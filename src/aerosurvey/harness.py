@@ -3,10 +3,10 @@
 A survey flies a continuous polyline assembled from planner episodes, takes a
 measurement every fixed number of meters along it (the sampling phase carries
 across route joints, so every planner pays the same travel distance per
-measurement), updates the per-transmitter posteriors online, and logs metrics
-after each measurement. Monte Carlo repeats the survey over independent
-environment realizations and aggregates the metric curves per measurement
-index.
+measurement), conditions the posteriors online (one covariance shared by all
+transmitters, updated in place), and logs metrics after each measurement.
+Monte Carlo repeats the survey over independent environment realizations and
+aggregates the metric curves per measurement index.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ class SurveyConfig:
     planner: planner.PlannerKind = planner.PlannerKind.MIN_COST
     aggregation: str = "max"
     target: str = "service"
-    max_measurements: int | None = 300
-    uncertainty_threshold: float | None = None
+    max_measurements: int = 300
+    uncertainty_threshold: float | None = None  # optional early stop, in (0, 1]
     speed: float = 5.0
     start_position: spatial.Waypoint = spatial.Waypoint(0.0, 0.0)
     seed: int = 0
@@ -59,10 +59,12 @@ class SurveyConfig:
             raise ValueError("measurement_spacing must be positive")
         if not self.speed > 0:
             raise ValueError("speed must be positive")
-        if self.max_measurements is None and self.uncertainty_threshold is None:
-            raise ValueError("set max_measurements and/or uncertainty_threshold")
-        if self.max_measurements is not None and self.max_measurements < 0:
-            raise ValueError("max_measurements must be nonnegative")
+        mm = self.max_measurements
+        if isinstance(mm, bool) or not isinstance(mm, (int, np.integer)) or mm < 0:
+            raise ValueError("max_measurements must be a nonnegative integer")
+        threshold = self.uncertainty_threshold
+        if threshold is not None and not 0.0 < threshold <= 1.0:
+            raise ValueError("uncertainty_threshold must lie in (0, 1]")
         if self.aggregation not in ("max", "mean"):
             raise ValueError(f"unknown aggregation: {self.aggregation!r}")
         if self.target not in ("power", "service"):
@@ -74,6 +76,12 @@ class SurveyConfig:
         if not self.grid.contains(self.start_position.x, self.start_position.y):
             raise ValueError("start_position lies outside the grid rectangle")
         object.__setattr__(self, "planner", planner.PlannerKind(self.planner))
+        if (
+            self.planner is planner.PlannerKind.MIN_COST
+            and self.grid.num_points > 1
+            and min(self.grid.rows, self.grid.cols) < 2
+        ):
+            raise ValueError("planner min_cost needs a grid with at least 2 rows and 2 columns")
 
 
 @dataclass(frozen=True)
@@ -101,7 +109,12 @@ class Snapshot:
 
 @dataclass
 class SurveyRecord:
-    """Full trace of one survey run."""
+    """Full trace of one survey run.
+
+    ``posteriors`` holds one state per transmitter. Their means are separate
+    arrays; their ``cov`` attributes are one shared array, because the
+    covariance does not depend on the transmitter.
+    """
 
     config: SurveyConfig
     params: channel.ChannelParams
@@ -156,7 +169,7 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
     graph = (
         spatial.build_motion_graph(grid) if grid.rows >= 2 and grid.cols >= 2 else None
     )
-    states = [estimator.init_posterior(grid, params, k) for k in range(num_tx)]
+    states = estimator.init_posteriors(grid, params)
     delta = config.measurement_spacing
     wanted = set(int(s) for s in snapshots)
     record = SurveyRecord(
@@ -197,9 +210,10 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
         if t in wanted:
             capture(t)
         m = channel.take_measurement(gt, point, params, rng)
-        for k in range(num_tx):
-            coeffs = estimator.observation_coefficients(grid, params, k, point)
-            states[k] = estimator.online_update(states[k], coeffs, m.rss[k])
+        coeffs = [
+            estimator.observation_coefficients(grid, params, k, point) for k in range(num_tx)
+        ]
+        estimator.condition_in_place(states, coeffs, m.rss)
         probs = [estimator.service_probability(s, config.r_min) for s in states]
         power_total = unc.total_uncertainty(
             unc.aggregate(_power_fields(states, params), config.aggregation)
@@ -218,7 +232,7 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
                 service_error_rate=service_error_rate(np.vstack(probs), gt, config.r_min),
             )
         )
-        if config.max_measurements is not None and t >= config.max_measurements:
+        if t >= config.max_measurements:
             return True
         if config.uncertainty_threshold is not None:
             target_total = power_total if config.target == "power" else service_total
@@ -233,12 +247,9 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
 
     if grid.num_points == 1:
         # Nowhere to fly; keep sampling in place until the budget runs out.
-        if config.max_measurements is None:
-            raise RuntimeError("cannot make progress on a single-point grid without a budget")
         while not stop:
             t += 1
             stop = measure_at(pos, t, arc)
-        record.posteriors = states
         return record
 
     sweep: list[spatial.Waypoint] | None = None
@@ -312,7 +323,6 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
                 raise RuntimeError("planner made no progress for 10000 consecutive episodes")
         pos = coords[-1]
 
-    record.posteriors = states
     return record
 
 
@@ -354,23 +364,25 @@ def monte_carlo(config: SurveyConfig, runs: int, workers: int | None = None) -> 
     Run ``k`` draws its transmitters and shadowing from a stream derived from
     ``(config.seed, k)``, so results are independent of execution order and of
     the worker count. The env var AEROSURVEY_THREADS caps parallelism (0 = auto).
+    Every run takes ``config.max_measurements + 1`` measurements, so a config
+    with an ``uncertainty_threshold``, whose runs could stop at different
+    times, is rejected.
     """
     if runs < 1:
         raise ValueError("need at least one run")
+    if config.uncertainty_threshold is not None:
+        raise ValueError("monte_carlo needs fixed-length runs; unset uncertainty_threshold")
     nworkers = _resolve_workers(workers, runs)
     if nworkers > 1:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             records = list(pool.map(lambda k: run_survey(config, run_id=k), range(runs)))
     else:
         records = [run_survey(config, run_id=k) for k in range(runs)]
-    horizon = min(len(r.metrics) for r in records)
 
     def stack(name: str) -> np.ndarray:
-        return np.array(
-            [[getattr(row, name) for row in rec.metrics[:horizon]] for rec in records]
-        )
+        return np.array([[getattr(row, name) for row in rec.metrics] for rec in records])
 
-    out = {"t": np.arange(horizon)}
+    out = {"t": np.arange(config.max_measurements + 1)}
     for name in ("meters", "total_unc_power", "total_unc_service", "service_error_rate"):
         data = stack(name)
         out[f"mean_{name}"] = data.mean(axis=0)

@@ -19,6 +19,10 @@ __all__ = [
     "travel_time",
 ]
 
+# Arc-length slack (meters) under which a sample still lands on a segment, so
+# rounding in segment lengths neither drops nor adds a sample.
+_ARC_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -148,7 +152,7 @@ def sample_path(waypoints: Iterable[Waypoint] | np.ndarray, delta: float) -> np.
     The first sample sits on the first waypoint and the sampling phase carries
     across segment joints, so consecutive samples are exactly ``delta`` apart
     along the path. The final waypoint is included only when the total length
-    is a multiple of ``delta``.
+    is a multiple of ``delta``, up to 1e-9 m of rounding.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
@@ -164,7 +168,7 @@ def sample_path(waypoints: Iterable[Waypoint] | np.ndarray, delta: float) -> np.
             continue
         direction = seg / length
         walked = 0.0
-        while need <= length - walked:
+        while need <= length - walked + _ARC_TOL:
             walked += need
             samples.append(a + direction * walked)
             need = delta

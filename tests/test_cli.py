@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import aerosurvey
 from aerosurvey import cli
 from aerosurvey.cli import ConfigError, default_config, load_config, main, write_grid
 from aerosurvey.planner import PlannerKind
@@ -94,6 +97,11 @@ class TestConfigLoading:
         )
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, 1.5, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ConfigError, match="uncertainty_threshold"):
+            default_config({"max_measurements": 10, "uncertainty_threshold": threshold})
 
     def test_default_config_override_validation(self):
         with pytest.raises(ConfigError, match="planner"):
@@ -218,6 +226,45 @@ class TestSurveyCommand:
         code = main(["survey", "--config", cfg, "--out-dir", str(blocker)])
         assert code == 2
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0])
+    def test_threshold_only_config_exits_one(self, tmp_path, threshold):
+        # No budget and a threshold the survey cannot reach: rejected up front,
+        # in a subprocess so that a regression times out instead of hanging.
+        cfg = write_config(
+            tmp_path,
+            {
+                "rows": 6,
+                "cols": 6,
+                "max_measurements": None,
+                "uncertainty_threshold": threshold,
+                "noise_var": 4.0,
+            },
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aerosurvey.__file__)))
+        argv = [sys.executable, "-m", "aerosurvey.cli", "survey", "--config", cfg]
+        proc = subprocess.run(
+            argv + ["--out-dir", str(tmp_path / "o")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "max_measurements" in proc.stderr
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_min_cost_on_line_grid_exits_one(self, tmp_path, capsys):
+        line = {"rows": 1, "cols": 10, "max_measurements": 20}
+        cfg = write_config(tmp_path, line)
+        code = main(["survey", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert "min_cost" in capsys.readouterr().err
+        grid_cfg = write_config(tmp_path, dict(line, planner="grid"), name="grid.json")
+        assert main(["survey", "--config", grid_cfg, "--out-dir", str(tmp_path / "g")]) == 0
+        override = ["--out-dir", str(tmp_path / "m"), "--planner", "min_cost"]
+        assert main(["survey", "--config", grid_cfg] + override) == 1
+        assert "min_cost" in capsys.readouterr().err
+
     def test_seed_and_planner_overrides(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
         out_a = str(tmp_path / "a")
@@ -328,6 +375,24 @@ class TestMonteCarloCommand:
             ["montecarlo", "--config", cfg, "--runs", "0", "--out-dir", str(tmp_path / "o")]
         )
         assert code == 1
+
+    def test_threshold_config_exits_one_before_running(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(SMALL, uncertainty_threshold=0.5))
+        out = tmp_path / "mc"
+        code = main(["montecarlo", "--config", cfg, "--runs", "2", "--out-dir", str(out)])
+        assert code == 1
+        assert "uncertainty_threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_min_cost_in_planner_list_on_line_grid_exits_one(self, tmp_path, capsys):
+        line = {"rows": 1, "cols": 10, "max_measurements": 5, "planner": "grid"}
+        cfg = write_config(tmp_path, line)
+        out = tmp_path / "mc"
+        argv = ["montecarlo", "--config", cfg, "--runs", "1", "--planners", "grid,min_cost"]
+        code = main(argv + ["--out-dir", str(out)])
+        assert code == 1
+        assert "min_cost" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_defaults_to_config_planner(self, tmp_path):
         cfg = write_config(tmp_path, dict(SMALL, planner="spiral"))

@@ -108,6 +108,43 @@ class TestObservationCoefficients:
         assert coeffs.noise_var >= estimator.VAR_FLOOR
 
 
+class TestConditionInPlace:
+    def two_tx(self):
+        return make_params(
+            transmitters=(
+                Transmitter((15.0, 15.0, 10.0), 10.0),
+                Transmitter((35.0, 5.0, 10.0), 12.0),
+            )
+        )
+
+    def test_init_posteriors_share_one_covariance(self):
+        g, p = small_grid(), self.two_tx()
+        states = estimator.init_posteriors(g, p)
+        assert states[0].cov is states[1].cov
+        for k, state in enumerate(states):
+            prior = estimator.init_posterior(g, p, k)
+            np.testing.assert_array_equal(state.mean, prior.mean)
+            np.testing.assert_array_equal(state.cov, prior.cov)
+
+    def test_rejects_without_modifying(self):
+        g, p = small_grid(), self.two_tx()
+        states = estimator.init_posteriors(g, p)
+        cov = states[0].cov.copy()
+        on_node = [estimator.observation_coefficients(g, p, k, (10.0, 20.0)) for k in range(2)]
+        off_grid = estimator.observation_coefficients(g, p, 1, (7.0, 3.0))
+        bad_calls = [
+            (states, on_node, [-50.0, float("nan")]),
+            (states, [on_node[0], off_grid], [-50.0, -50.0]),
+            (states, on_node, [-50.0]),
+            ([states[0], estimator.init_posterior(g, p, 1)], on_node, [-50.0, -50.0]),
+        ]
+        for args in bad_calls:
+            with pytest.raises(ValueError):
+                estimator.condition_in_place(*args)
+        np.testing.assert_array_equal(states[0].cov, cov)
+        np.testing.assert_array_equal(states[1].mean, estimator.init_posterior(g, p, 1).mean)
+
+
 class TestOnlineUpdate:
     def test_exact_observation_pins_coordinate(self):
         g, p = small_grid(), make_params(noise_var=1e-9)
@@ -118,6 +155,18 @@ class TestOnlineUpdate:
         new = estimator.online_update(state, coeffs, y)
         assert new.mean[5] == pytest.approx(y, abs=1e-6)
         assert new.cov[5, 5] == pytest.approx(0.0, abs=1e-6)
+
+    def test_input_state_left_unchanged(self):
+        g, p = small_grid(), make_params()
+        state = estimator.init_posterior(g, p, 0)
+        mean, cov = state.mean.copy(), state.cov.copy()
+        for point in ((10.0, 20.0), (7.0, 3.0)):  # on a node, then off-grid
+            coeffs = estimator.observation_coefficients(g, p, 0, point)
+            new = estimator.online_update(state, coeffs, -50.0)
+            assert new.mean is not state.mean and new.cov is not state.cov
+            assert np.array_equal(state.mean, mean)
+            assert np.array_equal(state.cov, cov)
+            assert not np.array_equal(new.cov, cov)
 
     def test_zero_weights_leave_state_unchanged(self):
         g = small_grid()

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from aerosurvey import channel, harness, spatial
+from aerosurvey import channel, estimator, harness, spatial
 from aerosurvey.channel import ChannelParams, GroundTruth, Transmitter
 from aerosurvey.harness import SurveyConfig, monte_carlo, run_survey, service_error_rate
 from aerosurvey.planner import PlannerKind
@@ -126,6 +126,23 @@ class TestRunSurvey:
             for a, b in zip(vals[:-1], vals[1:]):
                 assert b <= a + 1e-9
 
+    def test_shared_covariance_matches_per_transmitter_oracle(self):
+        # Fold the recorded measurements into each transmitter on its own,
+        # through copying updates; the survey's one shared covariance and its
+        # per-transmitter means must come out bit for bit the same.
+        for kind in ALL_PLANNERS:
+            cfg = make_config(planner=kind, seed=7, noise_var=0.25, max_measurements=30)
+            rec = run_survey(cfg)
+            assert len(rec.posteriors) == 2
+            assert rec.posteriors[0].cov is rec.posteriors[1].cov
+            for k, got in enumerate(rec.posteriors):
+                state = estimator.init_posterior(cfg.grid, rec.params, k)
+                for m in rec.measurements:
+                    coeffs = estimator.observation_coefficients(cfg.grid, rec.params, k, m.position)
+                    state = estimator.online_update(state, coeffs, m.rss[k])
+                assert np.array_equal(got.mean, state.mean), (kind, k)
+                assert np.array_equal(got.cov, state.cov), (kind, k)
+
     def test_posterior_diag_capped_by_prior(self):
         rec = run_survey(make_config(seed=2))
         for state in rec.posteriors:
@@ -192,6 +209,14 @@ class TestRunSurvey:
         assert len(rec.measurements) == 5
         assert all(m.position == (0.0, 0.0) for m in rec.measurements)
 
+    def test_min_cost_rejected_on_line_grid(self):
+        for rows, cols in ((1, 10), (10, 1)):
+            with pytest.raises(ValueError, match="min_cost"):
+                make_config(rows=rows, cols=cols)
+            for kind in (PlannerKind.GRID, PlannerKind.SPIRAL, PlannerKind.RANDOM):
+                rec = run_survey(make_config(rows=rows, cols=cols, planner=kind, max_measurements=20))
+                assert len(rec.metrics) == 21
+
     def test_waypoints_form_connected_polyline(self):
         rec = run_survey(make_config(seed=6))
         assert len(rec.waypoints) >= 2
@@ -206,6 +231,12 @@ class TestRunSurvey:
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             make_config(max_measurements=None)
+        with pytest.raises(ValueError):
+            make_config(max_measurements=2.5)
+        with pytest.raises(ValueError, match="uncertainty_threshold"):
+            make_config(uncertainty_threshold=0.0)
+        with pytest.raises(ValueError, match="uncertainty_threshold"):
+            make_config(uncertainty_threshold=1.01)
         with pytest.raises(ValueError):
             make_config(measurement_spacing=0.0)
         with pytest.raises(ValueError):
@@ -229,6 +260,14 @@ class TestEqualTimeFairness:
 
 
 class TestMonteCarlo:
+    def test_threshold_config_rejected_before_running(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("run_survey must not be called")
+
+        monkeypatch.setattr(harness, "run_survey", fail)
+        with pytest.raises(ValueError, match="uncertainty_threshold"):
+            monte_carlo(make_config(uncertainty_threshold=0.45), 2)
+
     def test_single_run_matches_survey(self):
         cfg = make_config(max_measurements=10)
         mc = monte_carlo(cfg, 1)
