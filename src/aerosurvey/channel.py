@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .spatial import GridSpec, grid_points
 
@@ -24,11 +25,14 @@ __all__ = [
     "ChannelParams",
     "GroundTruth",
     "Measurement",
+    "GridPrior",
     "shadow_cov",
     "base_power",
     "base_powers",
     "grid_base_powers",
+    "pairwise_distances",
     "shadow_cov_matrix",
+    "grid_prior",
     "draw_transmitters",
     "sample_ground_truth",
     "true_power",
@@ -77,7 +81,7 @@ class ChannelParams:
         if not self.corr_distance > 0:
             raise ValueError("corr_distance must be positive")
         for name in ("shadow_var", "fading_var", "noise_var"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
 
     @property
@@ -129,37 +133,64 @@ def grid_base_powers(grid: GridSpec, params: ChannelParams, tx: Transmitter) -> 
     return base_powers(grid_points(grid), tx, params, grid.altitude)
 
 
-def shadow_cov_matrix(points, params: ChannelParams) -> np.ndarray:
-    """Pairwise shadowing covariance matrix for an (M, 2) point set."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = np.sqrt((diff**2).sum(axis=-1))
-    return params.shadow_var * np.exp2(-d / params.corr_distance)
-
-
-def shadow_cross_cov(points_a, points_b, params: ChannelParams) -> np.ndarray:
-    """Shadowing covariance between two point sets, shape (len(a), len(b))."""
+def pairwise_distances(points_a, points_b) -> np.ndarray:
+    """Planar distances between two point sets, shape (len(a), len(b))."""
     a = np.asarray(points_a, dtype=float).reshape(-1, 2)
     b = np.asarray(points_b, dtype=float).reshape(-1, 2)
-    d = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1))
-    return params.shadow_var * np.exp2(-d / params.corr_distance)
+    dx = a[:, 0, None] - b[None, :, 0]
+    dy = a[:, 1, None] - b[None, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
-@functools.lru_cache(maxsize=16)
-def _shadow_chol(grid: GridSpec, shadow_var: float, corr_distance: float) -> np.ndarray:
-    """Cholesky factor of the jittered grid shadowing covariance (cached)."""
-    pts = grid_points(grid)
-    diff = pts[:, None, :] - pts[None, :, :]
-    cov = shadow_var * np.exp2(-np.sqrt((diff**2).sum(axis=-1)) / corr_distance)
-    cov[np.diag_indices_from(cov)] += COV_JITTER * shadow_var
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            "shadowing covariance factorization failed even after diagonal jitter"
-        ) from exc
-    factor.flags.writeable = False
-    return factor
+def shadow_cov_matrix(points, params: ChannelParams, others=None) -> np.ndarray:
+    """Shadowing covariance between an (M, 2) point set and ``others`` (itself by default)."""
+    return shadow_cov(pairwise_distances(points, points if others is None else others), params)
+
+
+@dataclass(frozen=True)
+class GridPrior:
+    """Read-only prior covariance of the grid powers and its lower Cholesky factor.
+
+    ``cov`` is the shadowing covariance with ``fading_var`` added on the
+    diagonal; ``factor`` factors ``cov`` plus a relative diagonal jitter, and
+    is None when the prior is identically zero.
+    """
+
+    kernel: ChannelParams  # no transmitters; carries the kernel parameters
+    points: np.ndarray  # (N, 2)
+    cov: np.ndarray  # (N, N) dB^2
+    factor: np.ndarray | None  # (N, N) lower triangular
+
+
+@functools.lru_cache(maxsize=4)
+def grid_prior(
+    grid: GridSpec, shadow_var: float, corr_distance: float, fading_var: float
+) -> GridPrior:
+    """The grid prior for one kernel, cached; a fading config keeps two entries."""
+    kernel = ChannelParams(
+        (), shadow_var=shadow_var, corr_distance=corr_distance, fading_var=fading_var
+    )
+    points = grid_points(grid)
+    cov = shadow_cov_matrix(points, kernel)
+    diag = np.diag_indices_from(cov)
+    cov[diag] += fading_var
+    factor = None
+    if shadow_var != 0.0 or fading_var != 0.0:
+        jittered = cov.copy(order="F")
+        jittered[diag] += COV_JITTER * shadow_var
+        try:
+            factor = scipy.linalg.cholesky(jittered, lower=True, overwrite_a=True)
+        except scipy.linalg.LinAlgError as exc:
+            raise scipy.linalg.LinAlgError(
+                "prior covariance factorization failed even after diagonal jitter"
+            ) from exc
+    for arr in (points, cov, factor):
+        if arr is not None:
+            arr.flags.writeable = False
+    return GridPrior(kernel=kernel, points=points, cov=cov, factor=factor)
 
 
 def draw_transmitters(
@@ -189,9 +220,6 @@ class GroundTruth:
     grid: GridSpec
     powers: np.ndarray  # (num_transmitters, num_points) dBm
 
-    def power_at(self, point) -> np.ndarray:
-        return true_power(self, point)
-
 
 def sample_ground_truth(
     grid: GridSpec, params: ChannelParams, rng: np.random.Generator | int
@@ -211,7 +239,8 @@ def sample_ground_truth(
         base = grid_base_powers(grid, params, tx)
         shadow_z = gen.standard_normal(n)
         if params.shadow_var > 0:
-            shadow = _shadow_chol(grid, params.shadow_var, params.corr_distance) @ shadow_z
+            prior = grid_prior(grid, params.shadow_var, params.corr_distance, 0.0)
+            shadow = prior.factor @ shadow_z
         else:
             shadow = np.zeros(n)
         fading = np.sqrt(params.fading_var) * gen.standard_normal(n)

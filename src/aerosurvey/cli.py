@@ -14,7 +14,6 @@ import numpy as np
 
 from .channel import ChannelParams, Transmitter
 from .harness import MonteCarloResult, SurveyConfig, SurveyRecord, monte_carlo, run_survey
-from .planner import PlannerKind
 from .spatial import GridSpec, Waypoint
 
 __all__ = ["ConfigError", "load_config", "default_config", "write_grid", "main"]
@@ -48,16 +47,9 @@ _DEFAULTS: dict[str, Any] = {
     "target": "service",
     "max_measurements": 300,
     "uncertainty_threshold": None,
-    "speed": 5.0,
     "start_position": [0.0, 0.0],
     "seed": 0,
 }
-
-_POSITIVE = {
-    "spacing", "frequency", "pathloss_exponent", "corr_distance",
-    "measurement_spacing", "speed", "tx_power_dbm",
-}
-_NONNEGATIVE = {"altitude", "shadow_var", "fading_var", "noise_var", "tx_height"}
 
 
 def _fail(key: str, why: str):
@@ -67,7 +59,22 @@ def _fail(key: str, why: str):
 def _as_number(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(key, "expected a number")
+    # Python's json reads NaN and Infinity, which JSON itself does not allow.
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        _fail(key, "expected a finite number")
     return float(value)
+
+
+def _as_int(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(key, "expected an integer")
+    return value
+
+
+def _as_point(key: str, value) -> tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        _fail(key, "expected [x, y]")
+    return (_as_number(key, value[0]), _as_number(key, value[1]))
 
 
 def _parse_transmitters(raw, default_power: float) -> tuple[Transmitter, ...]:
@@ -83,13 +90,19 @@ def _parse_transmitters(raw, default_power: float) -> tuple[Transmitter, ...]:
         pos = entry.get("position")
         if not isinstance(pos, list) or len(pos) != 3:
             _fail("transmitters", f"entry {i} needs a 3-element position")
+        position = tuple(_as_number("transmitters", v) for v in pos)
         power = _as_number("transmitters", entry.get("power_dbm", default_power))
-        txs.append(Transmitter(position=tuple(float(v) for v in pos), power_dbm=power))
+        txs.append(Transmitter(position=position, power_dbm=power))
     return tuple(txs)
 
 
 def default_config(overrides: dict[str, Any] | None = None) -> SurveyConfig:
-    """Build a SurveyConfig from defaults plus config-file style overrides."""
+    """Build a SurveyConfig from defaults plus config-file style overrides.
+
+    This converts JSON values to the types the dataclasses take; every range
+    and choice check lives in ``GridSpec``, ``ChannelParams`` and
+    ``SurveyConfig``, whose errors become ``ConfigError``.
+    """
     merged = dict(_DEFAULTS)
     if overrides:
         unknown = set(overrides) - set(_DEFAULTS)
@@ -97,88 +110,57 @@ def default_config(overrides: dict[str, Any] | None = None) -> SurveyConfig:
             raise ConfigError(f"unknown config key: '{sorted(unknown)[0]}'")
         merged.update(overrides)
 
-    for key in ("rows", "cols"):
-        if isinstance(merged[key], bool) or not isinstance(merged[key], int):
-            _fail(key, "expected an integer")
-        if merged[key] < 1:
-            _fail(key, "must be at least 1")
-    for key in _POSITIVE:
-        if _as_number(key, merged[key]) <= 0 and key != "tx_power_dbm":
-            _fail(key, "must be > 0")
-    for key in _NONNEGATIVE:
-        if _as_number(key, merged[key]) < 0:
-            _fail(key, "must be >= 0")
-    origin = merged["origin"]
-    if not isinstance(origin, (list, tuple)) or len(origin) != 2:
-        _fail("origin", "expected [x, y]")
-    start = merged["start_position"]
-    if not isinstance(start, (list, tuple)) or len(start) != 2:
-        _fail("start_position", "expected [x, y]")
-    if merged["planner"] not in [k.value for k in PlannerKind]:
-        _fail("planner", f"expected one of {[k.value for k in PlannerKind]}")
-    if merged["aggregation"] not in ("max", "mean"):
-        _fail("aggregation", "expected 'max' or 'mean'")
-    if merged["target"] not in ("power", "service"):
-        _fail("target", "expected 'power' or 'service'")
-    if merged["uncertainty_threshold"] is not None:
-        _as_number("uncertainty_threshold", merged["uncertainty_threshold"])
-    seed = merged["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        _fail("seed", "expected an unsigned 64-bit integer")
-    num_tx = merged["num_transmitters"]
-    if isinstance(num_tx, bool) or not isinstance(num_tx, int) or num_tx < 1:
-        _fail("num_transmitters", "expected a positive integer")
+    def number(key: str) -> float:
+        return _as_number(key, merged[key])
 
-    if merged["transmitters"] is not None:
-        txs = _parse_transmitters(merged["transmitters"], float(merged["tx_power_dbm"]))
-    else:
-        txs = ()
-
+    threshold = merged["uncertainty_threshold"]
+    tx_power = number("tx_power_dbm")
     try:
         grid = GridSpec(
-            rows=merged["rows"],
-            cols=merged["cols"],
-            spacing=float(merged["spacing"]),
-            origin=(float(origin[0]), float(origin[1])),
-            altitude=float(merged["altitude"]),
+            rows=_as_int("rows", merged["rows"]),
+            cols=_as_int("cols", merged["cols"]),
+            spacing=number("spacing"),
+            origin=_as_point("origin", merged["origin"]),
+            altitude=number("altitude"),
         )
         params = ChannelParams(
-            transmitters=txs,
-            frequency=float(merged["frequency"]),
-            pathloss_exponent=float(merged["pathloss_exponent"]),
-            shadow_var=float(merged["shadow_var"]),
-            shadow_mean=float(merged["shadow_mean"]),
-            corr_distance=float(merged["corr_distance"]),
-            fading_var=float(merged["fading_var"]),
-            noise_var=float(merged["noise_var"]),
+            transmitters=(
+                ()
+                if merged["transmitters"] is None
+                else _parse_transmitters(merged["transmitters"], tx_power)
+            ),
+            frequency=number("frequency"),
+            pathloss_exponent=number("pathloss_exponent"),
+            shadow_var=number("shadow_var"),
+            shadow_mean=number("shadow_mean"),
+            corr_distance=number("corr_distance"),
+            fading_var=number("fading_var"),
+            noise_var=number("noise_var"),
         )
         return SurveyConfig(
             grid=grid,
             channel=params,
-            num_transmitters=num_tx,
-            tx_height=float(merged["tx_height"]),
-            tx_power_dbm=float(merged["tx_power_dbm"]),
-            r_min=float(merged["r_min"]),
-            measurement_spacing=float(merged["measurement_spacing"]),
-            planner=PlannerKind(merged["planner"]),
+            num_transmitters=_as_int("num_transmitters", merged["num_transmitters"]),
+            tx_height=number("tx_height"),
+            tx_power_dbm=tx_power,
+            r_min=number("r_min"),
+            measurement_spacing=number("measurement_spacing"),
+            planner=merged["planner"],
             aggregation=merged["aggregation"],
             target=merged["target"],
+            # SurveyConfig checks that the budget is a nonnegative integer.
             max_measurements=merged["max_measurements"],
             uncertainty_threshold=(
-                None
-                if merged["uncertainty_threshold"] is None
-                else float(merged["uncertainty_threshold"])
+                None if threshold is None else _as_number("uncertainty_threshold", threshold)
             ),
-            speed=float(merged["speed"]),
-            start_position=Waypoint(float(start[0]), float(start[1])),
-            seed=seed,
+            start_position=Waypoint(*_as_point("start_position", merged["start_position"])),
+            seed=_as_int("seed", merged["seed"]),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def load_config(path: str) -> SurveyConfig:
-    """Load a survey configuration from a JSON file; unknown keys are rejected."""
+def _read_json(path: str) -> dict[str, Any]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -190,7 +172,12 @@ def load_config(path: str) -> SurveyConfig:
         raise ConfigError(f"config parse error at line {exc.lineno}: {exc.msg}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    return default_config(raw)
+    return raw
+
+
+def load_config(path: str) -> SurveyConfig:
+    """Load a survey configuration from a JSON file; unknown keys are rejected."""
+    return default_config(_read_json(path))
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -304,30 +291,21 @@ def _parse_snapshots(raw: str | None) -> tuple[int, ...]:
     return values
 
 
-def _apply_overrides(cfg: SurveyConfig, ns: argparse.Namespace) -> SurveyConfig:
-    if getattr(ns, "seed", None) is not None:
-        if not 0 <= ns.seed < 2**64:
-            raise ConfigError("invalid value for 'seed': expected an unsigned 64-bit integer")
-        cfg = replace(cfg, seed=ns.seed)
-    if getattr(ns, "planner", None) is not None:
-        try:
-            kind = PlannerKind(ns.planner)
-        except ValueError:
-            raise ConfigError(f"invalid value for 'planner': {ns.planner!r}") from None
-        cfg = _with_planner(cfg, kind)
-    return cfg
-
-
-def _with_planner(cfg: SurveyConfig, kind: PlannerKind) -> SurveyConfig:
+def _with_planner(cfg: SurveyConfig, name: str) -> SurveyConfig:
     try:
-        return replace(cfg, planner=kind)
+        return replace(cfg, planner=name)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def _load_for(ns: argparse.Namespace) -> SurveyConfig:
-    cfg = load_config(ns.config) if ns.config else default_config()
-    return _apply_overrides(cfg, ns)
+    """The config file (or the defaults) with --seed and --planner merged in, validated once."""
+    raw = _read_json(ns.config) if ns.config else {}
+    if ns.seed is not None:
+        raw["seed"] = ns.seed
+    if getattr(ns, "planner", None) is not None:
+        raw["planner"] = ns.planner
+    return default_config(raw)
 
 
 def cmd_survey(ns: argparse.Namespace) -> int:
@@ -369,17 +347,14 @@ def cmd_montecarlo(ns: argparse.Namespace) -> int:
     if ns.runs < 1:
         raise ConfigError("--runs must be at least 1")
     if ns.planners:
-        try:
-            kinds = [PlannerKind(p.strip()) for p in ns.planners.split(",") if p.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"invalid --planners list: {exc}") from None
-        if not kinds:
+        names = [p.strip() for p in ns.planners.split(",") if p.strip()]
+        if not names:
             raise ConfigError("--planners must name at least one planner")
     else:
-        kinds = [cfg.planner]
+        names = [cfg.planner.value]
     if cfg.uncertainty_threshold is not None:
         _fail("uncertainty_threshold", "montecarlo needs fixed-length runs; remove the threshold")
-    configs = [_with_planner(cfg, kind) for kind in kinds]
+    configs = [_with_planner(cfg, name) for name in names]
     os.makedirs(ns.out_dir, exist_ok=True)
     for run_cfg in configs:
         result = monte_carlo(run_cfg, ns.runs)

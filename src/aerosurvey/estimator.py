@@ -40,14 +40,17 @@ from scipy.special import ndtr
 from .channel import (
     COV_JITTER,
     ChannelParams,
+    GridPrior,
     Measurement,
     base_power,
     base_powers,
     grid_base_powers,
+    grid_prior,
+    pairwise_distances,
+    shadow_cov,
     shadow_cov_matrix,
-    shadow_cross_cov,
 )
-from .spatial import GridSpec, grid_points
+from .spatial import GridSpec
 
 __all__ = [
     "VAR_FLOOR",
@@ -101,39 +104,8 @@ class ObservationCoefficients:
     grid_index: int | None = None
 
 
-class _KernelContext:
-    """Per-(grid, kernel) cache: prior covariance and its factorization."""
-
-    __slots__ = ("points", "prior_cov", "chol")
-
-    def __init__(self, points: np.ndarray, prior_cov: np.ndarray, chol) -> None:
-        self.points = points
-        self.prior_cov = prior_cov
-        self.chol = chol
-
-
-@functools.lru_cache(maxsize=16)
-def _kernel_context(
-    grid: GridSpec, shadow_var: float, corr_distance: float, fading_var: float
-) -> _KernelContext:
-    pts = grid_points(grid)
-    n = grid.num_points
-    diff = pts[:, None, :] - pts[None, :, :]
-    cov_shadow = shadow_var * np.exp2(-np.sqrt((diff**2).sum(axis=-1)) / corr_distance)
-    prior_cov = cov_shadow + fading_var * np.eye(n)
-    if shadow_var == 0.0 and fading_var == 0.0:
-        chol = None  # degenerate zero prior: solves are defined to return zeros
-    else:
-        jittered = prior_cov + (COV_JITTER * shadow_var) * np.eye(n)
-        try:
-            chol = scipy.linalg.cho_factor(jittered, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise scipy.linalg.LinAlgError(
-                "prior covariance factorization failed even after diagonal jitter"
-            ) from exc
-    pts.flags.writeable = False
-    prior_cov.flags.writeable = False
-    return _KernelContext(points=pts, prior_cov=prior_cov, chol=chol)
+def _grid_prior(grid: GridSpec, params: ChannelParams) -> GridPrior:
+    return grid_prior(grid, params.shadow_var, params.corr_distance, params.fading_var)
 
 
 @functools.lru_cache(maxsize=64)
@@ -151,8 +123,8 @@ def _check_tx(params: ChannelParams, tx: int) -> None:
 def init_posterior(grid: GridSpec, params: ChannelParams, tx: int) -> PosteriorState:
     """Prior over grid powers for transmitter ``tx`` before any measurement."""
     _check_tx(params, tx)
-    ctx = _kernel_context(grid, params.shadow_var, params.corr_distance, params.fading_var)
-    return PosteriorState(mean=_prior_mean(grid, params, tx).copy(), cov=ctx.prior_cov.copy())
+    cov = _grid_prior(grid, params).cov.copy()
+    return PosteriorState(mean=_prior_mean(grid, params, tx).copy(), cov=cov)
 
 
 def init_posteriors(grid: GridSpec, params: ChannelParams) -> list[PosteriorState]:
@@ -161,8 +133,7 @@ def init_posteriors(grid: GridSpec, params: ChannelParams) -> list[PosteriorStat
     Each state has its own mean; their ``cov`` attributes are the same array,
     which :func:`condition_in_place` updates once per measurement.
     """
-    ctx = _kernel_context(grid, params.shadow_var, params.corr_distance, params.fading_var)
-    cov = ctx.prior_cov.copy()
+    cov = _grid_prior(grid, params).cov.copy()
     return [
         PosteriorState(mean=_prior_mean(grid, params, k).copy(), cov=cov)
         for k in range(params.num_transmitters)
@@ -180,24 +151,23 @@ def _observation_parts(
     y: float,
 ) -> tuple[np.ndarray, float, int | None]:
     """Transmitter-independent observation weights and residual variance at one position."""
-    ctx = _kernel_context(grid, shadow_var, corr_distance, fading_var)
-    d = np.hypot(ctx.points[:, 0] - x, ctx.points[:, 1] - y)
-    cross = shadow_var * np.exp2(-d / corr_distance)
+    prior = grid_prior(grid, shadow_var, corr_distance, fading_var)
+    d = pairwise_distances(prior.points, (x, y))[:, 0]
+    cross = shadow_cov(d, prior.kernel)
     j = int(np.argmin(d))
     on_grid: int | None = None
     if d[j] <= ON_GRID_TOL:
         # On a grid node the cross-covariance equals the j-th prior column, so
         # the weight solve collapses to a unit vector; fading contributes only
         # through the shared entry.
-        cross = cross.copy()
         cross[j] += fading_var
         weights = np.zeros(grid.num_points)
         weights[j] = 1.0
         on_grid = j
-    elif ctx.chol is None:
+    elif prior.factor is None:
         weights = np.zeros(grid.num_points)
     else:
-        weights = scipy.linalg.cho_solve(ctx.chol, cross, check_finite=False)
+        weights = scipy.linalg.cho_solve((prior.factor, True), cross, check_finite=False)
     var = shadow_var + fading_var + noise_var - float(weights @ cross)
     var = max(var, VAR_FLOOR)
     weights.flags.writeable = False
@@ -311,7 +281,7 @@ def batch_posterior(
     _check_tx(params, tx)
     if len(measurements) == 0:
         return init_posterior(grid, params, tx)
-    ctx = _kernel_context(grid, params.shadow_var, params.corr_distance, params.fading_var)
+    prior = _grid_prior(grid, params)
     positions = np.array([m.position for m in measurements], dtype=float)
     values = np.array([m.rss[tx] for m in measurements], dtype=float)
     if not np.all(np.isfinite(values)) or not np.all(np.isfinite(positions)):
@@ -321,13 +291,13 @@ def batch_posterior(
     gram[np.diag_indices_from(gram)] += (
         params.fading_var + params.noise_var + COV_JITTER * params.shadow_var
     )
-    cross = shadow_cross_cov(grid_points(grid), positions, params)
+    cross = shadow_cov_matrix(prior.points, params, positions)
     try:
         cho = scipy.linalg.cho_factor(gram, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise scipy.linalg.LinAlgError("measurement Gram matrix is singular") from exc
     mean = _prior_mean(grid, params, tx) + cross @ scipy.linalg.cho_solve(cho, values - base_meas)
-    cov = ctx.prior_cov - cross @ scipy.linalg.cho_solve(cho, cross.T)
+    cov = prior.cov - cross @ scipy.linalg.cho_solve(cho, cross.T)
     cov = 0.5 * (cov + cov.T)
     np.fill_diagonal(cov, np.maximum(np.diagonal(cov), 0.0))
     return PosteriorState(mean=mean, cov=cov)

@@ -50,15 +50,18 @@ class SurveyConfig:
     target: str = "service"
     max_measurements: int = 300
     uncertainty_threshold: float | None = None  # optional early stop, in (0, 1]
-    speed: float = 5.0
     start_position: spatial.Waypoint = spatial.Waypoint(0.0, 0.0)
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.measurement_spacing > 0:
-            raise ValueError("measurement_spacing must be positive")
-        if not self.speed > 0:
-            raise ValueError("speed must be positive")
+        # The one place survey settings are range-checked; GridSpec,
+        # ChannelParams and Transmitter check their own fields.
+        if not self.channel.transmitters and self.num_transmitters < 1:
+            raise ValueError("num_transmitters must be at least 1")
+        if not self.tx_height >= 0:
+            raise ValueError("tx_height must be nonnegative")
+        if not 0 < self.measurement_spacing < np.inf:
+            raise ValueError("measurement_spacing must be positive and finite")
         mm = self.max_measurements
         if isinstance(mm, bool) or not isinstance(mm, (int, np.integer)) or mm < 0:
             raise ValueError("max_measurements must be a nonnegative integer")
@@ -66,18 +69,21 @@ class SurveyConfig:
         if threshold is not None and not 0.0 < threshold <= 1.0:
             raise ValueError("uncertainty_threshold must lie in (0, 1]")
         if self.aggregation not in ("max", "mean"):
-            raise ValueError(f"unknown aggregation: {self.aggregation!r}")
+            raise ValueError(f"unknown aggregation: {self.aggregation!r}; expected 'max' or 'mean'")
         if self.target not in ("power", "service"):
-            raise ValueError(f"unknown target: {self.target!r}")
-        if not self.channel.transmitters and self.num_transmitters < 1:
-            raise ValueError("need at least one transmitter")
+            raise ValueError(f"unknown target: {self.target!r}; expected 'power' or 'service'")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if not self.grid.contains(self.start_position.x, self.start_position.y):
             raise ValueError("start_position lies outside the grid rectangle")
-        object.__setattr__(self, "planner", planner.PlannerKind(self.planner))
+        try:
+            kind = planner.PlannerKind(self.planner)
+        except (ValueError, TypeError):
+            names = [k.value for k in planner.PlannerKind]
+            raise ValueError(f"unknown planner: {self.planner!r}; expected one of {names}") from None
+        object.__setattr__(self, "planner", kind)
         if (
-            self.planner is planner.PlannerKind.MIN_COST
+            kind is planner.PlannerKind.MIN_COST
             and self.grid.num_points > 1
             and min(self.grid.rows, self.grid.cols) < 2
         ):
@@ -140,12 +146,12 @@ def service_error_rate(probabilities, gt: channel.GroundTruth, r_min: float) -> 
     return float(np.mean(estimated != truth))
 
 
-def _power_fields(states, params) -> list[unc.UncertaintyField]:
+def _power_field(states, params) -> unc.UncertaintyField:
+    """Power uncertainty of every transmitter: they share one covariance, so one field."""
     if params.shadow_var + params.fading_var <= 0:
         # Degenerate prior: the map is known exactly, nothing is uncertain.
-        n = states[0].mean.shape[0]
-        return [unc.UncertaintyField(np.zeros(n), "power") for _ in states]
-    return [unc.power_uncertainty(s, params) for s in states]
+        return unc.UncertaintyField(np.zeros(states[0].mean.shape[0]), "power")
+    return unc.power_uncertainty(states[0], params)
 
 
 def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRecord:
@@ -170,7 +176,6 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
         spatial.build_motion_graph(grid) if grid.rows >= 2 and grid.cols >= 2 else None
     )
     states = estimator.init_posteriors(grid, params)
-    delta = config.measurement_spacing
     wanted = set(int(s) for s in snapshots)
     record = SurveyRecord(
         config=config,
@@ -189,7 +194,7 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
             t=t,
             posterior_means=np.vstack([s.mean for s in states]),
             service_prob=np.vstack(probs),
-            power_unc=unc.aggregate(_power_fields(states, params), config.aggregation).values,
+            power_unc=_power_field(states, params).values,
             service_unc=unc.aggregate(
                 [unc.service_uncertainty(p) for p in probs], config.aggregation
             ).values,
@@ -197,12 +202,11 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
 
     def planning_field() -> unc.UncertaintyField:
         if config.target == "power":
-            fields = _power_fields(states, params)
-        else:
-            fields = [
-                unc.service_uncertainty(estimator.service_probability(s, config.r_min))
-                for s in states
-            ]
+            return _power_field(states, params)
+        fields = [
+            unc.service_uncertainty(estimator.service_probability(s, config.r_min))
+            for s in states
+        ]
         return unc.aggregate(fields, config.aggregation)
 
     def measure_at(point, t: int, meters: float) -> bool:
@@ -215,9 +219,7 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
         ]
         estimator.condition_in_place(states, coeffs, m.rss)
         probs = [estimator.service_probability(s, config.r_min) for s in states]
-        power_total = unc.total_uncertainty(
-            unc.aggregate(_power_fields(states, params), config.aggregation)
-        )
+        power_total = unc.total_uncertainty(_power_field(states, params))
         service_total = unc.total_uncertainty(
             unc.aggregate([unc.service_uncertainty(p) for p in probs], config.aggregation)
         )
@@ -242,14 +244,13 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
 
     pos = np.array([config.start_position.x, config.start_position.y])
     t = 0
-    arc = 0.0
-    stop = measure_at(pos, t, arc)
+    stop = measure_at(pos, t, 0.0)
 
     if grid.num_points == 1:
         # Nowhere to fly; keep sampling in place until the budget runs out.
         while not stop:
             t += 1
-            stop = measure_at(pos, t, arc)
+            stop = measure_at(pos, t, 0.0)
         return record
 
     sweep: list[spatial.Waypoint] | None = None
@@ -281,38 +282,25 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
             route = [here] + route
         return route
 
-    need = delta  # arc length left until the next measurement
+    sampler = spatial.PathSampler(config.measurement_spacing)
     stalls = 0
     while not stop:
         route = plan_episode()
         coords = spatial.as_coords(route)
         moved = False
-        for i in range(len(route) - 1):
-            a, b = coords[i], coords[i + 1]
-            seg = b - a
-            length = float(np.hypot(seg[0], seg[1]))
-            if length == 0.0:
-                continue
-            moved = True
-            direction = seg / length
-            walked = 0.0
-            while need <= length - walked:
-                walked += need
-                arc += need
-                need = delta
-                point = a + direction * walked
+        for a, b, corner in zip(coords[:-1], coords[1:], route[1:]):
+            for point, meters in sampler.segment(a, b):
                 t += 1
-                stop = measure_at(point, t, arc)
+                stop = measure_at(point, t, meters)
                 if stop:
                     # The run ends here; close the polyline at the last sample.
                     record.waypoints.append(spatial.Waypoint(float(point[0]), float(point[1])))
                     break
             if stop:
                 break
-            leftover = length - walked
-            need -= leftover
-            arc += leftover
-            record.waypoints.append(route[i + 1])
+            if not np.array_equal(a, b):
+                moved = True
+                record.waypoints.append(corner)
         if stop:
             break
         if moved:

@@ -76,14 +76,6 @@ def _edge_cost(u: np.ndarray, grid: GridSpec, i: int, j: int) -> float:
     return 1.0 / max(integral, EDGE_FLOOR)
 
 
-def _reconstruct(prev: dict[int, int], src: int, dst: int) -> list[int]:
-    path = [dst]
-    while path[-1] != src:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
-
-
 def _dijkstra(grid: GridSpec, graph: MotionGraph, u: np.ndarray, src: int, dst: int) -> list[int]:
     dist = {src: 0.0}
     prev: dict[int, int] = {}
@@ -94,7 +86,10 @@ def _dijkstra(grid: GridSpec, graph: MotionGraph, u: np.ndarray, src: int, dst: 
         if node in done:
             continue
         if node == dst:
-            return _reconstruct(prev, src, dst)
+            path = [dst]
+            while path[-1] != src:
+                path.append(prev[path[-1]])
+            return path[::-1]
         done.add(node)
         for nb in graph.neighbors[node]:
             if nb in done:
@@ -107,38 +102,12 @@ def _dijkstra(grid: GridSpec, graph: MotionGraph, u: np.ndarray, src: int, dst: 
     raise RuntimeError("destination unreachable in motion graph")
 
 
-def _bellman_ford(grid: GridSpec, graph: MotionGraph, u: np.ndarray, src: int, dst: int) -> list[int]:
-    n = grid.num_points
-    dist = np.full(n, np.inf)
-    dist[src] = 0.0
-    prev: dict[int, int] = {}
-    for _ in range(n - 1):
-        changed = False
-        for i in range(n):
-            di = dist[i]
-            if not np.isfinite(di):
-                continue
-            for j in graph.neighbors[i]:
-                nd = di + _edge_cost(u, grid, i, j)
-                if nd < dist[j]:
-                    dist[j] = nd
-                    prev[j] = i
-                    changed = True
-        if not changed:
-            break
-    if not np.isfinite(dist[dst]):
-        raise RuntimeError("destination unreachable in motion graph")
-    return _reconstruct(prev, src, dst)
-
-
-def min_cost_route(request: PlanRequest, destination: int, engine: str = "dijkstra") -> list[Waypoint]:
+def min_cost_route(request: PlanRequest, destination: int) -> list[Waypoint]:
     """Cheapest king-move walk from the nearest grid point to ``destination``.
 
     Each edge costs the reciprocal of the trapezoidal uncertainty line
     integral along it (floored at EDGE_FLOOR), so routes gravitate toward
-    high-uncertainty terrain. Dijkstra is the default; ``engine="bellman_ford"``
-    runs the edge-relaxation variant, which returns an equal-cost (not
-    necessarily identical) path.
+    high-uncertainty terrain. Dijkstra finds the route.
     """
     if request.graph is None:
         raise ValueError("min-cost routing needs a motion graph")
@@ -151,24 +120,8 @@ def min_cost_route(request: PlanRequest, destination: int, engine: str = "dijkst
     src = point_to_index(grid, (request.current_position.x, request.current_position.y))
     if src == destination:
         return [Waypoint(*index_to_point(grid, src))]
-    if engine == "dijkstra":
-        path = _dijkstra(grid, request.graph, u, src, destination)
-    elif engine == "bellman_ford":
-        path = _bellman_ford(grid, request.graph, u, src, destination)
-    else:
-        raise ValueError(f"unknown routing engine: {engine!r}")
+    path = _dijkstra(grid, request.graph, u, src, destination)
     return [Waypoint(*index_to_point(grid, g)) for g in path]
-
-
-def route_cost(grid: GridSpec, u, waypoints: list[Waypoint]) -> float:
-    """Total reciprocal-integral cost of a grid-point waypoint sequence."""
-    vals = np.asarray(getattr(u, "values", u), dtype=float)
-    total = 0.0
-    for a, b in zip(waypoints[:-1], waypoints[1:]):
-        i = point_to_index(grid, (a.x, a.y))
-        j = point_to_index(grid, (b.x, b.y))
-        total += _edge_cost(vals, grid, i, j)
-    return total
 
 
 def grid_route(grid: GridSpec) -> list[Waypoint]:

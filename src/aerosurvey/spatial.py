@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -15,8 +15,8 @@ __all__ = [
     "point_to_index",
     "grid_points",
     "build_motion_graph",
+    "PathSampler",
     "sample_path",
-    "travel_time",
 ]
 
 # Arc-length slack (meters) under which a sample still lands on a segment, so
@@ -41,11 +41,12 @@ class GridSpec:
     altitude: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("grid needs at least one row and one column")
+        for name in ("rows", "cols"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if not self.spacing > 0:
             raise ValueError("spacing must be positive")
-        if self.altitude < 0:
+        if not self.altitude >= 0:
             raise ValueError("altitude must be nonnegative")
         object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
 
@@ -109,9 +110,6 @@ class MotionGraph:
 
     neighbors: tuple[tuple[int, ...], ...]
 
-    def degree(self, g: int) -> int:
-        return len(self.neighbors[g])
-
 
 _KING_MOVES = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
@@ -146,42 +144,57 @@ def as_coords(waypoints: Iterable[Waypoint] | np.ndarray) -> np.ndarray:
     return np.asarray(rows, dtype=float).reshape(-1, 2)
 
 
+class PathSampler:
+    """Arc-length sampler over a polyline that is flown one segment at a time.
+
+    A sample falls every ``delta`` meters of arc length after the start, and
+    the sampling phase carries across segment joints, so consecutive samples
+    are exactly ``delta`` apart along the path. A sample that lands within
+    1e-9 m past a segment's end is taken on that segment, so rounding in
+    segment lengths neither drops nor adds a sample.
+    """
+
+    def __init__(self, delta: float) -> None:
+        if not delta > 0:
+            raise ValueError("delta must be positive")
+        self.delta = delta
+        self.need = delta  # arc length left until the next sample
+        self.meters = 0.0  # arc length flown so far
+
+    def segment(self, a: np.ndarray, b: np.ndarray) -> Iterator[tuple[np.ndarray, float]]:
+        """Fly from ``a`` to ``b``, yielding each sample's position and arc length.
+
+        A consumer that stops iterating early leaves the flight at the last
+        sample it received.
+        """
+        seg = b - a
+        length = float(np.hypot(seg[0], seg[1]))
+        if length == 0.0:
+            return
+        direction = seg / length
+        walked = 0.0
+        while self.need <= length - walked + _ARC_TOL:
+            walked += self.need
+            self.meters += self.need
+            self.need = self.delta
+            yield a + direction * walked, self.meters
+        leftover = length - walked
+        self.need -= leftover
+        self.meters += leftover
+
+
 def sample_path(waypoints: Iterable[Waypoint] | np.ndarray, delta: float) -> np.ndarray:
     """Points every ``delta`` meters of arc length along a polyline.
 
-    The first sample sits on the first waypoint and the sampling phase carries
-    across segment joints, so consecutive samples are exactly ``delta`` apart
-    along the path. The final waypoint is included only when the total length
-    is a multiple of ``delta``, up to 1e-9 m of rounding.
+    The first sample sits on the first waypoint and the rest follow
+    :class:`PathSampler`. The final waypoint is included only when the total
+    length is a multiple of ``delta``, up to 1e-9 m of rounding.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    sampler = PathSampler(delta)
     pts = as_coords(waypoints)
     if pts.shape[0] == 0:
         raise ValueError("need at least one waypoint")
     samples = [pts[0]]
-    need = delta
     for a, b in zip(pts[:-1], pts[1:]):
-        seg = b - a
-        length = float(np.hypot(seg[0], seg[1]))
-        if length == 0.0:
-            continue
-        direction = seg / length
-        walked = 0.0
-        while need <= length - walked + _ARC_TOL:
-            walked += need
-            samples.append(a + direction * walked)
-            need = delta
-        need -= length - walked
+        samples.extend(point for point, _ in sampler.segment(a, b))
     return np.asarray(samples)
-
-
-def travel_time(waypoints: Iterable[Waypoint] | np.ndarray, speed: float) -> float:
-    """Seconds to fly the polyline at constant ``speed``."""
-    if not speed > 0:
-        raise ValueError("speed must be positive")
-    pts = as_coords(waypoints)
-    if pts.shape[0] < 2:
-        return 0.0
-    deltas = np.diff(pts, axis=0)
-    return float(np.hypot(deltas[:, 0], deltas[:, 1]).sum() / speed)

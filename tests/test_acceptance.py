@@ -28,6 +28,7 @@ from aerosurvey.estimator import ObservationCoefficients, PosteriorState
 from aerosurvey.harness import monte_carlo, run_survey
 from aerosurvey.planner import PlannerKind, PlanRequest
 from aerosurvey.spatial import GridSpec, Waypoint
+from oracles import route_cost
 
 
 @contextmanager
@@ -261,7 +262,7 @@ def test_07_min_cost_routes_match_exhaustive_enumeration():
                 graph=spatial.build_motion_graph(grid),
             )
             route = planner.min_cost_route(req, int(dst))
-            got = planner.route_cost(grid, u, route)
+            got = route_cost(grid, u, route)
             best = _enumerate_best_cost(grid, u, int(src), int(dst))
             assert got == pytest.approx(best, rel=1e-9, abs=1e-12)
 

@@ -120,7 +120,7 @@ class TestCovarianceMatrix:
         g = GridSpec(rows=3, cols=3, spacing=10.0)
         pts = spatial.grid_points(g)
         cov = channel.shadow_cov_matrix(pts, make_params())
-        cross = channel.shadow_cross_cov(pts[4][None, :], pts, make_params())
+        cross = channel.shadow_cov_matrix(pts[4][None, :], make_params(), pts)
         np.testing.assert_allclose(cross[0], cov[4])
 
     @given(rows=st.integers(2, 6), cols=st.integers(2, 6), spacing=st.floats(1.0, 30.0))
@@ -130,6 +130,47 @@ class TestCovarianceMatrix:
         cov = channel.shadow_cov_matrix(spatial.grid_points(g), make_params())
         jittered = cov + 1e-9 * 9.0 * np.eye(cov.shape[0])
         np.linalg.cholesky(jittered)
+
+
+class TestGridPrior:
+    def test_distances_match_the_definition(self):
+        a = np.array([[0.0, 0.0], [3.0, 4.0], [-1.5, 2.0]])
+        b = np.array([[3.0, 0.0], [0.0, -4.0]])
+        want = np.array([[np.sqrt(np.sum((p - q) ** 2)) for q in b] for p in a])
+        np.testing.assert_array_equal(channel.pairwise_distances(a, b), want)
+
+    def test_factor_reproduces_jittered_covariance(self):
+        g = GridSpec(rows=4, cols=5, spacing=10.0)
+        prior = channel.grid_prior(g, 9.0, 50.0, 1.5)
+        want = channel.shadow_cov_matrix(spatial.grid_points(g), make_params())
+        want += (1.5 + channel.COV_JITTER * 9.0) * np.eye(g.num_points)
+        np.testing.assert_allclose(prior.factor @ prior.factor.T, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(np.triu(prior.factor, 1), 0.0)
+        np.testing.assert_array_equal(prior.cov.diagonal(), 10.5)
+        assert not prior.cov.flags.writeable and not prior.factor.flags.writeable
+
+    def test_zero_prior_has_no_factor(self):
+        prior = channel.grid_prior(GridSpec(rows=2, cols=2, spacing=10.0), 0.0, 50.0, 0.0)
+        assert prior.factor is None
+        np.testing.assert_array_equal(prior.cov, 0.0)
+
+    def test_ground_truth_and_estimator_share_one_factorisation(self):
+        from aerosurvey import estimator
+
+        g = GridSpec(rows=5, cols=3, spacing=7.0)
+        p = make_params(corr_distance=41.0)
+        channel.grid_prior.cache_clear()
+        channel.sample_ground_truth(g, p, 0)
+        estimator.init_posterior(g, p, 0)
+        estimator.observation_coefficients(g, p, 0, (3.0, 4.0))
+        info = channel.grid_prior.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
+    def test_cache_is_bounded(self):
+        g = GridSpec(rows=2, cols=2, spacing=10.0)
+        for corr in range(1, 20):
+            channel.grid_prior(g, 9.0, float(corr), 0.0)
+        assert channel.grid_prior.cache_info().currsize <= 4
 
 
 class TestSampleGroundTruth:

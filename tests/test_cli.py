@@ -41,7 +41,6 @@ class TestConfigLoading:
         assert cfg.aggregation == "max"
         assert cfg.target == "service"
         assert cfg.max_measurements == 300
-        assert cfg.speed == 5.0
         assert cfg.seed == 0
 
     def test_unknown_key_rejected_by_name(self, tmp_path):
@@ -103,13 +102,65 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="uncertainty_threshold"):
             default_config({"max_measurements": 10, "uncertainty_threshold": threshold})
 
+    # One bad value per config key; each must be rejected naming the key.
+    BAD_VALUES = [
+        ("rows", 0),
+        ("rows", 2.0),
+        ("cols", 0),
+        ("cols", True),
+        ("spacing", -1.0),
+        ("spacing", 0),
+        ("altitude", -0.5),
+        ("origin", [0.0]),
+        ("origin", ["a", 0.0]),
+        ("transmitters", []),
+        ("transmitters", [{"position": [1.0, 2.0, "z"]}]),
+        ("num_transmitters", 0),
+        ("num_transmitters", 1.5),
+        ("tx_height", -5.0),
+        ("tx_power_dbm", "loud"),
+        ("frequency", 0.0),
+        ("pathloss_exponent", -2.0),
+        ("shadow_var", -1.0),
+        ("shadow_mean", None),
+        ("corr_distance", 0.0),
+        ("fading_var", -0.1),
+        ("noise_var", float("nan")),
+        ("r_min", "low"),
+        ("measurement_spacing", 0.0),
+        ("planner", "zigzag"),
+        ("planner", 3),
+        ("aggregation", "median"),
+        ("target", "coverage"),
+        ("max_measurements", -1),
+        ("max_measurements", 2.5),
+        ("uncertainty_threshold", 2.0),
+        ("uncertainty_threshold", "low"),
+        ("start_position", [-5.0, 0.0]),
+        ("start_position", [0.0, 0.0, 0.0]),
+        ("seed", -1),
+        ("seed", 2**64),
+        ("seed", 1.0),
+    ]
+
     def test_default_config_override_validation(self):
-        with pytest.raises(ConfigError, match="planner"):
-            default_config({"planner": "zigzag"})
-        with pytest.raises(ConfigError, match="seed"):
-            default_config({"seed": -1})
-        with pytest.raises(ConfigError, match="rows"):
-            default_config({"rows": 0})
+        for key, value in self.BAD_VALUES:
+            with pytest.raises(ConfigError, match=key):
+                default_config({key: value})
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+    def test_non_finite_numbers_rejected(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text('{"max_measurements": 5, "measurement_spacing": %s}' % text)
+        with pytest.raises(ConfigError, match="measurement_spacing"):
+            load_config(str(path))
+
+    def test_every_key_has_a_bad_value(self):
+        assert {key for key, _ in self.BAD_VALUES} == set(cli._DEFAULTS)
+
+    def test_removed_speed_key_is_unknown(self):
+        with pytest.raises(ConfigError, match="unknown config key: 'speed'"):
+            default_config({"speed": 5.0})
 
 
 class TestWriteGrid:
@@ -264,6 +315,18 @@ class TestSurveyCommand:
         override = ["--out-dir", str(tmp_path / "m"), "--planner", "min_cost"]
         assert main(["survey", "--config", grid_cfg] + override) == 1
         assert "min_cost" in capsys.readouterr().err
+
+    def test_planner_override_applies_before_validation(self, tmp_path):
+        # The default planner (min_cost) cannot fly a line grid, but the
+        # command line may pick one that can.
+        cfg = write_config(tmp_path, {"rows": 1, "cols": 10, "max_measurements": 20})
+        assert main(["survey", "--config", cfg, "--out-dir", str(tmp_path / "g"), "--planner", "grid"]) == 0
+        assert main(["survey", "--config", cfg, "--out-dir", str(tmp_path / "m"), "--planner", "min_cost"]) == 1
+
+    def test_bad_seed_override_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL)
+        assert main(["survey", "--config", cfg, "--out-dir", str(tmp_path / "o"), "--seed", "-1"]) == 1
+        assert "seed" in capsys.readouterr().err
 
     def test_seed_and_planner_overrides(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

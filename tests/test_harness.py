@@ -1,6 +1,7 @@
 """Survey execution and Monte Carlo aggregation tests."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,6 +218,29 @@ class TestRunSurvey:
                 rec = run_survey(make_config(rows=rows, cols=cols, planner=kind, max_measurements=20))
                 assert len(rec.metrics) == 21
 
+    def test_positions_follow_the_shared_path_sampler(self):
+        # The survey samples its flight with the same sampler as sample_path,
+        # so re-sampling the recorded polyline reproduces every position.
+        for kind in ALL_PLANNERS:
+            rec = run_survey(make_config(planner=kind, seed=2, max_measurements=60))
+            got = np.array([m.position for m in rec.measurements])
+            want = spatial.sample_path(rec.waypoints, rec.config.measurement_spacing)
+            np.testing.assert_array_equal(got, want, err_msg=str(kind))
+
+    def test_one_power_field_per_measurement(self, monkeypatch):
+        # All transmitters share one covariance, so one power field serves them all.
+        calls = []
+        real = harness.unc.power_uncertainty
+
+        def counted(state, params):
+            calls.append(state)
+            return real(state, params)
+
+        monkeypatch.setattr(harness.unc, "power_uncertainty", counted)
+        cfg = make_config(num_transmitters=3, max_measurements=10, planner=PlannerKind.GRID)
+        rec = run_survey(cfg)
+        assert len(calls) == len(rec.measurements)
+
     def test_waypoints_form_connected_polyline(self):
         rec = run_survey(make_config(seed=6))
         assert len(rec.waypoints) >= 2
@@ -239,12 +263,18 @@ class TestRunSurvey:
             make_config(uncertainty_threshold=1.01)
         with pytest.raises(ValueError):
             make_config(measurement_spacing=0.0)
+        with pytest.raises(ValueError, match="measurement_spacing"):
+            make_config(measurement_spacing=float("inf"))
         with pytest.raises(ValueError):
             make_config(start_position=Waypoint(-5.0, 0.0))
         with pytest.raises(ValueError):
             make_config(aggregation="median")
         with pytest.raises(ValueError):
             make_config(target="coverage")
+        with pytest.raises(ValueError, match="tx_height"):
+            make_config(tx_height=-5.0)
+        with pytest.raises(ValueError, match="tx_height"):
+            replace(make_config(), tx_height=-5.0)
 
 
 class TestEqualTimeFairness:

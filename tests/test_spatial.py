@@ -177,19 +177,3 @@ class TestSamplePath:
             (0, 0), (4, 0), (8, 0), (10, 2), (10, 6), (10, 10), (6, 10), (2, 10),
         ]
         np.testing.assert_allclose(out, expected)
-
-
-class TestTravelTime:
-    def test_3_4_5_triangle(self):
-        assert spatial.travel_time([Waypoint(0, 0), Waypoint(30, 40)], 5.0) == 10.0
-
-    def test_single_point(self):
-        assert spatial.travel_time([Waypoint(0, 0)], 5.0) == 0.0
-
-    def test_l_shape(self):
-        pts = [Waypoint(0, 0), Waypoint(10, 0), Waypoint(10, 10)]
-        assert spatial.travel_time(pts, 1.0) == 20.0
-
-    def test_rejects_nonpositive_speed(self):
-        with pytest.raises(ValueError):
-            spatial.travel_time([Waypoint(0, 0)], 0.0)
