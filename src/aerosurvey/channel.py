@@ -11,8 +11,8 @@ noise on top. All power quantities are dBm and all variances dB^2.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -27,7 +27,6 @@ __all__ = [
     "Measurement",
     "GridPrior",
     "shadow_cov",
-    "base_power",
     "base_powers",
     "grid_base_powers",
     "pairwise_distances",
@@ -35,6 +34,7 @@ __all__ = [
     "grid_prior",
     "draw_transmitters",
     "sample_ground_truth",
+    "interpolation_taps",
     "true_power",
     "take_measurement",
 ]
@@ -122,13 +122,6 @@ def base_powers(
     return tx.power_dbm + gain - params.shadow_mean
 
 
-def base_power(
-    point: Sequence[float], tx: Transmitter, params: ChannelParams, altitude: float = 0.0
-) -> float:
-    """Scalar form of :func:`base_powers` for a single point."""
-    return float(base_powers(np.asarray(point, dtype=float)[None, :], tx, params, altitude)[0])
-
-
 def grid_base_powers(grid: GridSpec, params: ChannelParams, tx: Transmitter) -> np.ndarray:
     return base_powers(grid_points(grid), tx, params, grid.altitude)
 
@@ -145,52 +138,58 @@ def pairwise_distances(points_a, points_b) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
-def shadow_cov_matrix(points, params: ChannelParams, others=None) -> np.ndarray:
-    """Shadowing covariance between an (M, 2) point set and ``others`` (itself by default)."""
-    return shadow_cov(pairwise_distances(points, points if others is None else others), params)
+def shadow_cov_matrix(points, params: ChannelParams) -> np.ndarray:
+    """Shadowing covariance matrix of an (M, 2) point set."""
+    return shadow_cov(pairwise_distances(points, points), params)
 
 
 @dataclass(frozen=True)
 class GridPrior:
-    """Read-only prior covariance of the grid powers and its lower Cholesky factor.
+    """Read-only shadowing covariance of the grid powers and its lower Cholesky factor.
 
-    ``cov`` is the shadowing covariance with ``fading_var`` added on the
-    diagonal; ``factor`` factors ``cov`` plus a relative diagonal jitter, and
-    is None when the prior is identically zero.
+    ``factor`` factors ``cov`` plus a relative diagonal jitter, and is None
+    when the shadowing variance is zero.
     """
 
-    kernel: ChannelParams  # no transmitters; carries the kernel parameters
-    points: np.ndarray  # (N, 2)
     cov: np.ndarray  # (N, N) dB^2
     factor: np.ndarray | None  # (N, N) lower triangular
 
 
 @functools.lru_cache(maxsize=4)
-def grid_prior(
-    grid: GridSpec, shadow_var: float, corr_distance: float, fading_var: float
-) -> GridPrior:
-    """The grid prior for one kernel, cached; a fading config keeps two entries."""
-    kernel = ChannelParams(
-        (), shadow_var=shadow_var, corr_distance=corr_distance, fading_var=fading_var
-    )
-    points = grid_points(grid)
-    cov = shadow_cov_matrix(points, kernel)
-    diag = np.diag_indices_from(cov)
-    cov[diag] += fading_var
+def _factored_grid_prior(grid: GridSpec, shadow_var: float, corr_distance: float) -> GridPrior:
+    kernel = ChannelParams((), shadow_var=shadow_var, corr_distance=corr_distance)
+    cov = shadow_cov_matrix(grid_points(grid), kernel)
     factor = None
-    if shadow_var != 0.0 or fading_var != 0.0:
+    if shadow_var != 0.0:
         jittered = cov.copy(order="F")
-        jittered[diag] += COV_JITTER * shadow_var
+        jittered[np.diag_indices_from(jittered)] += COV_JITTER * shadow_var
         try:
             factor = scipy.linalg.cholesky(jittered, lower=True, overwrite_a=True)
         except scipy.linalg.LinAlgError as exc:
             raise scipy.linalg.LinAlgError(
                 "prior covariance factorization failed even after diagonal jitter"
             ) from exc
-    for arr in (points, cov, factor):
+    for arr in (cov, factor):
         if arr is not None:
             arr.flags.writeable = False
-    return GridPrior(kernel=kernel, points=points, cov=cov, factor=factor)
+    return GridPrior(cov=cov, factor=factor)
+
+
+_GRID_PRIOR_LOCK = threading.Lock()
+
+
+def grid_prior(grid: GridSpec, shadow_var: float, corr_distance: float) -> GridPrior:
+    """The grid prior for one kernel, from a cache of four.
+
+    Callers on several threads wait for one factorisation rather than each
+    computing their own.
+    """
+    with _GRID_PRIOR_LOCK:
+        return _factored_grid_prior(grid, shadow_var, corr_distance)
+
+
+grid_prior.cache_info = _factored_grid_prior.cache_info
+grid_prior.cache_clear = _factored_grid_prior.cache_clear
 
 
 def draw_transmitters(
@@ -239,7 +238,7 @@ def sample_ground_truth(
         base = grid_base_powers(grid, params, tx)
         shadow_z = gen.standard_normal(n)
         if params.shadow_var > 0:
-            prior = grid_prior(grid, params.shadow_var, params.corr_distance, 0.0)
+            prior = grid_prior(grid, params.shadow_var, params.corr_distance)
             shadow = prior.factor @ shadow_z
         else:
             shadow = np.zeros(n)
@@ -248,43 +247,50 @@ def sample_ground_truth(
     return GroundTruth(grid=grid, powers=powers)
 
 
-def _catmull_rom_1d(p0, p1, p2, p3, u: float):
-    # Horner form; u = 0 returns p1 exactly, so grid points reproduce exactly.
-    return 0.5 * (
-        2.0 * p1
-        + u * ((p2 - p0) + u * ((2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) + u * (3.0 * (p1 - p2) + p3 - p0)))
+def _catmull_rom_weights(u: float) -> np.ndarray:
+    # u = 0 gives exactly (0, 1, 0, 0), so grid points reproduce exactly.
+    return 0.5 * np.array(
+        [
+            u * (-1.0 + u * (2.0 - u)),
+            2.0 + u * u * (3.0 * u - 5.0),
+            u * (1.0 + u * (4.0 - 3.0 * u)),
+            u * u * (u - 1.0),
+        ]
     )
 
 
-def _catmull_rom_2d(field: np.ndarray, fx: float, fy: float) -> float:
-    """Separable cubic interpolation with border cells replicated outward."""
-    rows, cols = field.shape
-    c0 = min(int(np.floor(fx)), cols - 1)
-    r0 = min(int(np.floor(fy)), rows - 1)
-    u = fx - c0
-    v = fy - r0
-    cs = np.clip(np.arange(c0 - 1, c0 + 3), 0, cols - 1)
-    rs = np.clip(np.arange(r0 - 1, r0 + 3), 0, rows - 1)
-    patch = field[np.ix_(rs, cs)]
-    rowvals = _catmull_rom_1d(patch[:, 0], patch[:, 1], patch[:, 2], patch[:, 3], u)
-    return float(_catmull_rom_1d(rowvals[0], rowvals[1], rowvals[2], rowvals[3], v))
+def interpolation_taps(grid: GridSpec, point) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices and weights of the cubic interpolation at a planar point.
 
-
-def true_power(gt: GroundTruth, point) -> np.ndarray:
-    """True power at a planar point, one value per transmitter (dBm).
-
-    Off-grid points are interpolated with a separable cubic spline over the
-    grid values; on-grid points reproduce the stored values exactly.
+    The value at ``point`` is ``field[index] @ weights``: a separable
+    Catmull-Rom spline over the 4 x 4 nodes around it, with border nodes
+    replicated outward (so indices can repeat). On a grid node the weights
+    are exactly one 1.0 and fifteen 0.0.
     """
-    grid = gt.grid
     x, y = float(point[0]), float(point[1])
     if not grid.contains(x, y):
         raise ValueError(f"point ({x}, {y}) lies outside the grid rectangle")
     ox, oy = grid.origin
     fx = float(np.clip((x - ox) / grid.spacing, 0.0, grid.cols - 1))
     fy = float(np.clip((y - oy) / grid.spacing, 0.0, grid.rows - 1))
-    fields = gt.powers.reshape(-1, grid.rows, grid.cols)
-    return np.array([_catmull_rom_2d(f, fx, fy) for f in fields])
+    c0 = min(int(np.floor(fx)), grid.cols - 1)
+    r0 = min(int(np.floor(fy)), grid.rows - 1)
+    cs = np.clip(np.arange(c0 - 1, c0 + 3), 0, grid.cols - 1)
+    rs = np.clip(np.arange(r0 - 1, r0 + 3), 0, grid.rows - 1)
+    index = (rs[:, None] * grid.cols + cs).ravel()
+    weights = np.outer(_catmull_rom_weights(fy - r0), _catmull_rom_weights(fx - c0)).ravel()
+    return index, weights
+
+
+def true_power(gt: GroundTruth, point) -> np.ndarray:
+    """True power at a planar point, one value per transmitter (dBm).
+
+    Off-grid points are interpolated from the grid values through
+    :func:`interpolation_taps`; on-grid points reproduce the stored values
+    exactly.
+    """
+    index, weights = interpolation_taps(gt.grid, point)
+    return gt.powers[:, index] @ weights
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,12 @@ observed. A survey therefore keeps one covariance shared by all transmitters
 while each transmitter's mean moves by its own innovation
 (:func:`condition_in_place`).
 
-Off-grid measurements couple to the grid through the shadowing correlation:
-the grid posterior acts as a summary of the past, which is what makes the
-online recursion constant-cost. A measurement taken exactly on a grid point
-degenerates to observing that entry plus sensor noise.
+Every measurement observes the grid through the simulator's own
+interpolation (:func:`aerosurvey.channel.interpolation_taps`): a fixed
+combination of 16 grid values plus white sensor noise, the same for every
+transmitter. The online update, the batch reference and the simulator thus
+share one linear-Gaussian model, so the two posteriors agree exactly; a
+measurement taken on a grid node observes that entry plus sensor noise.
 """
 
 from __future__ import annotations
@@ -40,21 +42,15 @@ from scipy.special import ndtr
 from .channel import (
     COV_JITTER,
     ChannelParams,
-    GridPrior,
     Measurement,
-    base_power,
-    base_powers,
     grid_base_powers,
     grid_prior,
-    pairwise_distances,
-    shadow_cov,
-    shadow_cov_matrix,
+    interpolation_taps,
 )
 from .spatial import GridSpec
 
 __all__ = [
     "VAR_FLOOR",
-    "ON_GRID_TOL",
     "PosteriorState",
     "ObservationCoefficients",
     "init_posterior",
@@ -69,9 +65,6 @@ __all__ = [
 # Floor on observation noise variance (dB^2); keeps repeated noise-free
 # measurements numerically well posed.
 VAR_FLOOR = 1e-9
-
-# Points closer than this (meters) to a grid node count as on-grid.
-ON_GRID_TOL = 1e-9
 
 # Rows of the covariance downdated per step; bounds the rank-one temporary.
 _ROW_BLOCK = 64
@@ -92,20 +85,21 @@ class PosteriorState:
 class ObservationCoefficients:
     """Linear observation model of one measurement given the grid powers.
 
-    The measurement expectation is ``weights @ powers + offset`` and the
-    residual about it has variance ``noise_var``. ``grid_index`` marks the
-    degenerate case where the weights are a unit vector (measurement taken
-    exactly on a grid node), which updates can exploit.
+    The measurement is ``powers[index] @ weights`` plus white noise of
+    variance ``noise_var``, for every transmitter alike. ``index`` may repeat
+    a grid node.
     """
 
-    weights: np.ndarray  # (N,)
-    offset: float  # dBm
+    index: np.ndarray  # (taps,) grid indices
+    weights: np.ndarray  # (taps,)
     noise_var: float  # dB^2, >= VAR_FLOOR
-    grid_index: int | None = None
 
 
-def _grid_prior(grid: GridSpec, params: ChannelParams) -> GridPrior:
-    return grid_prior(grid, params.shadow_var, params.corr_distance, params.fading_var)
+def _prior_cov(grid: GridSpec, params: ChannelParams) -> np.ndarray:
+    """A fresh copy of the grid prior covariance: shadowing plus fading on the diagonal."""
+    cov = grid_prior(grid, params.shadow_var, params.corr_distance).cov.copy()
+    cov[np.diag_indices_from(cov)] += params.fading_var
+    return cov
 
 
 @functools.lru_cache(maxsize=64)
@@ -123,8 +117,7 @@ def _check_tx(params: ChannelParams, tx: int) -> None:
 def init_posterior(grid: GridSpec, params: ChannelParams, tx: int) -> PosteriorState:
     """Prior over grid powers for transmitter ``tx`` before any measurement."""
     _check_tx(params, tx)
-    cov = _grid_prior(grid, params).cov.copy()
-    return PosteriorState(mean=_prior_mean(grid, params, tx).copy(), cov=cov)
+    return PosteriorState(mean=_prior_mean(grid, params, tx).copy(), cov=_prior_cov(grid, params))
 
 
 def init_posteriors(grid: GridSpec, params: ChannelParams) -> list[PosteriorState]:
@@ -133,118 +126,53 @@ def init_posteriors(grid: GridSpec, params: ChannelParams) -> list[PosteriorStat
     Each state has its own mean; their ``cov`` attributes are the same array,
     which :func:`condition_in_place` updates once per measurement.
     """
-    cov = _grid_prior(grid, params).cov.copy()
+    cov = _prior_cov(grid, params)
     return [
         PosteriorState(mean=_prior_mean(grid, params, k).copy(), cov=cov)
         for k in range(params.num_transmitters)
     ]
 
 
-@functools.lru_cache(maxsize=4096)
-def _observation_parts(
-    grid: GridSpec,
-    shadow_var: float,
-    corr_distance: float,
-    fading_var: float,
-    noise_var: float,
-    x: float,
-    y: float,
-) -> tuple[np.ndarray, float, int | None]:
-    """Transmitter-independent observation weights and residual variance at one position."""
-    prior = grid_prior(grid, shadow_var, corr_distance, fading_var)
-    d = pairwise_distances(prior.points, (x, y))[:, 0]
-    cross = shadow_cov(d, prior.kernel)
-    j = int(np.argmin(d))
-    on_grid: int | None = None
-    if d[j] <= ON_GRID_TOL:
-        # On a grid node the cross-covariance equals the j-th prior column, so
-        # the weight solve collapses to a unit vector; fading contributes only
-        # through the shared entry.
-        cross[j] += fading_var
-        weights = np.zeros(grid.num_points)
-        weights[j] = 1.0
-        on_grid = j
-    elif prior.factor is None:
-        weights = np.zeros(grid.num_points)
-    else:
-        weights = scipy.linalg.cho_solve((prior.factor, True), cross, check_finite=False)
-    var = shadow_var + fading_var + noise_var - float(weights @ cross)
-    var = max(var, VAR_FLOOR)
-    weights.flags.writeable = False
-    return weights, var, on_grid
-
-
 def observation_coefficients(
-    grid: GridSpec, params: ChannelParams, tx: int, position
+    grid: GridSpec, params: ChannelParams, position
 ) -> ObservationCoefficients:
-    """Observation model coefficients for a measurement at ``position``.
+    """Observation model of a measurement at ``position``, shared by all transmitters.
 
-    Weights and residual variance depend only on geometry and the kernel;
-    the offset carries the transmitter-specific link budget.
+    The weights are the simulator's interpolation taps at that position; the
+    residual is sensor noise, floored at :data:`VAR_FLOOR`.
     """
-    _check_tx(params, tx)
-    pos = np.asarray(position, dtype=float).reshape(2)
-    if not np.all(np.isfinite(pos)):
-        raise ValueError("measurement position must be finite")
-    weights, var, on_grid = _observation_parts(
-        grid,
-        params.shadow_var,
-        params.corr_distance,
-        params.fading_var,
-        params.noise_var,
-        float(pos[0]),
-        float(pos[1]),
-    )
-    prior = _prior_mean(grid, params, tx)
-    expected = prior[on_grid] if on_grid is not None else float(weights @ prior)
-    offset = base_power(pos, params.transmitters[tx], params, grid.altitude) - expected
+    index, weights = interpolation_taps(grid, position)
     return ObservationCoefficients(
-        weights=weights, offset=offset, noise_var=var, grid_index=on_grid
+        index=index, weights=weights, noise_var=max(params.noise_var, VAR_FLOOR)
     )
 
 
 def condition_in_place(
     states: Sequence[PosteriorState],
-    coeffs: Sequence[ObservationCoefficients],
+    coeffs: ObservationCoefficients,
     values: Sequence[float],
 ) -> None:
     """Condition posteriors that share one covariance on one measurement, in place.
 
-    ``states[k]`` is transmitter ``k``'s posterior, ``coeffs[k]`` its
-    observation model at the measurement position and ``values[k]`` its
-    measured value. All states must hold the same ``cov`` array and all models
-    the same weights, grid index and residual variance, as
-    :func:`observation_coefficients` gives them at one position. The gain and
-    the rank-one covariance downdate are computed once; each mean moves by its
-    own innovation. Nothing is modified when an argument is rejected.
+    ``states[k]`` is transmitter ``k``'s posterior and ``values[k]`` its
+    measured value; all states must hold the same ``cov`` array, and
+    ``coeffs`` is the observation model at the measurement position. The gain
+    and the rank-one covariance downdate are computed once; each mean moves by
+    its own innovation. Nothing is modified when an argument is rejected.
     """
-    if not states or not len(states) == len(coeffs) == len(values):
-        raise ValueError("need one observation model and one value per posterior")
+    if not states or len(states) != len(values):
+        raise ValueError("need one value per posterior")
     cov = states[0].cov
-    first = coeffs[0]
-    for state, c, y in zip(states, coeffs, values):
+    for state, y in zip(states, values):
         if state.cov is not cov:
             raise ValueError("posteriors must share one covariance array")
         if not np.isfinite(y):
             raise ValueError("measurement value must be finite")
-        if not np.isfinite(c.offset) or not np.all(np.isfinite(c.weights)):
-            raise ValueError("observation coefficients must be finite")
-        if (
-            c.grid_index != first.grid_index
-            or c.noise_var != first.noise_var
-            or not (c.weights is first.weights or np.array_equal(c.weights, first.weights))
-        ):
-            raise ValueError("observation models must share one position")
-    a = first.weights
-    j = first.grid_index
-    if j is not None:
-        cov_a = cov[:, j].copy()
-        denom = first.noise_var + float(cov_a[j])
-        predicted = [float(s.mean[j]) for s in states]
-    else:
-        cov_a = cov @ a
-        denom = first.noise_var + float(a @ cov_a)
-        predicted = [float(a @ s.mean) for s in states]
+    if not np.all(np.isfinite(coeffs.weights)):
+        raise ValueError("observation coefficients must be finite")
+    index, w = coeffs.index, coeffs.weights
+    cov_a = cov[:, index] @ w
+    denom = coeffs.noise_var + float(w @ cov_a[index])
     gain = cov_a / denom
     # outer(b, b) is bit-exactly symmetric, so the update preserves symmetry
     # without a correction pass
@@ -253,8 +181,8 @@ def condition_in_place(
         cov[i : i + _ROW_BLOCK] -= np.multiply.outer(scaled[i : i + _ROW_BLOCK], scaled)
     # Roundoff from near-exact observations can leave tiny negative variances.
     np.fill_diagonal(cov, np.maximum(np.diagonal(cov), 0.0))
-    for state, c, y, pred in zip(states, coeffs, values, predicted):
-        state.mean += gain * (float(y) - pred - c.offset)
+    for state, y in zip(states, values):
+        state.mean += gain * (float(y) - float(state.mean[index] @ w))
 
 
 def online_update(
@@ -265,7 +193,7 @@ def online_update(
     Returns a new state and leaves ``state`` unchanged.
     """
     new = state.copy()
-    condition_in_place([new], [coeffs], [y])
+    condition_in_place([new], coeffs, [y])
     return new
 
 
@@ -274,29 +202,30 @@ def batch_posterior(
 ) -> PosteriorState:
     """Posterior over grid powers from all measurements at once.
 
-    Conditions the prior directly on the full measurement vector; fading and
-    sensor noise enter the Gram matrix as white terms. With no measurements
+    Stacks the observation models of every measurement into one dense
+    observation matrix ``H`` and conditions the prior on the full measurement
+    vector, with sensor noise as the only white term. With no measurements
     this is the prior itself.
     """
-    _check_tx(params, tx)
+    prior = init_posterior(grid, params, tx)
     if len(measurements) == 0:
-        return init_posterior(grid, params, tx)
-    prior = _grid_prior(grid, params)
-    positions = np.array([m.position for m in measurements], dtype=float)
+        return prior
     values = np.array([m.rss[tx] for m in measurements], dtype=float)
-    if not np.all(np.isfinite(values)) or not np.all(np.isfinite(positions)):
+    if not np.all(np.isfinite(values)):
         raise ValueError("measurements must be finite")
-    base_meas = base_powers(positions, params.transmitters[tx], params, grid.altitude)
-    gram = shadow_cov_matrix(positions, params)
-    gram[np.diag_indices_from(gram)] += (
-        params.fading_var + params.noise_var + COV_JITTER * params.shadow_var
-    )
-    cross = shadow_cov_matrix(prior.points, params, positions)
+    # h[i] @ powers is measurement i's noise-free value; repeated taps add up.
+    h = np.zeros((len(measurements), grid.num_points))
+    for row, m in zip(h, measurements):
+        index, weights = interpolation_taps(grid, m.position)
+        np.add.at(row, index, weights)
+    cross = prior.cov @ h.T
+    gram = h @ cross
+    gram[np.diag_indices_from(gram)] += params.noise_var + COV_JITTER * params.shadow_var
     try:
         cho = scipy.linalg.cho_factor(gram, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise scipy.linalg.LinAlgError("measurement Gram matrix is singular") from exc
-    mean = _prior_mean(grid, params, tx) + cross @ scipy.linalg.cho_solve(cho, values - base_meas)
+    mean = prior.mean + cross @ scipy.linalg.cho_solve(cho, values - h @ prior.mean)
     cov = prior.cov - cross @ scipy.linalg.cho_solve(cho, cross.T)
     cov = 0.5 * (cov + cov.T)
     np.fill_diagonal(cov, np.maximum(np.diagonal(cov), 0.0))

@@ -170,7 +170,6 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
             grid, config.num_transmitters, config.tx_height, config.tx_power_dbm, rng
         )
         params = replace(config.channel, transmitters=txs)
-    num_tx = params.num_transmitters
     gt = channel.sample_ground_truth(grid, params, rng)
     graph = (
         spatial.build_motion_graph(grid) if grid.rows >= 2 and grid.cols >= 2 else None
@@ -214,9 +213,7 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
         if t in wanted:
             capture(t)
         m = channel.take_measurement(gt, point, params, rng)
-        coeffs = [
-            estimator.observation_coefficients(grid, params, k, point) for k in range(num_tx)
-        ]
+        coeffs = estimator.observation_coefficients(grid, params, point)
         estimator.condition_in_place(states, coeffs, m.rss)
         probs = [estimator.service_probability(s, config.r_min) for s in states]
         power_total = unc.total_uncertainty(_power_field(states, params))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from aerosurvey import channel, spatial
 from aerosurvey.channel import ChannelParams, GroundTruth, Transmitter
 from aerosurvey.spatial import GridSpec
+from oracles import catmull_rom_power
 
 
 def make_params(**kw):
@@ -59,36 +60,40 @@ class TestShadowCov:
         assert 0.0 < v <= var
 
 
+def base_power(point, tx, params, altitude):
+    return float(channel.base_powers(point, tx, params, altitude)[0])
+
+
 class TestBasePower:
     def test_one_meter_reference(self):
         # 10 dBm transmit power, free-space-like exponent 2 at 2.4 GHz
         tx = Transmitter(position=(0.0, 0.0, 10.0), power_dbm=10.0)
-        got = channel.base_power((0.0, 1.0), tx, make_params(), altitude=10.0)
+        got = base_power((0.0, 1.0), tx, make_params(), altitude=10.0)
         assert got == pytest.approx(-30.0520, abs=5e-4)
 
     def test_ten_meters_is_20db_down(self):
         tx = Transmitter(position=(0.0, 0.0, 10.0), power_dbm=10.0)
-        got = channel.base_power((0.0, 10.0), tx, make_params(), altitude=10.0)
+        got = base_power((0.0, 10.0), tx, make_params(), altitude=10.0)
         assert got == pytest.approx(-50.0520, abs=5e-4)
 
     def test_shadow_mean_shifts_additively(self):
         tx = Transmitter(position=(0.0, 0.0, 10.0), power_dbm=10.0)
-        a = channel.base_power((0.0, 7.0), tx, make_params(), 10.0)
-        b = channel.base_power((0.0, 7.0), tx, make_params(shadow_mean=3.0), 10.0)
+        a = base_power((0.0, 7.0), tx, make_params(), 10.0)
+        b = base_power((0.0, 7.0), tx, make_params(shadow_mean=3.0), 10.0)
         assert b == pytest.approx(a - 3.0, abs=1e-12)
 
     def test_distance_uses_altitude_difference(self):
         tx = Transmitter(position=(0.0, 0.0, 10.0), power_dbm=10.0)
         p = make_params()
         # horizontal 30 m, vertical 50-10=40 m: 3D distance 50 m
-        at_50 = channel.base_power((30.0, 0.0), tx, p, altitude=50.0)
-        direct = channel.base_power((0.0, 50.0), tx, p, altitude=10.0)
+        at_50 = base_power((30.0, 0.0), tx, p, altitude=50.0)
+        direct = base_power((0.0, 50.0), tx, p, altitude=10.0)
         assert at_50 == pytest.approx(direct, abs=1e-12)
 
     def test_zero_distance_rejected(self):
         tx = Transmitter(position=(5.0, 5.0, 20.0), power_dbm=10.0)
         with pytest.raises(ValueError):
-            channel.base_power((5.0, 5.0), tx, make_params(), altitude=20.0)
+            base_power((5.0, 5.0), tx, make_params(), altitude=20.0)
 
     def test_grid_field_matches_pointwise(self):
         g = GridSpec(rows=4, cols=5, spacing=10.0, altitude=20.0)
@@ -99,7 +104,7 @@ class TestBasePower:
         pts = spatial.grid_points(g)
         for i in (0, 7, 19):
             assert field[i] == pytest.approx(
-                channel.base_power(pts[i], tx, p, g.altitude), abs=1e-12
+                base_power(pts[i], tx, p, g.altitude), abs=1e-12
             )
 
 
@@ -120,7 +125,7 @@ class TestCovarianceMatrix:
         g = GridSpec(rows=3, cols=3, spacing=10.0)
         pts = spatial.grid_points(g)
         cov = channel.shadow_cov_matrix(pts, make_params())
-        cross = channel.shadow_cov_matrix(pts[4][None, :], make_params(), pts)
+        cross = channel.shadow_cov(channel.pairwise_distances(pts[4], pts), make_params())
         np.testing.assert_allclose(cross[0], cov[4])
 
     @given(rows=st.integers(2, 6), cols=st.integers(2, 6), spacing=st.floats(1.0, 30.0))
@@ -141,16 +146,16 @@ class TestGridPrior:
 
     def test_factor_reproduces_jittered_covariance(self):
         g = GridSpec(rows=4, cols=5, spacing=10.0)
-        prior = channel.grid_prior(g, 9.0, 50.0, 1.5)
+        prior = channel.grid_prior(g, 9.0, 50.0)
         want = channel.shadow_cov_matrix(spatial.grid_points(g), make_params())
-        want += (1.5 + channel.COV_JITTER * 9.0) * np.eye(g.num_points)
+        np.testing.assert_array_equal(prior.cov, want)
+        want += channel.COV_JITTER * 9.0 * np.eye(g.num_points)
         np.testing.assert_allclose(prior.factor @ prior.factor.T, want, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(np.triu(prior.factor, 1), 0.0)
-        np.testing.assert_array_equal(prior.cov.diagonal(), 10.5)
         assert not prior.cov.flags.writeable and not prior.factor.flags.writeable
 
     def test_zero_prior_has_no_factor(self):
-        prior = channel.grid_prior(GridSpec(rows=2, cols=2, spacing=10.0), 0.0, 50.0, 0.0)
+        prior = channel.grid_prior(GridSpec(rows=2, cols=2, spacing=10.0), 0.0, 50.0)
         assert prior.factor is None
         np.testing.assert_array_equal(prior.cov, 0.0)
 
@@ -162,14 +167,14 @@ class TestGridPrior:
         channel.grid_prior.cache_clear()
         channel.sample_ground_truth(g, p, 0)
         estimator.init_posterior(g, p, 0)
-        estimator.observation_coefficients(g, p, 0, (3.0, 4.0))
+        estimator.observation_coefficients(g, p, (3.0, 4.0))
         info = channel.grid_prior.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
 
     def test_cache_is_bounded(self):
         g = GridSpec(rows=2, cols=2, spacing=10.0)
         for corr in range(1, 20):
-            channel.grid_prior(g, 9.0, float(corr), 0.0)
+            channel.grid_prior(g, 9.0, float(corr))
         assert channel.grid_prior.cache_info().currsize <= 4
 
 
@@ -222,6 +227,32 @@ class TestSampleGroundTruth:
         assert abs(sample_cov - expected) < 3.0 * se
 
 
+class TestInterpolationTaps:
+    def test_weights_sum_to_one(self):
+        g = GridSpec(rows=5, cols=7, spacing=3.0, origin=(1.0, -2.0))
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            point = (rng.uniform(1.0, 19.0), rng.uniform(-2.0, 10.0))
+            index, weights = channel.interpolation_taps(g, point)
+            assert index.shape == weights.shape == (16,)
+            assert np.all((0 <= index) & (index < g.num_points))
+            assert abs(weights.sum() - 1.0) <= 1e-15
+
+    def test_unit_vector_on_nodes(self):
+        g = GridSpec(rows=4, cols=3, spacing=10.0)
+        for i, point in enumerate(spatial.grid_points(g)):
+            index, weights = channel.interpolation_taps(g, point)
+            assert np.count_nonzero(weights == 1.0) == 1
+            assert np.count_nonzero(weights == 0.0) == 15
+            assert index[weights == 1.0][0] == i
+
+    def test_outside_bounds_rejected(self):
+        g = GridSpec(rows=3, cols=3, spacing=10.0)
+        for point in ((-5.0, 0.0), (0.0, 20.1), (float("nan"), 5.0)):
+            with pytest.raises(ValueError):
+                channel.interpolation_taps(g, point)
+
+
 class TestTruePower:
     def test_exact_at_grid_points(self):
         g = GridSpec(rows=5, cols=6, spacing=10.0, altitude=20.0)
@@ -245,6 +276,23 @@ class TestTruePower:
         gt = GroundTruth(grid=g, powers=vals[None, :])
         got = channel.true_power(gt, (15.0, 10.0))[0]
         assert got == pytest.approx(0.5 * 15.0 + 2.0, abs=1e-9)
+
+    def test_matches_separable_horner_reference(self):
+        g = GridSpec(rows=5, cols=6, spacing=10.0, altitude=20.0, origin=(-3.0, 4.0))
+        p = make_params(
+            transmitters=(
+                Transmitter((25.0, 25.0, 10.0), 10.0),
+                Transmitter((5.0, 40.0, 10.0), 7.0),
+            ),
+            fading_var=1.5,
+        )
+        gt = channel.sample_ground_truth(g, p, np.random.default_rng(4))
+        rng = np.random.default_rng(5)
+        points = [(rng.uniform(-3.0, 47.0), rng.uniform(4.0, 44.0)) for _ in range(200)]
+        points += [(-3.0, 4.0), (47.0, 44.0), (47.0, 10.0), (20.0, 44.0)]
+        for point in points:
+            want = catmull_rom_power(g, gt.powers, point)
+            np.testing.assert_allclose(channel.true_power(gt, point), want, rtol=0, atol=1e-12)
 
     def test_outside_bounds_rejected(self):
         g = GridSpec(rows=3, cols=3, spacing=10.0)

@@ -67,44 +67,51 @@ class TestObservationCoefficients:
     def test_on_grid_point_gives_unit_weights(self):
         g, p = small_grid(), make_params()
         pts = spatial.grid_points(g)
-        coeffs = estimator.observation_coefficients(g, p, 0, pts[5])
+        coeffs = estimator.observation_coefficients(g, p, pts[5])
+        dense = np.zeros(g.num_points)
+        np.add.at(dense, coeffs.index, coeffs.weights)
         expected = np.zeros(g.num_points)
         expected[5] = 1.0
-        np.testing.assert_array_equal(coeffs.weights, expected)
-        assert coeffs.offset == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_array_equal(dense, expected)
         assert coeffs.noise_var == pytest.approx(0.25, abs=1e-12)
 
-    def test_far_point_has_tiny_weights(self):
-        g = small_grid()
-        # place the measurement 20 correlation distances away from the grid
-        p = make_params(
-            transmitters=(Transmitter((15.0, 15.0, 10.0), 10.0),), corr_distance=1.0
-        )
-        coeffs = estimator.observation_coefficients(g, p, 0, (30.0 + 20.0, 15.0))
-        assert np.linalg.norm(coeffs.weights) < 1e-3
-        assert coeffs.noise_var == pytest.approx(9.0 + 0.0 + 0.25, rel=1e-3)
+    def test_point_outside_grid_rejected(self):
+        g, p = small_grid(), make_params()
+        for point in ((30.0 + 20.0, 15.0), (-0.5, 0.0), (float("nan"), 3.0)):
+            with pytest.raises(ValueError):
+                estimator.observation_coefficients(g, p, point)
 
-    def test_no_shadowing_off_grid_gives_zero_weights(self):
+    def test_noiseless_measurement_is_the_tap_combination(self):
         g = small_grid()
-        p = make_params(shadow_var=0.0, fading_var=2.0, noise_var=0.25)
-        coeffs = estimator.observation_coefficients(g, p, 0, (7.0, 3.0))
-        np.testing.assert_array_equal(coeffs.weights, 0.0)
-        assert coeffs.noise_var == pytest.approx(2.25, abs=1e-12)
+        p = make_params(
+            transmitters=(
+                Transmitter((15.0, 15.0, 10.0), 10.0),
+                Transmitter((2.0, 28.0, 10.0), 8.0),
+            ),
+            fading_var=1.5,
+            noise_var=0.0,
+        )
+        gt = channel.sample_ground_truth(g, p, np.random.default_rng(6))
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            point = (float(rng.uniform(0.0, 30.0)), float(rng.uniform(0.0, 30.0)))
+            c = estimator.observation_coefficients(g, p, point)
+            m = channel.take_measurement(gt, point, p, rng)
+            assert m.rss == tuple(gt.powers[:, c.index] @ c.weights)
 
     def test_on_grid_with_fading_still_snaps(self):
         g = small_grid()
         p = make_params(fading_var=2.0)
         pts = spatial.grid_points(g)
-        coeffs = estimator.observation_coefficients(g, p, 0, pts[3])
-        expected = np.zeros(g.num_points)
-        expected[3] = 1.0
-        np.testing.assert_array_equal(coeffs.weights, expected)
+        coeffs = estimator.observation_coefficients(g, p, pts[3])
+        assert coeffs.index[coeffs.weights == 1.0].tolist() == [3]
+        np.testing.assert_array_equal(coeffs.weights[coeffs.weights != 1.0], 0.0)
         assert coeffs.noise_var == pytest.approx(0.25, abs=1e-12)
 
     def test_noise_floor_applied(self):
         g, p = small_grid(), make_params(noise_var=0.0)
         pts = spatial.grid_points(g)
-        coeffs = estimator.observation_coefficients(g, p, 0, pts[0])
+        coeffs = estimator.observation_coefficients(g, p, pts[0])
         assert coeffs.noise_var >= estimator.VAR_FLOOR
 
 
@@ -130,13 +137,15 @@ class TestConditionInPlace:
         g, p = small_grid(), self.two_tx()
         states = estimator.init_posteriors(g, p)
         cov = states[0].cov.copy()
-        on_node = [estimator.observation_coefficients(g, p, k, (10.0, 20.0)) for k in range(2)]
-        off_grid = estimator.observation_coefficients(g, p, 1, (7.0, 3.0))
+        off_grid = estimator.observation_coefficients(g, p, (7.0, 3.0))
+        nan_weights = estimator.ObservationCoefficients(
+            off_grid.index, np.full(16, np.nan), off_grid.noise_var
+        )
         bad_calls = [
-            (states, on_node, [-50.0, float("nan")]),
-            (states, [on_node[0], off_grid], [-50.0, -50.0]),
-            (states, on_node, [-50.0]),
-            ([states[0], estimator.init_posterior(g, p, 1)], on_node, [-50.0, -50.0]),
+            (states, off_grid, [-50.0, float("nan")]),
+            (states, nan_weights, [-50.0, -50.0]),
+            (states, off_grid, [-50.0]),
+            ([states[0], estimator.init_posterior(g, p, 1)], off_grid, [-50.0, -50.0]),
         ]
         for args in bad_calls:
             with pytest.raises(ValueError):
@@ -150,7 +159,7 @@ class TestOnlineUpdate:
         g, p = small_grid(), make_params(noise_var=1e-9)
         state = estimator.init_posterior(g, p, 0)
         pts = spatial.grid_points(g)
-        coeffs = estimator.observation_coefficients(g, p, 0, pts[5])
+        coeffs = estimator.observation_coefficients(g, p, pts[5])
         y = -47.3
         new = estimator.online_update(state, coeffs, y)
         assert new.mean[5] == pytest.approx(y, abs=1e-6)
@@ -161,7 +170,7 @@ class TestOnlineUpdate:
         state = estimator.init_posterior(g, p, 0)
         mean, cov = state.mean.copy(), state.cov.copy()
         for point in ((10.0, 20.0), (7.0, 3.0)):  # on a node, then off-grid
-            coeffs = estimator.observation_coefficients(g, p, 0, point)
+            coeffs = estimator.observation_coefficients(g, p, point)
             new = estimator.online_update(state, coeffs, -50.0)
             assert new.mean is not state.mean and new.cov is not state.cov
             assert np.array_equal(state.mean, mean)
@@ -170,12 +179,13 @@ class TestOnlineUpdate:
 
     def test_zero_weights_leave_state_unchanged(self):
         g = small_grid()
-        p = make_params(shadow_var=0.0, fading_var=2.0, noise_var=0.25)
+        p = make_params(fading_var=2.0, noise_var=0.25)
         state = estimator.init_posterior(g, p, 0)
-        coeffs = estimator.observation_coefficients(g, p, 0, (7.0, 3.0))
+        taps = estimator.observation_coefficients(g, p, (7.0, 3.0))
+        coeffs = estimator.ObservationCoefficients(taps.index, np.zeros(16), taps.noise_var)
         new = estimator.online_update(state, coeffs, -50.0)
-        np.testing.assert_allclose(new.mean, state.mean, atol=1e-12)
-        np.testing.assert_allclose(new.cov, state.cov, atol=1e-12)
+        np.testing.assert_array_equal(new.mean, state.mean)
+        np.testing.assert_array_equal(new.cov, state.cov)
 
     def test_covariance_stays_symmetric_psd_diagonal(self):
         g, p = small_grid(), make_params()
@@ -184,7 +194,7 @@ class TestOnlineUpdate:
         pts = spatial.grid_points(g)
         for _ in range(30):
             point = pts[rng.integers(0, g.num_points)]
-            coeffs = estimator.observation_coefficients(g, p, 0, point)
+            coeffs = estimator.observation_coefficients(g, p, point)
             state = estimator.online_update(state, coeffs, float(rng.normal(-60, 3)))
             assert np.max(np.abs(state.cov - state.cov.T)) < 1e-12
             assert np.min(np.diag(state.cov)) >= 0.0
@@ -199,7 +209,7 @@ class TestOnlineUpdate:
                 float(rng.uniform(0, 30)),
                 float(rng.uniform(0, 30)),
             )
-            coeffs = estimator.observation_coefficients(g, p, 0, point)
+            coeffs = estimator.observation_coefficients(g, p, point)
             state = estimator.online_update(state, coeffs, float(rng.normal(-60, 3)))
             cur = float(np.trace(state.cov))
             assert cur <= prev + 1e-9
@@ -212,7 +222,7 @@ class TestOnlineUpdate:
         cap = 9.0 + 1.5 + 1e-9
         for _ in range(20):
             point = (float(rng.uniform(0, 30)), float(rng.uniform(0, 30)))
-            coeffs = estimator.observation_coefficients(g, p, 0, point)
+            coeffs = estimator.observation_coefficients(g, p, point)
             state = estimator.online_update(state, coeffs, float(rng.normal(-60, 3)))
             assert np.max(np.diag(state.cov)) <= cap
 
@@ -236,12 +246,12 @@ class TestBatchPosterior:
         got = estimator.batch_posterior(g, p, 0, [meas(pts[5], -50.0)])
         assert got.cov[5, 5] < 1e-6
 
-    def test_far_measurement_leaves_prior(self):
-        g = small_grid()
-        p = make_params(corr_distance=1.0)
-        prior = estimator.init_posterior(g, p, 0)
-        got = estimator.batch_posterior(g, p, 0, [meas((1000.0, 1000.0), -10.0)])
-        assert np.max(np.abs(got.mean - prior.mean)) < 1e-3
+    def test_measurement_outside_grid_rejected(self):
+        g, p = small_grid(), make_params()
+        inside = meas((7.0, 3.0), -50.0)
+        for point in ((1000.0, 1000.0), (-0.5, 10.0)):
+            with pytest.raises(ValueError):
+                estimator.batch_posterior(g, p, 0, [inside, meas(point, -10.0)])
 
     def test_order_invariance(self):
         g, p = small_grid(), make_params()
@@ -264,39 +274,46 @@ class TestBatchPosterior:
 
 
 class TestOnlineMatchesBatch:
-    def _run(self, seed, n_meas, noise_var, rows=6, cols=6):
+    def _run(self, seed, n_meas, noise_var, rows=6, cols=6, n_off_grid=0, fading_var=0.0):
         g = GridSpec(rows=rows, cols=cols, spacing=10.0, altitude=20.0)
         p = make_params(
             transmitters=(Transmitter((25.0, 25.0, 10.0), 10.0),),
             noise_var=noise_var,
-            fading_var=0.0,
+            fading_var=fading_var,
         )
         rng = np.random.default_rng(seed)
         pts = spatial.grid_points(g)
         idx = rng.integers(0, g.num_points, size=n_meas)
-        ms = [meas(pts[i], float(rng.normal(-60.0, 3.0))) for i in idx]
+        xmin, ymin, xmax, ymax = g.bounds()
+        off_grid = rng.uniform((xmin, ymin), (xmax, ymax), size=(n_off_grid, 2))
+        ms = [meas(q, float(rng.normal(-60.0, 3.0))) for q in [*pts[idx], *off_grid]]
         state = estimator.init_posterior(g, p, 0)
         for m in ms:
-            coeffs = estimator.observation_coefficients(g, p, 0, m.position)
+            coeffs = estimator.observation_coefficients(g, p, m.position)
             state = estimator.online_update(state, coeffs, m.rss[0])
         ref = estimator.batch_posterior(g, p, 0, ms)
         return state, ref
 
-    def test_grid_point_sequences_agree_with_batch(self):
-        state, ref = self._run(seed=4, n_meas=25, noise_var=0.25)
+    def _assert_agree(self, state, ref):
         scale_m = max(1.0, float(np.max(np.abs(ref.mean))))
         scale_c = max(1.0, float(np.max(np.abs(ref.cov))))
         assert np.max(np.abs(state.mean - ref.mean)) / scale_m < 1e-6
         assert np.max(np.abs(state.cov - ref.cov)) / scale_c < 1e-6
 
+    def test_grid_point_sequences_agree_with_batch(self):
+        self._assert_agree(*self._run(seed=4, n_meas=25, noise_var=0.25))
+
+    def test_off_grid_sequences_with_fading_agree_with_batch(self):
+        self._assert_agree(
+            *self._run(seed=5, n_meas=10, noise_var=0.25, n_off_grid=30, fading_var=1.5)
+        )
+
     @given(seed=st.integers(0, 50))
     @settings(max_examples=12, deadline=None)
     def test_agreement_across_seeds(self, seed):
-        state, ref = self._run(seed=seed, n_meas=12, noise_var=0.5, rows=4, cols=4)
-        scale_m = max(1.0, float(np.max(np.abs(ref.mean))))
-        scale_c = max(1.0, float(np.max(np.abs(ref.cov))))
-        assert np.max(np.abs(state.mean - ref.mean)) / scale_m < 1e-6
-        assert np.max(np.abs(state.cov - ref.cov)) / scale_c < 1e-6
+        self._assert_agree(
+            *self._run(seed=seed, n_meas=6, noise_var=0.5, rows=4, cols=4, n_off_grid=6)
+        )
 
 
 class TestServiceProbability:

@@ -139,7 +139,7 @@ class TestRunSurvey:
             for k, got in enumerate(rec.posteriors):
                 state = estimator.init_posterior(cfg.grid, rec.params, k)
                 for m in rec.measurements:
-                    coeffs = estimator.observation_coefficients(cfg.grid, rec.params, k, m.position)
+                    coeffs = estimator.observation_coefficients(cfg.grid, rec.params, m.position)
                     state = estimator.online_update(state, coeffs, m.rss[k])
                 assert np.array_equal(got.mean, state.mean), (kind, k)
                 assert np.array_equal(got.cov, state.cov), (kind, k)
@@ -349,6 +349,15 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(
             serial.mean_service_error_rate, threaded.mean_service_error_rate
         )
+
+    def test_pool_workers_share_one_factorisation(self):
+        # Both workers' first runs ask for the same 1600-point grid prior at
+        # once; the second must wait for the first factorisation.
+        cfg = make_config(rows=40, cols=40, max_measurements=2)
+        channel.grid_prior.cache_clear()
+        monte_carlo(cfg, 2, workers=2)
+        info = channel.grid_prior.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
     def test_env_var_controls_workers(self, monkeypatch):
         cfg = make_config(max_measurements=5)

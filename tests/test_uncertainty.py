@@ -44,7 +44,7 @@ class TestPowerUncertainty:
         state = estimator.init_posterior(g, p, 0)
         from aerosurvey import spatial
 
-        coeffs = estimator.observation_coefficients(g, p, 0, spatial.grid_points(g)[5])
+        coeffs = estimator.observation_coefficients(g, p, spatial.grid_points(g)[5])
         state = estimator.online_update(state, coeffs, -60.0)
         u = uncertainty.power_uncertainty(state, p)
         assert u.values[5] == pytest.approx(0.0, abs=1e-6)
@@ -181,16 +181,16 @@ class TestRingStructure:
         u = uncertainty.service_uncertainty(probs)
         j = int(np.argmax(u.values))
         from aerosurvey import spatial
-        from aerosurvey.channel import base_power
+        from aerosurvey.channel import base_powers
 
         pt = spatial.index_to_point(g, j)
         # walk the grid for the smallest |base - r_min|; argmax must be within
         # one spacing of that level set
         pts = spatial.grid_points(g)
         gaps = np.array(
-            [abs(base_power(q, tx, p, g.altitude) - r_min) for q in pts]
+            [abs(base_powers(q, tx, p, g.altitude)[0] - r_min) for q in pts]
         )
         best_gap = float(gaps.min())
-        assert abs(base_power(pt, tx, p, g.altitude) - r_min) <= best_gap + 1e-9 or (
+        assert abs(base_powers(pt, tx, p, g.altitude)[0] - r_min) <= best_gap + 1e-9 or (
             np.linalg.norm(pt - pts[int(np.argmin(gaps))]) <= g.spacing + 1e-9
         )
