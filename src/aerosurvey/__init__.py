@@ -1,7 +1,7 @@
 """Autonomous aerial spectrum surveying: simulation, estimation, planning, benchmarking."""
 
 from .channel import ChannelParams, GroundTruth, Measurement, Transmitter
-from .estimator import PosteriorState, batch_posterior, init_posterior, online_update
+from .estimator import PosteriorState
 from .harness import MonteCarloResult, SurveyConfig, SurveyRecord, monte_carlo, run_survey
 from .planner import PlannerKind
 from .spatial import GridSpec, Waypoint
@@ -20,10 +20,7 @@ __all__ = [
     "SurveyRecord",
     "Transmitter",
     "Waypoint",
-    "batch_posterior",
-    "init_posterior",
     "monte_carlo",
-    "online_update",
     "run_survey",
     "__version__",
 ]

@@ -282,14 +282,14 @@ def interpolation_taps(grid: GridSpec, point) -> tuple[np.ndarray, np.ndarray]:
     return index, weights
 
 
-def true_power(gt: GroundTruth, point) -> np.ndarray:
+def true_power(gt: GroundTruth, point, taps=None) -> np.ndarray:
     """True power at a planar point, one value per transmitter (dBm).
 
     Off-grid points are interpolated from the grid values through
     :func:`interpolation_taps`; on-grid points reproduce the stored values
-    exactly.
+    exactly. ``taps``, when given, are that function's result at ``point``.
     """
-    index, weights = interpolation_taps(gt.grid, point)
+    index, weights = interpolation_taps(gt.grid, point) if taps is None else taps
     return gt.powers[:, index] @ weights
 
 
@@ -306,10 +306,14 @@ class Measurement:
 
 
 def take_measurement(
-    gt: GroundTruth, point, params: ChannelParams, rng: np.random.Generator | int
+    gt: GroundTruth, point, params: ChannelParams, rng: np.random.Generator | int, taps=None
 ) -> Measurement:
-    """Measure the true field at ``point`` with additive white sensor noise."""
+    """Measure the true field at ``point`` with additive white sensor noise.
+
+    ``taps``, when given, are the interpolation taps at ``point``, so a
+    caller that already holds them does not compute them twice.
+    """
     gen = np.random.default_rng(rng)
     noise = np.sqrt(params.noise_var) * gen.standard_normal(params.num_transmitters)
-    rss = true_power(gt, point) + noise
+    rss = true_power(gt, point, taps) + noise
     return Measurement(position=(float(point[0]), float(point[1])), rss=tuple(rss))

@@ -3,8 +3,9 @@
 A survey flies a continuous polyline assembled from planner episodes, takes a
 measurement every fixed number of meters along it (the sampling phase carries
 across route joints, so every planner pays the same travel distance per
-measurement), conditions the posteriors online (one covariance shared by all
-transmitters, updated in place), and logs metrics after each measurement.
+measurement), conditions one posterior for all transmitters online (see
+:class:`aerosurvey.estimator.SurveyPosterior`), and logs metrics after each
+measurement.
 Monte Carlo repeats the survey over independent environment realizations and
 aggregates the metric curves per measurement index.
 """
@@ -117,9 +118,7 @@ class Snapshot:
 class SurveyRecord:
     """Full trace of one survey run.
 
-    ``posteriors`` holds one state per transmitter. Their means are separate
-    arrays; their ``cov`` attributes are one shared array, because the
-    covariance does not depend on the transmitter.
+    ``posterior`` is the final posterior of every transmitter.
     """
 
     config: SurveyConfig
@@ -128,8 +127,18 @@ class SurveyRecord:
     measurements: list[channel.Measurement]
     waypoints: list[spatial.Waypoint]
     metrics: list[MetricsRow]
-    posteriors: list[estimator.PosteriorState]
+    posterior: estimator.SurveyPosterior
     snapshots: dict[int, Snapshot] = field(default_factory=dict)
+
+    @property
+    def posteriors(self) -> list[estimator.PosteriorState]:
+        """The final posterior as one dense state per transmitter.
+
+        Their means are separate arrays; their ``cov`` attributes are one
+        shared array, because the covariance does not depend on the
+        transmitter. The first access materialises that N x N array.
+        """
+        return self.posterior.states()
 
 
 def service_error_rate(probabilities, gt: channel.GroundTruth, r_min: float) -> float:
@@ -146,12 +155,12 @@ def service_error_rate(probabilities, gt: channel.GroundTruth, r_min: float) -> 
     return float(np.mean(estimated != truth))
 
 
-def _power_field(states, params) -> unc.UncertaintyField:
+def _power_field(posterior: estimator.SurveyPosterior, params) -> unc.UncertaintyField:
     """Power uncertainty of every transmitter: they share one covariance, so one field."""
     if params.shadow_var + params.fading_var <= 0:
         # Degenerate prior: the map is known exactly, nothing is uncertain.
-        return unc.UncertaintyField(np.zeros(states[0].mean.shape[0]), "power")
-    return unc.power_uncertainty(states[0], params)
+        return unc.UncertaintyField(np.zeros(posterior.var.shape[0]), "power")
+    return unc.power_uncertainty(posterior.var, params)
 
 
 def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRecord:
@@ -174,7 +183,7 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
     graph = (
         spatial.build_motion_graph(grid) if grid.rows >= 2 and grid.cols >= 2 else None
     )
-    states = estimator.init_posteriors(grid, params)
+    posterior = estimator.SurveyPosterior(grid, params)
     wanted = set(int(s) for s in snapshots)
     record = SurveyRecord(
         config=config,
@@ -183,43 +192,40 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
         measurements=[],
         waypoints=[config.start_position],
         metrics=[],
-        posteriors=states,
+        posterior=posterior,
         snapshots={},
     )
 
+    def service_fields():
+        """Service probabilities (K, N) and their aggregated uncertainty field."""
+        probs = estimator.service_probability(posterior.means, posterior.var, config.r_min)
+        return probs, unc.aggregate(unc.service_uncertainty(probs), config.aggregation)
+
     def capture(t: int) -> None:
-        probs = [estimator.service_probability(s, config.r_min) for s in states]
+        probs, service_unc = service_fields()
         record.snapshots[t] = Snapshot(
             t=t,
-            posterior_means=np.vstack([s.mean for s in states]),
-            service_prob=np.vstack(probs),
-            power_unc=_power_field(states, params).values,
-            service_unc=unc.aggregate(
-                [unc.service_uncertainty(p) for p in probs], config.aggregation
-            ).values,
+            posterior_means=posterior.means.copy(),
+            service_prob=probs,
+            power_unc=_power_field(posterior, params).values,
+            service_unc=service_unc.values,
         )
 
     def planning_field() -> unc.UncertaintyField:
         if config.target == "power":
-            return _power_field(states, params)
-        fields = [
-            unc.service_uncertainty(estimator.service_probability(s, config.r_min))
-            for s in states
-        ]
-        return unc.aggregate(fields, config.aggregation)
+            return _power_field(posterior, params)
+        return service_fields()[1]
 
     def measure_at(point, t: int, meters: float) -> bool:
         """Snapshot, measure, update, log; returns True when the run should stop."""
         if t in wanted:
             capture(t)
-        m = channel.take_measurement(gt, point, params, rng)
         coeffs = estimator.observation_coefficients(grid, params, point)
-        estimator.condition_in_place(states, coeffs, m.rss)
-        probs = [estimator.service_probability(s, config.r_min) for s in states]
-        power_total = unc.total_uncertainty(_power_field(states, params))
-        service_total = unc.total_uncertainty(
-            unc.aggregate([unc.service_uncertainty(p) for p in probs], config.aggregation)
-        )
+        m = channel.take_measurement(gt, point, params, rng, taps=(coeffs.index, coeffs.weights))
+        posterior.condition(coeffs, m.rss)
+        probs, service_unc = service_fields()
+        power_total = unc.total_uncertainty(_power_field(posterior, params))
+        service_total = unc.total_uncertainty(service_unc)
         record.measurements.append(m)
         record.metrics.append(
             MetricsRow(
@@ -228,7 +234,7 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
                 meters=meters,
                 total_unc_power=power_total,
                 total_unc_service=service_total,
-                service_error_rate=service_error_rate(np.vstack(probs), gt, config.r_min),
+                service_error_rate=service_error_rate(probs, gt, config.r_min),
             )
         )
         if t >= config.max_measurements:
@@ -328,6 +334,9 @@ class MonteCarloResult:
     std_service_error_rate: np.ndarray
 
 
+_MC_METRICS = ("meters", "total_unc_power", "total_unc_service", "service_error_rate")
+
+
 def _resolve_workers(workers: int | None, runs: int) -> int:
     if workers is None:
         env = os.environ.get(THREADS_ENV, "").strip()
@@ -358,18 +367,21 @@ def monte_carlo(config: SurveyConfig, runs: int, workers: int | None = None) -> 
     if config.uncertainty_threshold is not None:
         raise ValueError("monte_carlo needs fixed-length runs; unset uncertainty_threshold")
     nworkers = _resolve_workers(workers, runs)
+
+    def metric_curves(k: int) -> list[list[float]]:
+        # Only the curves leave the task, so a finished run's record is freed.
+        rows = run_survey(config, run_id=k).metrics
+        return [[getattr(row, name) for row in rows] for name in _MC_METRICS]
+
     if nworkers > 1:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            records = list(pool.map(lambda k: run_survey(config, run_id=k), range(runs)))
+            curves = list(pool.map(metric_curves, range(runs)))
     else:
-        records = [run_survey(config, run_id=k) for k in range(runs)]
-
-    def stack(name: str) -> np.ndarray:
-        return np.array([[getattr(row, name) for row in rec.metrics] for rec in records])
+        curves = [metric_curves(k) for k in range(runs)]
 
     out = {"t": np.arange(config.max_measurements + 1)}
-    for name in ("meters", "total_unc_power", "total_unc_service", "service_error_rate"):
-        data = stack(name)
+    for i, name in enumerate(_MC_METRICS):
+        data = np.array([run[i] for run in curves])
         out[f"mean_{name}"] = data.mean(axis=0)
         out[f"std_{name}"] = data.std(axis=0)
     return MonteCarloResult(planner=config.planner, runs=runs, **out)

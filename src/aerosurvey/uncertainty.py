@@ -8,7 +8,6 @@ import numpy as np
 from scipy.special import xlogy
 
 from .channel import ChannelParams
-from .estimator import PosteriorState
 
 __all__ = [
     "UncertaintyField",
@@ -23,23 +22,31 @@ _LN2 = np.log(2.0)
 
 @dataclass(frozen=True)
 class UncertaintyField:
-    """Per-grid-point uncertainty in [0, 1]; ``kind`` is 'power' or 'service'."""
+    """Per-grid-point uncertainty in [0, 1]; ``kind`` is 'power' or 'service'.
+
+    ``values`` holds one value per grid point, or one row of them per
+    transmitter.
+    """
 
     values: np.ndarray
     kind: str
 
 
-def power_uncertainty(state: PosteriorState, params: ChannelParams) -> UncertaintyField:
-    """Posterior variance normalized by the prior variance, per grid point."""
+def power_uncertainty(var, params: ChannelParams) -> UncertaintyField:
+    """Posterior variances ``var`` normalized by the prior variance, per grid point."""
     prior = params.shadow_var + params.fading_var
     if prior <= 0:
         raise ValueError("prior variance is zero; power uncertainty is undefined")
-    vals = np.clip(np.diagonal(state.cov) / prior, 0.0, 1.0)
+    vals = np.clip(np.asarray(var, dtype=float) / prior, 0.0, 1.0)
     return UncertaintyField(values=vals, kind="power")
 
 
 def service_uncertainty(probabilities) -> UncertaintyField:
-    """Binary entropy (bits) of the service probabilities, with 0*log(0) = 0."""
+    """Binary entropy (bits) of the service probabilities, with 0*log(0) = 0.
+
+    Element-wise, so a (K, N) stack of per-transmitter probabilities gives a
+    (K, N) field.
+    """
     p = np.asarray(probabilities, dtype=float)
     if np.any((p < 0.0) | (p > 1.0)) or not np.all(np.isfinite(p)):
         raise ValueError("probabilities must lie in [0, 1]")
@@ -48,14 +55,18 @@ def service_uncertainty(probabilities) -> UncertaintyField:
 
 
 def aggregate(fields, mode: str = "max") -> UncertaintyField:
-    """Combine per-transmitter fields point-wise with ``max`` or ``mean``."""
-    fields = list(fields)
+    """Combine per-transmitter fields point-wise with ``max`` or ``mean``.
+
+    ``fields`` is a sequence of fields or a single field; every row of every
+    field is one transmitter.
+    """
+    fields = [fields] if isinstance(fields, UncertaintyField) else list(fields)
     if not fields:
         raise ValueError("nothing to aggregate")
     kinds = {f.kind for f in fields}
     if len(kinds) != 1:
         raise ValueError(f"cannot aggregate mixed uncertainty kinds: {sorted(kinds)}")
-    sizes = {f.values.shape for f in fields}
+    sizes = {f.values.shape[-1] for f in fields}
     if len(sizes) != 1:
         raise ValueError("uncertainty fields must share the same grid")
     stacked = np.vstack([f.values for f in fields])

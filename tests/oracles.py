@@ -1,9 +1,66 @@
 """Reference computations shared by the test modules."""
 
-import numpy as np
+from typing import Sequence
 
-from aerosurvey import planner
+import numpy as np
+import scipy.linalg
+
+from aerosurvey import channel, estimator, planner
+from aerosurvey.channel import ChannelParams, Measurement
+from aerosurvey.estimator import ObservationCoefficients, PosteriorState
 from aerosurvey.spatial import GridSpec, Waypoint, point_to_index
+
+
+def init_posterior(grid: GridSpec, params: ChannelParams, tx: int) -> PosteriorState:
+    """Dense prior over grid powers for transmitter ``tx`` before any measurement."""
+    if not 0 <= tx < params.num_transmitters:
+        raise IndexError(f"transmitter index {tx} out of range [0, {params.num_transmitters})")
+    cov = channel.grid_prior(grid, params.shadow_var, params.corr_distance).cov.copy()
+    cov[np.diag_indices_from(cov)] += params.fading_var
+    mean = channel.grid_base_powers(grid, params, params.transmitters[tx])
+    return PosteriorState(mean=mean, cov=cov)
+
+
+def online_update(state: PosteriorState, coeffs: ObservationCoefficients, y: float) -> PosteriorState:
+    """Dense gain-form rank-one update of a copy of ``state`` on one measurement ``y``."""
+    new = state.copy()
+    estimator.condition_in_place([new], coeffs, [y])
+    return new
+
+
+def batch_posterior(
+    grid: GridSpec, params: ChannelParams, tx: int, measurements: Sequence[Measurement]
+) -> PosteriorState:
+    """Posterior over grid powers from all measurements at once.
+
+    Stacks the observation models of every measurement into one dense
+    observation matrix ``H`` and conditions the prior on the full measurement
+    vector, with sensor noise as the only white term. With no measurements
+    this is the prior itself.
+    """
+    prior = init_posterior(grid, params, tx)
+    if len(measurements) == 0:
+        return prior
+    values = np.array([m.rss[tx] for m in measurements], dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("measurements must be finite")
+    # h[i] @ powers is measurement i's noise-free value; repeated taps add up.
+    h = np.zeros((len(measurements), grid.num_points))
+    for row, m in zip(h, measurements):
+        index, weights = channel.interpolation_taps(grid, m.position)
+        np.add.at(row, index, weights)
+    cross = prior.cov @ h.T
+    gram = h @ cross
+    gram[np.diag_indices_from(gram)] += params.noise_var + channel.COV_JITTER * params.shadow_var
+    try:
+        cho = scipy.linalg.cho_factor(gram, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise scipy.linalg.LinAlgError("measurement Gram matrix is singular") from exc
+    mean = prior.mean + cross @ scipy.linalg.cho_solve(cho, values - h @ prior.mean)
+    cov = prior.cov - cross @ scipy.linalg.cho_solve(cho, cross.T)
+    cov = 0.5 * (cov + cov.T)
+    np.fill_diagonal(cov, np.maximum(np.diagonal(cov), 0.0))
+    return PosteriorState(mean=mean, cov=cov)
 
 
 def route_cost(grid: GridSpec, u, waypoints: list[Waypoint]) -> float:

@@ -2,15 +2,17 @@
 
 Each test prints one PASS/FAIL line so the suite doubles as a checklist:
 
-1. online recursion matches the batch posterior on random on-node and off-grid
-   measurements, with and without fading
-2. gain-form covariance update equals the explicit rank-one formula
+1. the survey posterior matches the batch posterior on random on-node and
+   off-grid measurements, with and without fading
+2. the dense gain-form covariance update (the survey posterior's form past
+   its fold) equals the explicit rank-one formula
 3. sampled shadowing reproduces its covariance function statistically
 4. total power uncertainty never increases during a survey
 5. prior service uncertainty concentrates on rings around the transmitters
 6. the uncertainty-driven planner beats the baselines in Monte Carlo
 7. min-cost routes are optimal against exhaustive path enumeration
-8. repeated Monte Carlo invocations produce byte-identical CSVs
+8. repeated Monte Carlo invocations, on one worker and on two, produce
+   byte-identical CSVs
 """
 
 import json
@@ -29,7 +31,7 @@ from aerosurvey.estimator import ObservationCoefficients, PosteriorState
 from aerosurvey.harness import monte_carlo, run_survey
 from aerosurvey.planner import PlannerKind, PlanRequest
 from aerosurvey.spatial import GridSpec, Waypoint
-from oracles import route_cost
+from oracles import batch_posterior, route_cost
 
 
 @contextmanager
@@ -78,11 +80,12 @@ def test_01_online_matches_batch_posterior():
                 single = replace(
                     params, transmitters=(params.transmitters[tx],), fading_var=fading_var
                 )
-                state = estimator.init_posterior(grid, single, 0)
+                posterior = estimator.SurveyPosterior(grid, single)
                 for m in ms:
                     coeffs = estimator.observation_coefficients(grid, single, m.position)
-                    state = estimator.online_update(state, coeffs, m.rss[0])
-                ref = estimator.batch_posterior(grid, single, 0, ms)
+                    posterior.condition(coeffs, m.rss)
+                (state,) = posterior.states()
+                ref = batch_posterior(grid, single, 0, ms)
                 rel_mean = np.max(np.abs(state.mean - ref.mean)) / np.max(np.abs(ref.mean))
                 rel_cov = np.max(np.abs(state.cov - ref.cov)) / np.max(np.abs(ref.cov))
                 assert rel_mean < 1e-6, f"mean relative error {rel_mean:.2e}"
@@ -104,7 +107,8 @@ def test_02_gain_form_equals_explicit_rank_one_update():
             y = float(rng.normal())
             state = PosteriorState(mean=mean.copy(), cov=cov.copy())
             coeffs = ObservationCoefficients(index=np.arange(n), weights=a, noise_var=var)
-            got = estimator.online_update(state, coeffs, y)
+            estimator.condition_in_place([state], coeffs, [y])
+            got = state
             ca = cov @ a
             denom = var + float(a @ ca)
             explicit_cov = cov - np.outer(ca, ca) / denom
@@ -165,14 +169,14 @@ def test_04_total_power_uncertainty_never_increases():
             fading_var=1.5,
             noise_var=0.25,
         )
-        state = estimator.init_posterior(grid, params, 0)
+        posterior = estimator.SurveyPosterior(grid, params)
         rng = np.random.default_rng(7)
         cap = 9.0 + 1.5 + 1e-9
-        for _ in range(40):
+        for _ in range(40):  # past the fold to dense at 32
             point = (float(rng.uniform(0, 70)), float(rng.uniform(0, 70)))
             coeffs = estimator.observation_coefficients(grid, params, point)
-            state = estimator.online_update(state, coeffs, float(rng.normal(-60, 3)))
-            assert np.max(np.diag(state.cov)) <= cap
+            posterior.condition(coeffs, [float(rng.normal(-60, 3))])
+            assert np.max(posterior.var) <= cap
 
 
 def test_05_prior_service_uncertainty_rings_hug_threshold_contours():
@@ -291,7 +295,7 @@ def test_07_min_cost_routes_match_exhaustive_enumeration():
             assert got == pytest.approx(best, rel=1e-9, abs=1e-12)
 
 
-def test_08_monte_carlo_outputs_are_byte_identical(tmp_path):
+def test_08_monte_carlo_outputs_are_byte_identical(tmp_path, monkeypatch):
     with report("8 output determinism"):
         config = {
             "rows": 8,
@@ -312,7 +316,10 @@ def test_08_monte_carlo_outputs_are_byte_identical(tmp_path):
             "min_cost,random",
         ]
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+        # one worker, then two
+        monkeypatch.setenv("AEROSURVEY_THREADS", "1")
         assert cli.main(args + ["--out-dir", out_a]) == 0
+        monkeypatch.setenv("AEROSURVEY_THREADS", "2")
         assert cli.main(args + ["--out-dir", out_b]) == 0
         names = sorted(os.listdir(out_a))
         assert names == sorted(os.listdir(out_b))

@@ -166,7 +166,7 @@ class TestGridPrior:
         p = make_params(corr_distance=41.0)
         channel.grid_prior.cache_clear()
         channel.sample_ground_truth(g, p, 0)
-        estimator.init_posterior(g, p, 0)
+        estimator.SurveyPosterior(g, p)
         estimator.observation_coefficients(g, p, (3.0, 4.0))
         info = channel.grid_prior.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
@@ -320,6 +320,19 @@ class TestTakeMeasurement:
         a = channel.take_measurement(gt, (5.0, 5.0), p, np.random.default_rng(9))
         b = channel.take_measurement(gt, (5.0, 5.0), p, np.random.default_rng(9))
         assert a.rss == b.rss
+
+    def test_given_taps_change_nothing(self):
+        g = GridSpec(rows=4, cols=4, spacing=10.0, altitude=20.0)
+        p = make_params(
+            transmitters=(Transmitter((15.0, 15.0, 10.0), 10.0), Transmitter((2.0, 28.0, 10.0), 8.0)),
+            noise_var=0.25,
+        )
+        gt = channel.sample_ground_truth(g, p, np.random.default_rng(0))
+        point = (12.5, 8.25)
+        taps = channel.interpolation_taps(g, point)
+        a = channel.take_measurement(gt, point, p, np.random.default_rng(9))
+        b = channel.take_measurement(gt, point, p, np.random.default_rng(9), taps=taps)
+        assert a == b
 
     def test_noise_variance_statistics(self):
         g = GridSpec(rows=3, cols=3, spacing=10.0, altitude=20.0)

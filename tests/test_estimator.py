@@ -9,6 +9,7 @@ from aerosurvey import channel, estimator, spatial
 from aerosurvey.channel import ChannelParams, Transmitter
 from aerosurvey.estimator import PosteriorState
 from aerosurvey.spatial import GridSpec
+from oracles import batch_posterior, init_posterior, online_update
 
 
 def make_params(**kw):
@@ -31,35 +32,35 @@ def small_grid(**kw):
 
 class TestInitPosterior:
     def test_prior_variance_on_diagonal(self):
-        state = estimator.init_posterior(small_grid(), make_params(), 0)
+        state = init_posterior(small_grid(), make_params(), 0)
         np.testing.assert_allclose(np.diag(state.cov), 9.0)
 
     def test_prior_mean_near_transmitter(self):
         # grid point 1 m horizontal from the transmitter at matching height
         g = GridSpec(rows=2, cols=2, spacing=1.0, altitude=10.0)
         p = make_params(transmitters=(Transmitter((0.0, -1.0, 10.0), 10.0),))
-        state = estimator.init_posterior(g, p, 0)
+        state = init_posterior(g, p, 0)
         assert state.mean[0] == pytest.approx(-30.0520, abs=5e-4)
 
     def test_zero_variances_give_zero_cov(self):
         p = make_params(shadow_var=0.0, fading_var=0.0)
-        state = estimator.init_posterior(small_grid(), p, 0)
+        state = init_posterior(small_grid(), p, 0)
         np.testing.assert_array_equal(state.cov, 0.0)
 
     def test_fading_adds_to_diagonal_only(self):
         p = make_params(fading_var=2.0)
-        state = estimator.init_posterior(small_grid(), p, 0)
+        state = init_posterior(small_grid(), p, 0)
         np.testing.assert_allclose(np.diag(state.cov), 11.0)
         off = state.cov - np.diag(np.diag(state.cov))
-        base = estimator.init_posterior(small_grid(), make_params(), 0)
+        base = init_posterior(small_grid(), make_params(), 0)
         base_off = base.cov - np.diag(np.diag(base.cov))
         np.testing.assert_allclose(off, base_off)
 
     def test_copies_are_independent(self):
         g, p = small_grid(), make_params()
-        a = estimator.init_posterior(g, p, 0)
+        a = init_posterior(g, p, 0)
         a.mean[0] = 1e9
-        b = estimator.init_posterior(g, p, 0)
+        b = init_posterior(g, p, 0)
         assert b.mean[0] != 1e9
 
 
@@ -124,18 +125,18 @@ class TestConditionInPlace:
             )
         )
 
-    def test_init_posteriors_share_one_covariance(self):
+    def test_dense_states_share_one_covariance(self):
         g, p = small_grid(), self.two_tx()
-        states = estimator.init_posteriors(g, p)
+        states = estimator.SurveyPosterior(g, p).states()
         assert states[0].cov is states[1].cov
         for k, state in enumerate(states):
-            prior = estimator.init_posterior(g, p, k)
+            prior = init_posterior(g, p, k)
             np.testing.assert_array_equal(state.mean, prior.mean)
             np.testing.assert_array_equal(state.cov, prior.cov)
 
     def test_rejects_without_modifying(self):
         g, p = small_grid(), self.two_tx()
-        states = estimator.init_posteriors(g, p)
+        states = estimator.SurveyPosterior(g, p).states()
         cov = states[0].cov.copy()
         off_grid = estimator.observation_coefficients(g, p, (7.0, 3.0))
         nan_weights = estimator.ObservationCoefficients(
@@ -145,33 +146,120 @@ class TestConditionInPlace:
             (states, off_grid, [-50.0, float("nan")]),
             (states, nan_weights, [-50.0, -50.0]),
             (states, off_grid, [-50.0]),
-            ([states[0], estimator.init_posterior(g, p, 1)], off_grid, [-50.0, -50.0]),
+            ([states[0], init_posterior(g, p, 1)], off_grid, [-50.0, -50.0]),
         ]
         for args in bad_calls:
             with pytest.raises(ValueError):
                 estimator.condition_in_place(*args)
         np.testing.assert_array_equal(states[0].cov, cov)
-        np.testing.assert_array_equal(states[1].mean, estimator.init_posterior(g, p, 1).mean)
+        np.testing.assert_array_equal(states[1].mean, init_posterior(g, p, 1).mean)
+
+        # The low-rank survey posterior makes the same checks, before and
+        # after it folds to dense.
+        post = estimator.SurveyPosterior(g, p)
+        for steps in (0, estimator.fold_rank(g.num_points) + 1):
+            for _ in range(steps):
+                post.condition(off_grid, [-50.0, -55.0])
+            means, var, rank = post.means.copy(), post.var.copy(), post.rank
+            for _states, coeffs, values in bad_calls[:3]:
+                with pytest.raises(ValueError):
+                    post.condition(coeffs, values)
+            np.testing.assert_array_equal(post.means, means)
+            np.testing.assert_array_equal(post.var, var)
+            assert post.rank == rank
+
+
+class TestSurveyPosterior:
+    def two_tx(self, **kw):
+        return make_params(
+            transmitters=(
+                Transmitter((15.0, 15.0, 10.0), 10.0),
+                Transmitter((35.0, 45.0, 10.0), 12.0),
+            ),
+            **kw,
+        )
+
+    def measurements(self, g, p, count, seed):
+        """Simulated measurements at uniform positions: (position, values) pairs."""
+        rng = np.random.default_rng(seed)
+        gt = channel.sample_ground_truth(g, p, rng)
+        xmin, ymin, xmax, ymax = g.bounds()
+        points = rng.uniform((xmin, ymin), (xmax, ymax), size=(count, 2))
+        return [(point, channel.take_measurement(gt, point, p, rng).rss) for point in points]
+
+    def test_matches_dense_oracle_around_the_fold(self):
+        # Low-rank before the fold, the full U at the fold, dense just after.
+        g = small_grid(rows=6, cols=6)
+        fold = estimator.fold_rank(g.num_points)
+        for noise_var, fading_var in ((0.25, 0.0), (0.0, 1.5)):
+            p = self.two_tx(noise_var=noise_var, fading_var=fading_var)
+            for count in (fold - 1, fold, fold + 1):
+                post = estimator.SurveyPosterior(g, p)
+                dense = [init_posterior(g, p, k) for k in range(2)]
+                for point, values in self.measurements(g, p, count, seed=count):
+                    coeffs = estimator.observation_coefficients(g, p, point)
+                    post.condition(coeffs, values)
+                    dense = [online_update(s, coeffs, y) for s, y in zip(dense, values)]
+                assert post.rank == count
+                assert (post.cov is None) == (count <= fold)
+                np.testing.assert_allclose(post.var, np.diagonal(dense[0].cov), rtol=0, atol=1e-10)
+                for k, state in enumerate(post.states()):
+                    np.testing.assert_allclose(state.mean, dense[k].mean, rtol=0, atol=1e-10)
+                    np.testing.assert_allclose(state.cov, dense[k].cov, rtol=0, atol=1e-10)
+                    assert np.array_equal(state.cov, state.cov.T)
+
+    def test_variance_never_increases(self):
+        # Noise-free measurements drive variances to the clamp at zero.
+        g = small_grid(rows=6, cols=6)
+        p = self.two_tx(noise_var=0.0, fading_var=1.5)
+        post = estimator.SurveyPosterior(g, p)
+        for point, values in self.measurements(g, p, 2 * estimator.fold_rank(g.num_points), seed=3):
+            before = post.var.copy()
+            post.condition(estimator.observation_coefficients(g, p, point), values)
+            assert np.all(post.var <= before)
+            assert np.all(post.var >= 0.0)
+        assert post.cov is not None
+        np.testing.assert_array_equal(post.var, np.diagonal(post.cov))
+
+        # Exact observations of distinct nodes round some variances below
+        # zero; the clamp holds them at zero, before and after the fold.
+        post = estimator.SurveyPosterior(g, p)
+        for point in spatial.grid_points(g)[:24]:
+            taps = estimator.observation_coefficients(g, p, point)
+            before = post.var.copy()
+            post.condition(estimator.ObservationCoefficients(taps.index, taps.weights, 0.0), [-60.0, -61.0])
+            assert np.all(post.var <= before)
+            assert np.all(post.var >= 0.0)
+        assert post.cov is not None
+
+    def test_shares_the_cached_prior(self):
+        g, p = small_grid(), self.two_tx(fading_var=2.0)
+        a, b = estimator.SurveyPosterior(g, p), estimator.SurveyPosterior(g, p)
+        assert a.prior_cov is b.prior_cov
+        assert a.prior_cov is channel.grid_prior(g, p.shadow_var, p.corr_distance).cov
+        a.condition(estimator.observation_coefficients(g, p, (7.0, 3.0)), [-50.0, -55.0])
+        np.testing.assert_array_equal(b.var, 11.0)
+        np.testing.assert_array_equal(b.means, np.vstack([init_posterior(g, p, k).mean for k in range(2)]))
 
 
 class TestOnlineUpdate:
     def test_exact_observation_pins_coordinate(self):
         g, p = small_grid(), make_params(noise_var=1e-9)
-        state = estimator.init_posterior(g, p, 0)
+        state = init_posterior(g, p, 0)
         pts = spatial.grid_points(g)
         coeffs = estimator.observation_coefficients(g, p, pts[5])
         y = -47.3
-        new = estimator.online_update(state, coeffs, y)
+        new = online_update(state, coeffs, y)
         assert new.mean[5] == pytest.approx(y, abs=1e-6)
         assert new.cov[5, 5] == pytest.approx(0.0, abs=1e-6)
 
     def test_input_state_left_unchanged(self):
         g, p = small_grid(), make_params()
-        state = estimator.init_posterior(g, p, 0)
+        state = init_posterior(g, p, 0)
         mean, cov = state.mean.copy(), state.cov.copy()
         for point in ((10.0, 20.0), (7.0, 3.0)):  # on a node, then off-grid
             coeffs = estimator.observation_coefficients(g, p, point)
-            new = estimator.online_update(state, coeffs, -50.0)
+            new = online_update(state, coeffs, -50.0)
             assert new.mean is not state.mean and new.cov is not state.cov
             assert np.array_equal(state.mean, mean)
             assert np.array_equal(state.cov, cov)
@@ -180,28 +268,28 @@ class TestOnlineUpdate:
     def test_zero_weights_leave_state_unchanged(self):
         g = small_grid()
         p = make_params(fading_var=2.0, noise_var=0.25)
-        state = estimator.init_posterior(g, p, 0)
+        state = init_posterior(g, p, 0)
         taps = estimator.observation_coefficients(g, p, (7.0, 3.0))
         coeffs = estimator.ObservationCoefficients(taps.index, np.zeros(16), taps.noise_var)
-        new = estimator.online_update(state, coeffs, -50.0)
+        new = online_update(state, coeffs, -50.0)
         np.testing.assert_array_equal(new.mean, state.mean)
         np.testing.assert_array_equal(new.cov, state.cov)
 
     def test_covariance_stays_symmetric_psd_diagonal(self):
         g, p = small_grid(), make_params()
-        state = estimator.init_posterior(g, p, 0)
+        state = init_posterior(g, p, 0)
         rng = np.random.default_rng(0)
         pts = spatial.grid_points(g)
         for _ in range(30):
             point = pts[rng.integers(0, g.num_points)]
             coeffs = estimator.observation_coefficients(g, p, point)
-            state = estimator.online_update(state, coeffs, float(rng.normal(-60, 3)))
+            state = online_update(state, coeffs, float(rng.normal(-60, 3)))
             assert np.max(np.abs(state.cov - state.cov.T)) < 1e-12
             assert np.min(np.diag(state.cov)) >= 0.0
 
     def test_monotone_trace(self):
         g, p = small_grid(), make_params()
-        state = estimator.init_posterior(g, p, 0)
+        state = init_posterior(g, p, 0)
         rng = np.random.default_rng(3)
         prev = float(np.trace(state.cov))
         for _ in range(25):
@@ -210,20 +298,20 @@ class TestOnlineUpdate:
                 float(rng.uniform(0, 30)),
             )
             coeffs = estimator.observation_coefficients(g, p, point)
-            state = estimator.online_update(state, coeffs, float(rng.normal(-60, 3)))
+            state = online_update(state, coeffs, float(rng.normal(-60, 3)))
             cur = float(np.trace(state.cov))
             assert cur <= prev + 1e-9
             prev = cur
 
     def test_diagonal_never_exceeds_prior(self):
         g, p = small_grid(), make_params(fading_var=1.5)
-        state = estimator.init_posterior(g, p, 0)
+        state = init_posterior(g, p, 0)
         rng = np.random.default_rng(5)
         cap = 9.0 + 1.5 + 1e-9
         for _ in range(20):
             point = (float(rng.uniform(0, 30)), float(rng.uniform(0, 30)))
             coeffs = estimator.observation_coefficients(g, p, point)
-            state = estimator.online_update(state, coeffs, float(rng.normal(-60, 3)))
+            state = online_update(state, coeffs, float(rng.normal(-60, 3)))
             assert np.max(np.diag(state.cov)) <= cap
 
 
@@ -234,8 +322,8 @@ def meas(loc, y):
 class TestBatchPosterior:
     def test_no_measurements_returns_prior(self):
         g, p = small_grid(), make_params()
-        got = estimator.batch_posterior(g, p, 0, [])
-        want = estimator.init_posterior(g, p, 0)
+        got = batch_posterior(g, p, 0, [])
+        want = init_posterior(g, p, 0)
         np.testing.assert_array_equal(got.mean, want.mean)
         np.testing.assert_array_equal(got.cov, want.cov)
 
@@ -243,7 +331,7 @@ class TestBatchPosterior:
         g = small_grid()
         p = make_params(noise_var=0.0, fading_var=0.0)
         pts = spatial.grid_points(g)
-        got = estimator.batch_posterior(g, p, 0, [meas(pts[5], -50.0)])
+        got = batch_posterior(g, p, 0, [meas(pts[5], -50.0)])
         assert got.cov[5, 5] < 1e-6
 
     def test_measurement_outside_grid_rejected(self):
@@ -251,7 +339,7 @@ class TestBatchPosterior:
         inside = meas((7.0, 3.0), -50.0)
         for point in ((1000.0, 1000.0), (-0.5, 10.0)):
             with pytest.raises(ValueError):
-                estimator.batch_posterior(g, p, 0, [inside, meas(point, -10.0)])
+                batch_posterior(g, p, 0, [inside, meas(point, -10.0)])
 
     def test_order_invariance(self):
         g, p = small_grid(), make_params()
@@ -262,15 +350,15 @@ class TestBatchPosterior:
             meas(pts[9], -60.0),
             meas((22.0, 3.0), -48.0),
         ]
-        a = estimator.batch_posterior(g, p, 0, ms)
-        b = estimator.batch_posterior(g, p, 0, [ms[i] for i in (2, 0, 3, 1)])
+        a = batch_posterior(g, p, 0, ms)
+        b = batch_posterior(g, p, 0, [ms[i] for i in (2, 0, 3, 1)])
         np.testing.assert_allclose(a.mean, b.mean, atol=1e-9)
         np.testing.assert_allclose(a.cov, b.cov, atol=1e-9)
 
     def test_nonfinite_measurement_rejected(self):
         g, p = small_grid(), make_params()
         with pytest.raises(ValueError):
-            estimator.batch_posterior(g, p, 0, [meas((0.0, 0.0), float("nan"))])
+            batch_posterior(g, p, 0, [meas((0.0, 0.0), float("nan"))])
 
 
 class TestOnlineMatchesBatch:
@@ -287,11 +375,11 @@ class TestOnlineMatchesBatch:
         xmin, ymin, xmax, ymax = g.bounds()
         off_grid = rng.uniform((xmin, ymin), (xmax, ymax), size=(n_off_grid, 2))
         ms = [meas(q, float(rng.normal(-60.0, 3.0))) for q in [*pts[idx], *off_grid]]
-        state = estimator.init_posterior(g, p, 0)
+        state = init_posterior(g, p, 0)
         for m in ms:
             coeffs = estimator.observation_coefficients(g, p, m.position)
-            state = estimator.online_update(state, coeffs, m.rss[0])
-        ref = estimator.batch_posterior(g, p, 0, ms)
+            state = online_update(state, coeffs, m.rss[0])
+        ref = batch_posterior(g, p, 0, ms)
         return state, ref
 
     def _assert_agree(self, state, ref):
@@ -318,31 +406,35 @@ class TestOnlineMatchesBatch:
 
 class TestServiceProbability:
     def test_mean_at_threshold_gives_half(self):
-        state = PosteriorState(mean=np.array([-65.0]), cov=np.array([[4.0]]))
-        p = estimator.service_probability(state, -65.0)
+        p = estimator.service_probability(np.array([-65.0]), np.array([4.0]), -65.0)
         assert p[0] == pytest.approx(0.5)
 
     def test_three_sigma_above(self):
-        state = PosteriorState(mean=np.array([-65.0 + 6.0]), cov=np.array([[4.0]]))
-        p = estimator.service_probability(state, -65.0)
+        p = estimator.service_probability(np.array([-65.0 + 6.0]), np.array([4.0]), -65.0)
         assert p[0] == pytest.approx(0.9986501019683699, rel=1e-12)
 
     def test_degenerate_variance_is_indicator(self):
-        state = PosteriorState(
-            mean=np.array([-70.0, -60.0]), cov=np.diag([0.0, 0.0])
-        )
-        p = estimator.service_probability(state, -65.0)
+        p = estimator.service_probability(np.array([-70.0, -60.0]), np.zeros(2), -65.0)
         np.testing.assert_array_equal(p, [0.0, 1.0])
 
     def test_monotone_in_mean_and_threshold(self):
-        base = PosteriorState(mean=np.array([-65.0]), cov=np.array([[4.0]]))
-        up = PosteriorState(mean=np.array([-63.0]), cov=np.array([[4.0]]))
-        assert estimator.service_probability(up, -65.0)[0] > (
-            estimator.service_probability(base, -65.0)[0]
+        var = np.array([4.0])
+        base, up = np.array([-65.0]), np.array([-63.0])
+        assert estimator.service_probability(up, var, -65.0)[0] > (
+            estimator.service_probability(base, var, -65.0)[0]
         )
-        assert estimator.service_probability(base, -60.0)[0] < (
-            estimator.service_probability(base, -65.0)[0]
+        assert estimator.service_probability(base, var, -60.0)[0] < (
+            estimator.service_probability(base, var, -65.0)[0]
         )
+
+    def test_stacked_means_match_one_row_at_a_time(self):
+        rng = np.random.default_rng(8)
+        means = rng.normal(-65.0, 4.0, size=(3, 20))
+        var = rng.uniform(0.0, 9.0, size=20)
+        var[:4] = 0.0
+        got = estimator.service_probability(means, var, -65.0)
+        for row, mean in zip(got, means):
+            np.testing.assert_array_equal(row, estimator.service_probability(mean, var, -65.0))
 
     @given(
         mean=st.floats(-90.0, -30.0),
@@ -350,8 +442,7 @@ class TestServiceProbability:
         r_min=st.floats(-80.0, -40.0),
     )
     def test_always_in_unit_interval(self, mean, var, r_min):
-        state = PosteriorState(mean=np.array([mean]), cov=np.array([[var]]))
-        p = estimator.service_probability(state, r_min)
+        p = estimator.service_probability(np.array([mean]), np.array([var]), r_min)
         assert 0.0 <= p[0] <= 1.0
 
 

@@ -1,6 +1,7 @@
 """Survey execution and Monte Carlo aggregation tests."""
 
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from aerosurvey.channel import ChannelParams, GroundTruth, Transmitter
 from aerosurvey.harness import SurveyConfig, monte_carlo, run_survey, service_error_rate
 from aerosurvey.planner import PlannerKind
 from aerosurvey.spatial import GridSpec, Waypoint
+from oracles import init_posterior, online_update
 
 ALL_PLANNERS = [
     PlannerKind.MIN_COST,
@@ -129,20 +131,22 @@ class TestRunSurvey:
 
     def test_shared_covariance_matches_per_transmitter_oracle(self):
         # Fold the recorded measurements into each transmitter on its own,
-        # through copying updates; the survey's one shared covariance and its
-        # per-transmitter means must come out bit for bit the same.
+        # through dense copying updates; the survey's one shared low-rank
+        # covariance and its per-transmitter means must agree. 31 measurements
+        # stay below the fold at 32, which the estimator tests cover.
         for kind in ALL_PLANNERS:
             cfg = make_config(planner=kind, seed=7, noise_var=0.25, max_measurements=30)
             rec = run_survey(cfg)
+            assert rec.posterior.cov is None
             assert len(rec.posteriors) == 2
             assert rec.posteriors[0].cov is rec.posteriors[1].cov
             for k, got in enumerate(rec.posteriors):
-                state = estimator.init_posterior(cfg.grid, rec.params, k)
+                state = init_posterior(cfg.grid, rec.params, k)
                 for m in rec.measurements:
                     coeffs = estimator.observation_coefficients(cfg.grid, rec.params, m.position)
-                    state = estimator.online_update(state, coeffs, m.rss[k])
-                assert np.array_equal(got.mean, state.mean), (kind, k)
-                assert np.array_equal(got.cov, state.cov), (kind, k)
+                    state = online_update(state, coeffs, m.rss[k])
+                np.testing.assert_allclose(got.mean, state.mean, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(got.cov, state.cov, rtol=0, atol=1e-10)
 
     def test_posterior_diag_capped_by_prior(self):
         rec = run_survey(make_config(seed=2))
@@ -170,9 +174,7 @@ class TestRunSurvey:
         snap = rec.snapshots[0]
         # before any measurement the power uncertainty is the prior: all ones
         np.testing.assert_allclose(snap.power_unc, 1.0)
-        from aerosurvey import estimator
-
-        prior = estimator.init_posterior(cfg.grid, rec.params, 0)
+        prior = init_posterior(cfg.grid, rec.params, 0)
         np.testing.assert_allclose(snap.posterior_means[0], prior.mean)
 
     def test_snapshot_excludes_current_measurement(self):
@@ -240,6 +242,41 @@ class TestRunSurvey:
         cfg = make_config(num_transmitters=3, max_measurements=10, planner=PlannerKind.GRID)
         rec = run_survey(cfg)
         assert len(calls) == len(rec.measurements)
+
+    def test_interpolation_taps_computed_once_per_measurement(self, monkeypatch):
+        calls = []
+        real = channel.interpolation_taps
+
+        def counted(grid, point):
+            calls.append(point)
+            return real(grid, point)
+
+        monkeypatch.setattr(channel, "interpolation_taps", counted)
+        monkeypatch.setattr(estimator, "interpolation_taps", counted)
+        for kind in ALL_PLANNERS:
+            calls.clear()
+            rec = run_survey(make_config(planner=kind, max_measurements=20))
+            assert len(calls) == len(rec.measurements), kind
+
+    def test_large_survey_allocates_no_dense_covariance(self):
+        # 20 measurements on a 60 x 50 grid stay far below the fold, so the
+        # only N x N arrays are the cached prior and its factor.
+        cfg = make_config(rows=60, cols=50, max_measurements=19)
+        n = cfg.grid.num_points
+        try:
+            prior = channel.grid_prior(cfg.grid, cfg.channel.shadow_var, cfg.channel.corr_distance)
+            tracemalloc.start()
+            rec = run_survey(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+            post = rec.posterior
+            assert len(rec.measurements) == 20 and post.rank == 20
+            assert post.cov is None and post.prior_cov is prior.cov
+            held = [v for k, v in vars(post).items() if isinstance(v, np.ndarray) and k != "prior_cov"]
+            assert all(a.size < n * n for a in held), [a.shape for a in held]
+            assert peak < n * n * 8, f"peak {peak / 2**20:.0f} MiB"
+        finally:
+            tracemalloc.stop()
+            channel.grid_prior.cache_clear()
 
     def test_waypoints_form_connected_polyline(self):
         rec = run_survey(make_config(seed=6))
@@ -358,6 +395,22 @@ class TestMonteCarlo:
         monte_carlo(cfg, 2, workers=2)
         info = channel.grid_prior.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
+
+    def test_finished_runs_are_not_kept(self):
+        # Each run's record, ground truth included, is freed when the run
+        # ends: ten runs peak no higher than two, give or take one ground truth.
+        cfg = make_config(rows=40, cols=40, max_measurements=2)
+        monte_carlo(cfg, 1, workers=1)  # warm the grid prior and other caches
+        ground_truth_bytes = run_survey(cfg).ground_truth.powers.nbytes
+        peaks = {}
+        for runs in (2, 10):
+            tracemalloc.start()
+            try:
+                monte_carlo(cfg, runs, workers=1)
+                peaks[runs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[10] < peaks[2] + ground_truth_bytes, peaks
 
     def test_env_var_controls_workers(self, monkeypatch):
         cfg = make_config(max_measurements=5)

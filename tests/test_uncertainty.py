@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from aerosurvey import estimator, uncertainty
 from aerosurvey.channel import ChannelParams, Transmitter
-from aerosurvey.estimator import PosteriorState
 from aerosurvey.spatial import GridSpec
 from aerosurvey.uncertainty import UncertaintyField
 
@@ -28,37 +27,33 @@ class TestPowerUncertainty:
     def test_fresh_prior_is_all_ones(self):
         g = GridSpec(rows=4, cols=4, spacing=10.0, altitude=20.0)
         p = make_params()
-        state = estimator.init_posterior(g, p, 0)
-        u = uncertainty.power_uncertainty(state, p)
+        u = uncertainty.power_uncertainty(estimator.SurveyPosterior(g, p).var, p)
         np.testing.assert_allclose(u.values, 1.0)
 
     def test_half_variance_gives_half(self):
         p = make_params()
-        state = PosteriorState(mean=np.array([-60.0]), cov=np.array([[4.5]]))
-        u = uncertainty.power_uncertainty(state, p)
+        u = uncertainty.power_uncertainty(np.array([4.5]), p)
         assert u.values[0] == pytest.approx(0.5)
 
     def test_conditioned_coordinate_near_zero(self):
         g = GridSpec(rows=4, cols=4, spacing=10.0, altitude=20.0)
         p = make_params(noise_var=1e-9)
-        state = estimator.init_posterior(g, p, 0)
+        posterior = estimator.SurveyPosterior(g, p)
         from aerosurvey import spatial
 
         coeffs = estimator.observation_coefficients(g, p, spatial.grid_points(g)[5])
-        state = estimator.online_update(state, coeffs, -60.0)
-        u = uncertainty.power_uncertainty(state, p)
+        posterior.condition(coeffs, [-60.0])
+        u = uncertainty.power_uncertainty(posterior.var, p)
         assert u.values[5] == pytest.approx(0.0, abs=1e-6)
 
     def test_zero_prior_variance_rejected(self):
         p = make_params(shadow_var=0.0, fading_var=0.0)
-        state = PosteriorState(mean=np.array([-60.0]), cov=np.array([[0.0]]))
         with pytest.raises(ValueError):
-            uncertainty.power_uncertainty(state, p)
+            uncertainty.power_uncertainty(np.array([0.0]), p)
 
     def test_kind_label(self):
         p = make_params()
-        state = PosteriorState(mean=np.array([-60.0]), cov=np.array([[9.0]]))
-        assert uncertainty.power_uncertainty(state, p).kind == "power"
+        assert uncertainty.power_uncertainty(np.array([9.0]), p).kind == "power"
 
 
 class TestServiceUncertainty:
@@ -120,6 +115,15 @@ class TestAggregate:
         with pytest.raises(ValueError):
             uncertainty.aggregate([a, b], "max")
 
+    def test_stacked_field_equals_its_rows(self):
+        values = np.array([[0.2, 0.9, 0.4], [0.5, 0.1, 0.4]])
+        stacked = UncertaintyField(values=values, kind="service")
+        rows = [UncertaintyField(values=v, kind="service") for v in values]
+        for mode in ("max", "mean"):
+            got = uncertainty.aggregate(stacked, mode)
+            np.testing.assert_array_equal(got.values, uncertainty.aggregate(rows, mode).values)
+            assert got.kind == "service"
+
     def test_rejects_unknown_mode(self):
         a = UncertaintyField(values=np.array([0.2]), kind="service")
         with pytest.raises(ValueError):
@@ -176,8 +180,8 @@ class TestRingStructure:
         tx = Transmitter(position=(120.0, 145.0, 10.0), power_dbm=10.0)
         p = make_params(transmitters=(tx,), noise_var=0.0)
         r_min = -65.0
-        state = estimator.init_posterior(g, p, 0)
-        probs = estimator.service_probability(state, r_min)
+        posterior = estimator.SurveyPosterior(g, p)
+        probs = estimator.service_probability(posterior.means[0], posterior.var, r_min)
         u = uncertainty.service_uncertainty(probs)
         j = int(np.argmax(u.values))
         from aerosurvey import spatial
