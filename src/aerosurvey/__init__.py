@@ -1,7 +1,6 @@
 """Autonomous aerial spectrum surveying: simulation, estimation, planning, benchmarking."""
 
 from .channel import ChannelParams, GroundTruth, Measurement, Transmitter
-from .estimator import PosteriorState
 from .harness import MonteCarloResult, SurveyConfig, SurveyRecord, monte_carlo, run_survey
 from .planner import PlannerKind
 from .spatial import GridSpec, Waypoint
@@ -15,7 +14,6 @@ __all__ = [
     "Measurement",
     "MonteCarloResult",
     "PlannerKind",
-    "PosteriorState",
     "SurveyConfig",
     "SurveyRecord",
     "Transmitter",

@@ -19,8 +19,10 @@ the prior (the cached, read-only shadowing covariance of
 of ``U`` is measurement i's gain column scaled by the square root of its
 innovation variance. While r is small the posterior keeps only ``U`` and the
 N variances, so a measurement costs O(N·r). Once r reaches about half the
-grid size it materialises the dense covariance once and conditions it in
-place from then on (:func:`condition_in_place`, O(N²) per measurement).
+grid size it materialises the dense covariance once and downdates it in
+place from then on (O(N²) per measurement). Both forms share one update,
+:meth:`SurveyPosterior.condition`; only the covariance column through the
+measurement's taps and the target of the downdate differ.
 
 Every measurement observes the grid through the simulator's own
 interpolation (:func:`aerosurvey.channel.interpolation_taps`): a fixed
@@ -32,23 +34,18 @@ plus sensor noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
-from .channel import ChannelParams, grid_base_powers, grid_prior, interpolation_taps
+from .channel import ChannelParams, grid_base_powers, grid_prior
 from .spatial import GridSpec
 
 __all__ = [
     "VAR_FLOOR",
-    "PosteriorState",
-    "ObservationCoefficients",
     "SurveyPosterior",
     "fold_rank",
-    "observation_coefficients",
-    "condition_in_place",
     "service_probability",
 ]
 
@@ -58,89 +55,6 @@ VAR_FLOOR = 1e-9
 
 # Rows of the covariance downdated per step; bounds the rank-one temporary.
 _ROW_BLOCK = 64
-
-
-@dataclass
-class PosteriorState:
-    """Gaussian posterior over the grid powers of one transmitter."""
-
-    mean: np.ndarray  # (N,) dBm
-    cov: np.ndarray  # (N, N) dB^2
-
-    def copy(self) -> "PosteriorState":
-        return PosteriorState(self.mean.copy(), self.cov.copy())
-
-
-@dataclass(frozen=True)
-class ObservationCoefficients:
-    """Linear observation model of one measurement given the grid powers.
-
-    The measurement is ``powers[index] @ weights`` plus white noise of
-    variance ``noise_var``, for every transmitter alike. ``index`` may repeat
-    a grid node.
-    """
-
-    index: np.ndarray  # (taps,) grid indices
-    weights: np.ndarray  # (taps,)
-    noise_var: float  # dB^2, >= VAR_FLOOR
-
-
-def observation_coefficients(
-    grid: GridSpec, params: ChannelParams, position
-) -> ObservationCoefficients:
-    """Observation model of a measurement at ``position``, shared by all transmitters.
-
-    The weights are the simulator's interpolation taps at that position; the
-    residual is sensor noise, floored at :data:`VAR_FLOOR`.
-    """
-    index, weights = interpolation_taps(grid, position)
-    return ObservationCoefficients(
-        index=index, weights=weights, noise_var=max(params.noise_var, VAR_FLOOR)
-    )
-
-
-def _checked_values(count: int, coeffs: ObservationCoefficients, values) -> np.ndarray:
-    """The measured values as floats, after the checks every update makes."""
-    if count == 0 or len(values) != count:
-        raise ValueError("need one value per posterior")
-    values = np.array(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("measurement value must be finite")
-    if not np.all(np.isfinite(coeffs.weights)):
-        raise ValueError("observation coefficients must be finite")
-    return values
-
-
-def condition_in_place(
-    states: Sequence[PosteriorState],
-    coeffs: ObservationCoefficients,
-    values: Sequence[float],
-) -> None:
-    """Condition posteriors that share one covariance on one measurement, in place.
-
-    ``states[k]`` is transmitter ``k``'s posterior and ``values[k]`` its
-    measured value; all states must hold the same ``cov`` array, and
-    ``coeffs`` is the observation model at the measurement position. The gain
-    and the rank-one covariance downdate are computed once; each mean moves by
-    its own innovation. Nothing is modified when an argument is rejected.
-    """
-    values = _checked_values(len(states), coeffs, values)
-    cov = states[0].cov
-    if any(state.cov is not cov for state in states):
-        raise ValueError("posteriors must share one covariance array")
-    index, w = coeffs.index, coeffs.weights
-    cov_a = cov[:, index] @ w
-    denom = coeffs.noise_var + float(w @ cov_a[index])
-    gain = cov_a / denom
-    # outer(b, b) is bit-exactly symmetric, so the update preserves symmetry
-    # without a correction pass
-    scaled = cov_a / np.sqrt(denom)
-    for i in range(0, scaled.shape[0], _ROW_BLOCK):
-        cov[i : i + _ROW_BLOCK] -= np.multiply.outer(scaled[i : i + _ROW_BLOCK], scaled)
-    # Roundoff from near-exact observations can leave tiny negative variances.
-    np.fill_diagonal(cov, np.maximum(np.diagonal(cov), 0.0))
-    for state, y in zip(states, values):
-        state.mean += gain * (float(y) - float(state.mean[index] @ w))
 
 
 def fold_rank(num_points: int) -> int:
@@ -165,48 +79,80 @@ class SurveyPosterior:
     (shadowing only), plus ``fading_var`` on the diagonal, minus ``UᵀU`` with
     one row of ``U`` per measurement. After :func:`fold_rank` measurements it
     is materialised as the dense ``cov`` array, which later measurements
-    condition in place; ``cov`` is None until then. ``rank`` counts the
-    measurements conditioned on.
+    downdate in place; ``cov`` is None until then. ``noise_var`` is the
+    sensor noise variance, floored at :data:`VAR_FLOOR`, and ``rank`` counts
+    the measurements conditioned on.
     """
 
-    def __init__(self, grid: GridSpec, params: ChannelParams) -> None:
-        if params.num_transmitters < 1:
-            raise ValueError("need at least one transmitter")
-        n = grid.num_points
-        self.prior_cov = grid_prior(grid, params.shadow_var, params.corr_distance).cov
-        self.fading_var = params.fading_var
-        self.means = np.vstack([grid_base_powers(grid, params, tx) for tx in params.transmitters])
-        self.var = np.diagonal(self.prior_cov) + params.fading_var
+    def __init__(self, prior_cov: np.ndarray, fading_var: float, means, noise_var: float) -> None:
+        means = np.array(means, dtype=float)
+        if means.ndim != 2 or means.shape[0] < 1:
+            raise ValueError("need a (K, N) array of prior means with at least one transmitter")
+        n = means.shape[1]
+        if prior_cov.shape != (n, n):
+            raise ValueError("prior covariance must be N x N for N prior means per transmitter")
+        if not (fading_var >= 0 and noise_var >= 0):
+            raise ValueError("fading and noise variances must be nonnegative")
+        self.prior_cov = prior_cov
+        self.fading_var = float(fading_var)
+        self.means = means
+        self.noise_var = max(float(noise_var), VAR_FLOOR)
+        self.var = np.diagonal(prior_cov) + self.fading_var
         self.cov: np.ndarray | None = None
         self.rank = 0
         # Untouched rows cost address space only, not memory.
         self._u = np.empty((fold_rank(n), n))
 
-    def condition(self, coeffs: ObservationCoefficients, values: Sequence[float]) -> None:
+    @classmethod
+    def from_grid(cls, grid: GridSpec, params: ChannelParams) -> "SurveyPosterior":
+        """The prior of a survey over ``grid``: link budgets, cached shadowing prior, fading."""
+        if params.num_transmitters < 1:
+            raise ValueError("need at least one transmitter")
+        means = np.vstack([grid_base_powers(grid, params, tx) for tx in params.transmitters])
+        prior_cov = grid_prior(grid, params.shadow_var, params.corr_distance).cov
+        return cls(prior_cov, params.fading_var, means, params.noise_var)
+
+    def condition(self, taps, values: Sequence[float]) -> None:
         """Condition on one measurement; ``values[k]`` is transmitter ``k``'s value.
 
-        Nothing is modified when an argument is rejected.
+        ``taps`` is the ``(index, weights)`` pair of
+        :func:`aerosurvey.channel.interpolation_taps` at the measurement
+        position: the measurement is ``powers[index] @ weights`` plus sensor
+        noise. Nothing is modified when an argument is rejected.
         """
-        values = _checked_values(self.means.shape[0], coeffs, values)
+        index, w = taps
+        if len(values) != self.means.shape[0]:
+            raise ValueError("need one value per transmitter")
+        values = np.array(values, dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("measurement value must be finite")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("tap weights must be finite")
         if self.cov is None and self.rank == len(self._u):
             self._fold()
-        if self.cov is not None:
-            condition_in_place(self.states(), coeffs, values)
-            self.rank += 1
-            return
-        index, w = coeffs.index, coeffs.weights
-        u = self._u[: self.rank]
-        # Column of the covariance through the taps; the prior is symmetric,
-        # so its rows are read instead of its columns.
-        col = w @ self.prior_cov[index]
-        np.add.at(col, index, self.fading_var * w)
-        col -= (u[:, index] @ w) @ u
-        denom = coeffs.noise_var + float(w @ col[index])
+        # Column of the covariance through the taps; the covariance is
+        # symmetric, so its rows are read instead of its columns.
+        if self.cov is None:
+            u = self._u[: self.rank]
+            col = w @ self.prior_cov[index]
+            np.add.at(col, index, self.fading_var * w)
+            col -= (u[:, index] @ w) @ u
+        else:
+            col = w @ self.cov[index]
+        denom = self.noise_var + float(w @ col[index])
         scaled = col / np.sqrt(denom)
-        self._u[self.rank] = scaled
+        if self.cov is None:
+            self._u[self.rank] = scaled
+            self.var -= scaled * scaled
+            np.maximum(self.var, 0.0, out=self.var)
+        else:
+            # outer(b, b) is bit-exactly symmetric, so the downdate preserves
+            # symmetry without a correction pass.
+            for i in range(0, scaled.shape[0], _ROW_BLOCK):
+                self.cov[i : i + _ROW_BLOCK] -= np.multiply.outer(scaled[i : i + _ROW_BLOCK], scaled)
+            # Roundoff from near-exact observations can leave tiny negative variances.
+            np.fill_diagonal(self.cov, np.maximum(self.var, 0.0))
         self.rank += 1
-        self.var -= scaled * scaled
-        np.maximum(self.var, 0.0, out=self.var)
         innovations = values - self.means[:, index] @ w
         self.means += np.multiply.outer(innovations, col / denom)
 
@@ -221,15 +167,15 @@ class SurveyPosterior:
         self.var = np.diagonal(cov)  # a view: tracks the in-place updates
         self._u = None
 
-    def states(self) -> list[PosteriorState]:
-        """One dense posterior per transmitter, all holding the shared ``cov`` array.
+    def covariance(self) -> np.ndarray:
+        """The dense N x N posterior covariance that every transmitter shares.
 
-        Materialises the dense covariance on the first call; each state's
-        mean is a view of its row of ``means``.
+        Materialises it on the first call; later measurements downdate the
+        returned array in place.
         """
         if self.cov is None:
             self._fold()
-        return [PosteriorState(mean=mean, cov=self.cov) for mean in self.means]
+        return self.cov
 
 
 def service_probability(mean, var, r_min: float) -> np.ndarray:

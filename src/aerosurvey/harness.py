@@ -118,7 +118,8 @@ class Snapshot:
 class SurveyRecord:
     """Full trace of one survey run.
 
-    ``posterior`` is the final posterior of every transmitter.
+    ``posterior`` is the final posterior of every transmitter; its
+    ``covariance()`` materialises the shared dense N x N covariance.
     """
 
     config: SurveyConfig
@@ -130,25 +131,16 @@ class SurveyRecord:
     posterior: estimator.SurveyPosterior
     snapshots: dict[int, Snapshot] = field(default_factory=dict)
 
-    @property
-    def posteriors(self) -> list[estimator.PosteriorState]:
-        """The final posterior as one dense state per transmitter.
 
-        Their means are separate arrays; their ``cov`` attributes are one
-        shared array, because the covariance does not depend on the
-        transmitter. The first access materialises that N x N array.
-        """
-        return self.posterior.states()
-
-
-def service_error_rate(probabilities, gt: channel.GroundTruth, r_min: float) -> float:
+def service_error_rate(probabilities, served) -> float:
     """Fraction of grid points whose thresholded service estimate disagrees with truth.
 
-    With several transmitters a point counts as served when any transmitter
+    ``served`` is the true service mask, one boolean per grid point. With
+    several transmitters a point counts as served when any transmitter
     serves it, on both the estimated map (probability >= 1/2) and the true map.
     """
     p = np.atleast_2d(np.asarray(probabilities, dtype=float))
-    truth = np.any(gt.powers >= r_min, axis=0)
+    truth = np.asarray(served, dtype=bool)
     if p.shape[1] != truth.shape[0]:
         raise ValueError("probability vector length does not match the grid")
     estimated = np.any(p >= 0.5, axis=0)
@@ -183,7 +175,8 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
     graph = (
         spatial.build_motion_graph(grid) if grid.rows >= 2 and grid.cols >= 2 else None
     )
-    posterior = estimator.SurveyPosterior(grid, params)
+    posterior = estimator.SurveyPosterior.from_grid(grid, params)
+    served = np.any(gt.powers >= config.r_min, axis=0)
     wanted = set(int(s) for s in snapshots)
     record = SurveyRecord(
         config=config,
@@ -220,9 +213,9 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
         """Snapshot, measure, update, log; returns True when the run should stop."""
         if t in wanted:
             capture(t)
-        coeffs = estimator.observation_coefficients(grid, params, point)
-        m = channel.take_measurement(gt, point, params, rng, taps=(coeffs.index, coeffs.weights))
-        posterior.condition(coeffs, m.rss)
+        taps = channel.interpolation_taps(grid, point)
+        m = channel.take_measurement(gt, point, params, rng, taps=taps)
+        posterior.condition(taps, m.rss)
         probs, service_unc = service_fields()
         power_total = unc.total_uncertainty(_power_field(posterior, params))
         service_total = unc.total_uncertainty(service_unc)
@@ -234,7 +227,7 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
                 meters=meters,
                 total_unc_power=power_total,
                 total_unc_service=service_total,
-                service_error_rate=service_error_rate(probs, gt, config.r_min),
+                service_error_rate=service_error_rate(probs, served),
             )
         )
         if t >= config.max_measurements:

@@ -16,7 +16,6 @@ __all__ = [
     "grid_points",
     "build_motion_graph",
     "PathSampler",
-    "sample_path",
 ]
 
 # Arc-length slack (meters) under which a sample still lands on a segment, so
@@ -182,19 +181,3 @@ class PathSampler:
         self.need -= leftover
         self.meters += leftover
 
-
-def sample_path(waypoints: Iterable[Waypoint] | np.ndarray, delta: float) -> np.ndarray:
-    """Points every ``delta`` meters of arc length along a polyline.
-
-    The first sample sits on the first waypoint and the rest follow
-    :class:`PathSampler`. The final waypoint is included only when the total
-    length is a multiple of ``delta``, up to 1e-9 m of rounding.
-    """
-    sampler = PathSampler(delta)
-    pts = as_coords(waypoints)
-    if pts.shape[0] == 0:
-        raise ValueError("need at least one waypoint")
-    samples = [pts[0]]
-    for a, b in zip(pts[:-1], pts[1:]):
-        samples.extend(point for point, _ in sampler.segment(a, b))
-    return np.asarray(samples)

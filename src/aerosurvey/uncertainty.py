@@ -54,29 +54,21 @@ def service_uncertainty(probabilities) -> UncertaintyField:
     return UncertaintyField(values=np.clip(ent, 0.0, 1.0), kind="service")
 
 
-def aggregate(fields, mode: str = "max") -> UncertaintyField:
-    """Combine per-transmitter fields point-wise with ``max`` or ``mean``.
+def aggregate(field: UncertaintyField, mode: str = "max") -> UncertaintyField:
+    """Combine a field's per-transmitter rows point-wise with ``max`` or ``mean``.
 
-    ``fields`` is a sequence of fields or a single field; every row of every
-    field is one transmitter.
+    Every row of ``field`` is one transmitter; a 1-D field is one transmitter.
     """
-    fields = [fields] if isinstance(fields, UncertaintyField) else list(fields)
-    if not fields:
+    stacked = np.atleast_2d(field.values)
+    if stacked.shape[0] == 0:
         raise ValueError("nothing to aggregate")
-    kinds = {f.kind for f in fields}
-    if len(kinds) != 1:
-        raise ValueError(f"cannot aggregate mixed uncertainty kinds: {sorted(kinds)}")
-    sizes = {f.values.shape[-1] for f in fields}
-    if len(sizes) != 1:
-        raise ValueError("uncertainty fields must share the same grid")
-    stacked = np.vstack([f.values for f in fields])
     if mode == "max":
         vals = stacked.max(axis=0)
     elif mode == "mean":
         vals = stacked.mean(axis=0)
     else:
         raise ValueError(f"unknown aggregation mode: {mode!r}")
-    return UncertaintyField(values=vals, kind=fields[0].kind)
+    return UncertaintyField(values=vals, kind=field.kind)
 
 
 def total_uncertainty(field: UncertaintyField | np.ndarray) -> float:

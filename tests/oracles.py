@@ -1,14 +1,22 @@
 """Reference computations shared by the test modules."""
 
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
 
-from aerosurvey import channel, estimator, planner
+from aerosurvey import channel, planner, spatial
 from aerosurvey.channel import ChannelParams, Measurement
-from aerosurvey.estimator import ObservationCoefficients, PosteriorState
 from aerosurvey.spatial import GridSpec, Waypoint, point_to_index
+
+
+@dataclass
+class PosteriorState:
+    """Dense Gaussian posterior over the grid powers of one transmitter."""
+
+    mean: np.ndarray  # (N,) dBm
+    cov: np.ndarray  # (N, N) dB^2
 
 
 def init_posterior(grid: GridSpec, params: ChannelParams, tx: int) -> PosteriorState:
@@ -21,11 +29,24 @@ def init_posterior(grid: GridSpec, params: ChannelParams, tx: int) -> PosteriorS
     return PosteriorState(mean=mean, cov=cov)
 
 
-def online_update(state: PosteriorState, coeffs: ObservationCoefficients, y: float) -> PosteriorState:
-    """Dense gain-form rank-one update of a copy of ``state`` on one measurement ``y``."""
-    new = state.copy()
-    estimator.condition_in_place([new], coeffs, [y])
-    return new
+def online_update(state: PosteriorState, taps, y: float, noise_var: float) -> PosteriorState:
+    """Explicit rank-one update of a dense posterior on one measurement ``y``.
+
+    The measurement is ``a @ powers`` plus noise of variance ``noise_var``,
+    where ``a`` scatters the ``(index, weights)`` taps onto the grid. Returns
+    ``cov - outer(ca, ca) / denom`` with its diagonal clamped at zero and
+    ``mean + ca (y - a @ mean) / denom``, for ``ca = cov @ a`` and
+    ``denom = noise_var + a @ ca``; ``state`` is left unchanged.
+    """
+    index, weights = taps
+    a = np.zeros(state.mean.shape[0])
+    np.add.at(a, index, weights)
+    ca = state.cov @ a
+    denom = noise_var + float(a @ ca)
+    cov = state.cov - np.outer(ca, ca) / denom
+    np.fill_diagonal(cov, np.maximum(np.diagonal(cov), 0.0))
+    mean = state.mean + ca * (float(y) - float(a @ state.mean)) / denom
+    return PosteriorState(mean=mean, cov=cov)
 
 
 def batch_posterior(
@@ -98,3 +119,21 @@ def catmull_rom_power(grid: GridSpec, powers, point) -> np.ndarray:
         rowvals = _catmull_rom_1d(patch[:, 0], patch[:, 1], patch[:, 2], patch[:, 3], fx - c0)
         out.append(_catmull_rom_1d(rowvals[0], rowvals[1], rowvals[2], rowvals[3], fy - r0))
     return np.array(out)
+
+
+def sample_path(waypoints: Iterable[Waypoint] | np.ndarray, delta: float) -> np.ndarray:
+    """Points every ``delta`` meters of arc length along a polyline.
+
+    The first sample sits on the first waypoint and the rest follow
+    :class:`aerosurvey.spatial.PathSampler`. The final waypoint is included
+    only when the total length is a multiple of ``delta``, up to 1e-9 m of
+    rounding.
+    """
+    sampler = spatial.PathSampler(delta)
+    pts = spatial.as_coords(waypoints)
+    if pts.shape[0] == 0:
+        raise ValueError("need at least one waypoint")
+    samples = [pts[0]]
+    for a, b in zip(pts[:-1], pts[1:]):
+        samples.extend(point for point, _ in sampler.segment(a, b))
+    return np.asarray(samples)

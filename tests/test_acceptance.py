@@ -4,8 +4,8 @@ Each test prints one PASS/FAIL line so the suite doubles as a checklist:
 
 1. the survey posterior matches the batch posterior on random on-node and
    off-grid measurements, with and without fading
-2. the dense gain-form covariance update (the survey posterior's form past
-   its fold) equals the explicit rank-one formula
+2. the survey posterior's one update, in its low-rank form and in its dense
+   form (past the fold), equals the explicit rank-one formula
 3. sampled shadowing reproduces its covariance function statistically
 4. total power uncertainty never increases during a survey
 5. prior service uncertainty concentrates on rings around the transmitters
@@ -27,7 +27,6 @@ import pytest
 from aerosurvey import channel, cli, estimator, planner, spatial
 from aerosurvey.channel import ChannelParams, Transmitter
 from aerosurvey.cli import default_config
-from aerosurvey.estimator import ObservationCoefficients, PosteriorState
 from aerosurvey.harness import monte_carlo, run_survey
 from aerosurvey.planner import PlannerKind, PlanRequest
 from aerosurvey.spatial import GridSpec, Waypoint
@@ -80,14 +79,12 @@ def test_01_online_matches_batch_posterior():
                 single = replace(
                     params, transmitters=(params.transmitters[tx],), fading_var=fading_var
                 )
-                posterior = estimator.SurveyPosterior(grid, single)
+                posterior = estimator.SurveyPosterior.from_grid(grid, single)
                 for m in ms:
-                    coeffs = estimator.observation_coefficients(grid, single, m.position)
-                    posterior.condition(coeffs, m.rss)
-                (state,) = posterior.states()
+                    posterior.condition(channel.interpolation_taps(grid, m.position), m.rss)
                 ref = batch_posterior(grid, single, 0, ms)
-                rel_mean = np.max(np.abs(state.mean - ref.mean)) / np.max(np.abs(ref.mean))
-                rel_cov = np.max(np.abs(state.cov - ref.cov)) / np.max(np.abs(ref.cov))
+                rel_mean = np.max(np.abs(posterior.means[0] - ref.mean)) / np.max(np.abs(ref.mean))
+                rel_cov = np.max(np.abs(posterior.covariance() - ref.cov)) / np.max(np.abs(ref.cov))
                 assert rel_mean < 1e-6, f"mean relative error {rel_mean:.2e}"
                 assert rel_cov < 1e-6, f"covariance relative error {rel_cov:.2e}"
         elapsed = time.perf_counter() - start
@@ -105,16 +102,19 @@ def test_02_gain_form_equals_explicit_rank_one_update():
             a = rng.normal(size=n)
             var = float(rng.uniform(0.1, 2.0))
             y = float(rng.normal())
-            state = PosteriorState(mean=mean.copy(), cov=cov.copy())
-            coeffs = ObservationCoefficients(index=np.arange(n), weights=a, noise_var=var)
-            estimator.condition_in_place([state], coeffs, [y])
-            got = state
             ca = cov @ a
             denom = var + float(a @ ca)
             explicit_cov = cov - np.outer(ca, ca) / denom
             explicit_mean = mean + ca * (y - float(a @ mean)) / denom
-            assert np.max(np.abs(got.cov - explicit_cov)) < 1e-10
-            assert np.max(np.abs(got.mean - explicit_mean)) < 1e-10
+            # A fresh posterior conditions in its low-rank form; one made
+            # dense by covariance() downdates the dense array.
+            for dense in (False, True):
+                got = estimator.SurveyPosterior(cov, 0.0, mean[None], var)
+                if dense:
+                    got.covariance()
+                got.condition((np.arange(n), a), [y])
+                assert np.max(np.abs(got.covariance() - explicit_cov)) < 1e-10
+                assert np.max(np.abs(got.means[0] - explicit_mean)) < 1e-10
 
 
 def test_03_sampled_shadowing_matches_covariance_function():
@@ -159,8 +159,7 @@ def test_04_total_power_uncertainty_never_increases():
                 vals = [r.total_unc_power for r in rec.metrics]
                 for a, b in zip(vals[:-1], vals[1:]):
                     assert b <= a + 1e-9, (kind, seed)
-                for state in rec.posteriors:
-                    assert np.max(np.diag(state.cov)) <= 9.0 + 1e-9
+                assert np.max(np.diag(rec.posterior.covariance())) <= 9.0 + 1e-9
 
         # per-update variance cap with fading in the prior
         params = ChannelParams(
@@ -169,13 +168,12 @@ def test_04_total_power_uncertainty_never_increases():
             fading_var=1.5,
             noise_var=0.25,
         )
-        posterior = estimator.SurveyPosterior(grid, params)
+        posterior = estimator.SurveyPosterior.from_grid(grid, params)
         rng = np.random.default_rng(7)
         cap = 9.0 + 1.5 + 1e-9
         for _ in range(40):  # past the fold to dense at 32
             point = (float(rng.uniform(0, 70)), float(rng.uniform(0, 70)))
-            coeffs = estimator.observation_coefficients(grid, params, point)
-            posterior.condition(coeffs, [float(rng.normal(-60, 3))])
+            posterior.condition(channel.interpolation_taps(grid, point), [float(rng.normal(-60, 3))])
             assert np.max(posterior.var) <= cap
 
 

@@ -166,8 +166,7 @@ class TestGridPrior:
         p = make_params(corr_distance=41.0)
         channel.grid_prior.cache_clear()
         channel.sample_ground_truth(g, p, 0)
-        estimator.SurveyPosterior(g, p)
-        estimator.observation_coefficients(g, p, (3.0, 4.0))
+        estimator.SurveyPosterior.from_grid(g, p)
         info = channel.grid_prior.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
 

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from aerosurvey import channel, estimator, spatial
 from aerosurvey.channel import ChannelParams, Transmitter
-from aerosurvey.estimator import PosteriorState
 from aerosurvey.spatial import GridSpec
-from oracles import batch_posterior, init_posterior, online_update
+from oracles import PosteriorState, batch_posterior, init_posterior, online_update
 
 
 def make_params(**kw):
@@ -64,23 +63,36 @@ class TestInitPosterior:
         assert b.mean[0] != 1e9
 
 
+def noise_floor(params):
+    """The observation noise variance the survey posterior uses."""
+    return max(params.noise_var, estimator.VAR_FLOOR)
+
+
+def forms(grid, params):
+    """A fresh (low-rank) survey posterior and one made dense before any measurement."""
+    low_rank = estimator.SurveyPosterior.from_grid(grid, params)
+    dense = estimator.SurveyPosterior.from_grid(grid, params)
+    dense.covariance()
+    return low_rank, dense
+
+
 class TestObservationCoefficients:
     def test_on_grid_point_gives_unit_weights(self):
         g, p = small_grid(), make_params()
         pts = spatial.grid_points(g)
-        coeffs = estimator.observation_coefficients(g, p, pts[5])
+        index, weights = channel.interpolation_taps(g, pts[5])
         dense = np.zeros(g.num_points)
-        np.add.at(dense, coeffs.index, coeffs.weights)
+        np.add.at(dense, index, weights)
         expected = np.zeros(g.num_points)
         expected[5] = 1.0
         np.testing.assert_array_equal(dense, expected)
-        assert coeffs.noise_var == pytest.approx(0.25, abs=1e-12)
+        assert estimator.SurveyPosterior.from_grid(g, p).noise_var == pytest.approx(0.25, abs=1e-12)
 
     def test_point_outside_grid_rejected(self):
-        g, p = small_grid(), make_params()
+        g = small_grid()
         for point in ((30.0 + 20.0, 15.0), (-0.5, 0.0), (float("nan"), 3.0)):
             with pytest.raises(ValueError):
-                estimator.observation_coefficients(g, p, point)
+                channel.interpolation_taps(g, point)
 
     def test_noiseless_measurement_is_the_tap_combination(self):
         g = small_grid()
@@ -96,24 +108,25 @@ class TestObservationCoefficients:
         rng = np.random.default_rng(7)
         for _ in range(50):
             point = (float(rng.uniform(0.0, 30.0)), float(rng.uniform(0.0, 30.0)))
-            c = estimator.observation_coefficients(g, p, point)
+            index, weights = channel.interpolation_taps(g, point)
             m = channel.take_measurement(gt, point, p, rng)
-            assert m.rss == tuple(gt.powers[:, c.index] @ c.weights)
+            assert m.rss == tuple(gt.powers[:, index] @ weights)
 
     def test_on_grid_with_fading_still_snaps(self):
         g = small_grid()
         p = make_params(fading_var=2.0)
         pts = spatial.grid_points(g)
-        coeffs = estimator.observation_coefficients(g, p, pts[3])
-        assert coeffs.index[coeffs.weights == 1.0].tolist() == [3]
-        np.testing.assert_array_equal(coeffs.weights[coeffs.weights != 1.0], 0.0)
-        assert coeffs.noise_var == pytest.approx(0.25, abs=1e-12)
+        index, weights = channel.interpolation_taps(g, pts[3])
+        assert index[weights == 1.0].tolist() == [3]
+        np.testing.assert_array_equal(weights[weights != 1.0], 0.0)
+        assert estimator.SurveyPosterior.from_grid(g, p).noise_var == pytest.approx(0.25, abs=1e-12)
 
     def test_noise_floor_applied(self):
         g, p = small_grid(), make_params(noise_var=0.0)
-        pts = spatial.grid_points(g)
-        coeffs = estimator.observation_coefficients(g, p, pts[0])
-        assert coeffs.noise_var >= estimator.VAR_FLOOR
+        assert estimator.SurveyPosterior.from_grid(g, p).noise_var >= estimator.VAR_FLOOR
+        prior = init_posterior(g, p, 0)
+        post = estimator.SurveyPosterior(prior.cov, 0.0, prior.mean[None], 0.0)
+        assert post.noise_var >= estimator.VAR_FLOOR
 
 
 class TestConditionInPlace:
@@ -126,47 +139,54 @@ class TestConditionInPlace:
         )
 
     def test_dense_states_share_one_covariance(self):
+        # One covariance serves every transmitter: the dense form starts at
+        # the prior, and later calls return the same array.
         g, p = small_grid(), self.two_tx()
-        states = estimator.SurveyPosterior(g, p).states()
-        assert states[0].cov is states[1].cov
-        for k, state in enumerate(states):
+        post = estimator.SurveyPosterior.from_grid(g, p)
+        cov = post.covariance()
+        assert post.covariance() is cov
+        for k in range(2):
             prior = init_posterior(g, p, k)
-            np.testing.assert_array_equal(state.mean, prior.mean)
-            np.testing.assert_array_equal(state.cov, prior.cov)
+            np.testing.assert_array_equal(post.means[k], prior.mean)
+            np.testing.assert_array_equal(cov, prior.cov)
 
     def test_rejects_without_modifying(self):
         g, p = small_grid(), self.two_tx()
-        states = estimator.SurveyPosterior(g, p).states()
-        cov = states[0].cov.copy()
-        off_grid = estimator.observation_coefficients(g, p, (7.0, 3.0))
-        nan_weights = estimator.ObservationCoefficients(
-            off_grid.index, np.full(16, np.nan), off_grid.noise_var
-        )
+        off_grid = channel.interpolation_taps(g, (7.0, 3.0))
+        nan_weights = (off_grid[0], np.full(16, np.nan))
         bad_calls = [
-            (states, off_grid, [-50.0, float("nan")]),
-            (states, nan_weights, [-50.0, -50.0]),
-            (states, off_grid, [-50.0]),
-            ([states[0], init_posterior(g, p, 1)], off_grid, [-50.0, -50.0]),
+            (off_grid, [-50.0, float("nan")]),
+            (nan_weights, [-50.0, -50.0]),
+            (off_grid, [-50.0]),
         ]
-        for args in bad_calls:
-            with pytest.raises(ValueError):
-                estimator.condition_in_place(*args)
-        np.testing.assert_array_equal(states[0].cov, cov)
-        np.testing.assert_array_equal(states[1].mean, init_posterior(g, p, 1).mean)
-
-        # The low-rank survey posterior makes the same checks, before and
-        # after it folds to dense.
-        post = estimator.SurveyPosterior(g, p)
+        # Before and after the fold to dense.
+        post = estimator.SurveyPosterior.from_grid(g, p)
         for steps in (0, estimator.fold_rank(g.num_points) + 1):
             for _ in range(steps):
                 post.condition(off_grid, [-50.0, -55.0])
             means, var, rank = post.means.copy(), post.var.copy(), post.rank
-            for _states, coeffs, values in bad_calls[:3]:
+            cov = None if post.cov is None else post.cov.copy()
+            for taps, values in bad_calls:
                 with pytest.raises(ValueError):
-                    post.condition(coeffs, values)
+                    post.condition(taps, values)
             np.testing.assert_array_equal(post.means, means)
             np.testing.assert_array_equal(post.var, var)
             assert post.rank == rank
+            if cov is not None:
+                np.testing.assert_array_equal(post.cov, cov)
+
+    def test_rejects_malformed_priors(self):
+        prior = init_posterior(small_grid(), make_params(), 0)
+        bad = [
+            (prior.cov, 0.0, prior.mean, 0.25),  # one row of means, not (K, N)
+            (prior.cov, 0.0, np.empty((0, 16)), 0.25),
+            (prior.cov[:8, :8], 0.0, prior.mean[None], 0.25),
+            (prior.cov, -1.0, prior.mean[None], 0.25),
+            (prior.cov, 0.0, prior.mean[None], float("nan")),
+        ]
+        for args in bad:
+            with pytest.raises(ValueError):
+                estimator.SurveyPosterior(*args)
 
 
 class TestSurveyPosterior:
@@ -188,56 +208,59 @@ class TestSurveyPosterior:
         return [(point, channel.take_measurement(gt, point, p, rng).rss) for point in points]
 
     def test_matches_dense_oracle_around_the_fold(self):
-        # Low-rank before the fold, the full U at the fold, dense just after.
+        # Low-rank before the fold, the full U at the fold, dense just after;
+        # the oracle is the explicit rank-one formula on a dense copy.
         g = small_grid(rows=6, cols=6)
         fold = estimator.fold_rank(g.num_points)
         for noise_var, fading_var in ((0.25, 0.0), (0.0, 1.5)):
             p = self.two_tx(noise_var=noise_var, fading_var=fading_var)
             for count in (fold - 1, fold, fold + 1):
-                post = estimator.SurveyPosterior(g, p)
+                post = estimator.SurveyPosterior.from_grid(g, p)
                 dense = [init_posterior(g, p, k) for k in range(2)]
                 for point, values in self.measurements(g, p, count, seed=count):
-                    coeffs = estimator.observation_coefficients(g, p, point)
-                    post.condition(coeffs, values)
-                    dense = [online_update(s, coeffs, y) for s, y in zip(dense, values)]
+                    taps = channel.interpolation_taps(g, point)
+                    post.condition(taps, values)
+                    dense = [online_update(s, taps, y, noise_floor(p)) for s, y in zip(dense, values)]
                 assert post.rank == count
                 assert (post.cov is None) == (count <= fold)
                 np.testing.assert_allclose(post.var, np.diagonal(dense[0].cov), rtol=0, atol=1e-10)
-                for k, state in enumerate(post.states()):
-                    np.testing.assert_allclose(state.mean, dense[k].mean, rtol=0, atol=1e-10)
-                    np.testing.assert_allclose(state.cov, dense[k].cov, rtol=0, atol=1e-10)
-                    assert np.array_equal(state.cov, state.cov.T)
+                cov = post.covariance()
+                assert np.array_equal(cov, cov.T)
+                for k in range(2):
+                    np.testing.assert_allclose(post.means[k], dense[k].mean, rtol=0, atol=1e-10)
+                    np.testing.assert_allclose(cov, dense[k].cov, rtol=0, atol=1e-10)
 
     def test_variance_never_increases(self):
         # Noise-free measurements drive variances to the clamp at zero.
         g = small_grid(rows=6, cols=6)
         p = self.two_tx(noise_var=0.0, fading_var=1.5)
-        post = estimator.SurveyPosterior(g, p)
+        post = estimator.SurveyPosterior.from_grid(g, p)
         for point, values in self.measurements(g, p, 2 * estimator.fold_rank(g.num_points), seed=3):
             before = post.var.copy()
-            post.condition(estimator.observation_coefficients(g, p, point), values)
+            post.condition(channel.interpolation_taps(g, point), values)
             assert np.all(post.var <= before)
             assert np.all(post.var >= 0.0)
         assert post.cov is not None
         np.testing.assert_array_equal(post.var, np.diagonal(post.cov))
 
-        # Exact observations of distinct nodes round some variances below
-        # zero; the clamp holds them at zero, before and after the fold.
-        post = estimator.SurveyPosterior(g, p)
+        # Exact observations of distinct nodes, below the noise floor a
+        # survey uses, round some variances below zero; the clamp holds them
+        # at zero, before and after the fold.
+        post = estimator.SurveyPosterior.from_grid(g, p)
+        post.noise_var = 0.0
         for point in spatial.grid_points(g)[:24]:
-            taps = estimator.observation_coefficients(g, p, point)
             before = post.var.copy()
-            post.condition(estimator.ObservationCoefficients(taps.index, taps.weights, 0.0), [-60.0, -61.0])
+            post.condition(channel.interpolation_taps(g, point), [-60.0, -61.0])
             assert np.all(post.var <= before)
             assert np.all(post.var >= 0.0)
         assert post.cov is not None
 
     def test_shares_the_cached_prior(self):
         g, p = small_grid(), self.two_tx(fading_var=2.0)
-        a, b = estimator.SurveyPosterior(g, p), estimator.SurveyPosterior(g, p)
+        a, b = estimator.SurveyPosterior.from_grid(g, p), estimator.SurveyPosterior.from_grid(g, p)
         assert a.prior_cov is b.prior_cov
         assert a.prior_cov is channel.grid_prior(g, p.shadow_var, p.corr_distance).cov
-        a.condition(estimator.observation_coefficients(g, p, (7.0, 3.0)), [-50.0, -55.0])
+        a.condition(channel.interpolation_taps(g, (7.0, 3.0)), [-50.0, -55.0])
         np.testing.assert_array_equal(b.var, 11.0)
         np.testing.assert_array_equal(b.means, np.vstack([init_posterior(g, p, k).mean for k in range(2)]))
 
@@ -245,21 +268,23 @@ class TestSurveyPosterior:
 class TestOnlineUpdate:
     def test_exact_observation_pins_coordinate(self):
         g, p = small_grid(), make_params(noise_var=1e-9)
-        state = init_posterior(g, p, 0)
         pts = spatial.grid_points(g)
-        coeffs = estimator.observation_coefficients(g, p, pts[5])
+        taps = channel.interpolation_taps(g, pts[5])
         y = -47.3
-        new = online_update(state, coeffs, y)
-        assert new.mean[5] == pytest.approx(y, abs=1e-6)
-        assert new.cov[5, 5] == pytest.approx(0.0, abs=1e-6)
+        for post in forms(g, p):
+            post.condition(taps, [y])
+            assert post.means[0, 5] == pytest.approx(y, abs=1e-6)
+            assert post.var[5] == pytest.approx(0.0, abs=1e-6)
+            assert post.covariance()[5, 5] == pytest.approx(0.0, abs=1e-6)
 
     def test_input_state_left_unchanged(self):
+        # The dense oracle returns a new state and leaves its input alone.
         g, p = small_grid(), make_params()
         state = init_posterior(g, p, 0)
         mean, cov = state.mean.copy(), state.cov.copy()
         for point in ((10.0, 20.0), (7.0, 3.0)):  # on a node, then off-grid
-            coeffs = estimator.observation_coefficients(g, p, point)
-            new = online_update(state, coeffs, -50.0)
+            taps = channel.interpolation_taps(g, point)
+            new = online_update(state, taps, -50.0, noise_floor(p))
             assert new.mean is not state.mean and new.cov is not state.cov
             assert np.array_equal(state.mean, mean)
             assert np.array_equal(state.cov, cov)
@@ -268,51 +293,55 @@ class TestOnlineUpdate:
     def test_zero_weights_leave_state_unchanged(self):
         g = small_grid()
         p = make_params(fading_var=2.0, noise_var=0.25)
-        state = init_posterior(g, p, 0)
-        taps = estimator.observation_coefficients(g, p, (7.0, 3.0))
-        coeffs = estimator.ObservationCoefficients(taps.index, np.zeros(16), taps.noise_var)
-        new = online_update(state, coeffs, -50.0)
-        np.testing.assert_array_equal(new.mean, state.mean)
-        np.testing.assert_array_equal(new.cov, state.cov)
+        prior = init_posterior(g, p, 0)
+        index, _ = channel.interpolation_taps(g, (7.0, 3.0))
+        for post in forms(g, p):
+            post.condition((index, np.zeros(16)), [-50.0])
+            np.testing.assert_array_equal(post.means[0], prior.mean)
+            np.testing.assert_array_equal(post.covariance(), prior.cov)
 
     def test_covariance_stays_symmetric_psd_diagonal(self):
         g, p = small_grid(), make_params()
-        state = init_posterior(g, p, 0)
-        rng = np.random.default_rng(0)
         pts = spatial.grid_points(g)
-        for _ in range(30):
-            point = pts[rng.integers(0, g.num_points)]
-            coeffs = estimator.observation_coefficients(g, p, point)
-            state = online_update(state, coeffs, float(rng.normal(-60, 3)))
-            assert np.max(np.abs(state.cov - state.cov.T)) < 1e-12
-            assert np.min(np.diag(state.cov)) >= 0.0
+        for post in forms(g, p):
+            rng = np.random.default_rng(0)
+            for _ in range(30):
+                point = pts[rng.integers(0, g.num_points)]
+                post.condition(channel.interpolation_taps(g, point), [float(rng.normal(-60, 3))])
+                assert np.min(post.var) >= 0.0
+                if post.cov is not None:
+                    assert np.max(np.abs(post.cov - post.cov.T)) < 1e-12
+            cov = post.covariance()
+            assert np.max(np.abs(cov - cov.T)) < 1e-12
+            assert np.min(np.diag(cov)) >= 0.0
 
     def test_monotone_trace(self):
+        # The trace is the sum of the shared variances in either form.
         g, p = small_grid(), make_params()
-        state = init_posterior(g, p, 0)
-        rng = np.random.default_rng(3)
-        prev = float(np.trace(state.cov))
-        for _ in range(25):
-            point = (
-                float(rng.uniform(0, 30)),
-                float(rng.uniform(0, 30)),
-            )
-            coeffs = estimator.observation_coefficients(g, p, point)
-            state = online_update(state, coeffs, float(rng.normal(-60, 3)))
-            cur = float(np.trace(state.cov))
-            assert cur <= prev + 1e-9
-            prev = cur
+        for post in forms(g, p):
+            rng = np.random.default_rng(3)
+            prev = float(np.sum(post.var))
+            for _ in range(25):
+                point = (
+                    float(rng.uniform(0, 30)),
+                    float(rng.uniform(0, 30)),
+                )
+                post.condition(channel.interpolation_taps(g, point), [float(rng.normal(-60, 3))])
+                cur = float(np.sum(post.var))
+                assert cur <= prev + 1e-9
+                prev = cur
+            assert float(np.trace(post.covariance())) == pytest.approx(prev, abs=1e-12)
 
     def test_diagonal_never_exceeds_prior(self):
         g, p = small_grid(), make_params(fading_var=1.5)
-        state = init_posterior(g, p, 0)
-        rng = np.random.default_rng(5)
         cap = 9.0 + 1.5 + 1e-9
-        for _ in range(20):
-            point = (float(rng.uniform(0, 30)), float(rng.uniform(0, 30)))
-            coeffs = estimator.observation_coefficients(g, p, point)
-            state = online_update(state, coeffs, float(rng.normal(-60, 3)))
-            assert np.max(np.diag(state.cov)) <= cap
+        for post in forms(g, p):
+            rng = np.random.default_rng(5)
+            for _ in range(20):
+                point = (float(rng.uniform(0, 30)), float(rng.uniform(0, 30)))
+                post.condition(channel.interpolation_taps(g, point), [float(rng.normal(-60, 3))])
+                assert np.max(post.var) <= cap
+            assert np.max(np.diag(post.covariance())) <= cap
 
 
 def meas(loc, y):
@@ -375,12 +404,11 @@ class TestOnlineMatchesBatch:
         xmin, ymin, xmax, ymax = g.bounds()
         off_grid = rng.uniform((xmin, ymin), (xmax, ymax), size=(n_off_grid, 2))
         ms = [meas(q, float(rng.normal(-60.0, 3.0))) for q in [*pts[idx], *off_grid]]
-        state = init_posterior(g, p, 0)
+        post = estimator.SurveyPosterior.from_grid(g, p)
         for m in ms:
-            coeffs = estimator.observation_coefficients(g, p, m.position)
-            state = online_update(state, coeffs, m.rss[0])
+            post.condition(channel.interpolation_taps(g, m.position), m.rss)
         ref = batch_posterior(g, p, 0, ms)
-        return state, ref
+        return PosteriorState(mean=post.means[0], cov=post.covariance()), ref
 
     def _assert_agree(self, state, ref):
         scale_m = max(1.0, float(np.max(np.abs(ref.mean))))

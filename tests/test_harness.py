@@ -7,12 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aerosurvey import channel, estimator, harness, spatial
-from aerosurvey.channel import ChannelParams, GroundTruth, Transmitter
+from aerosurvey import channel, estimator, harness
+from aerosurvey.channel import ChannelParams, Transmitter
 from aerosurvey.harness import SurveyConfig, monte_carlo, run_survey, service_error_rate
 from aerosurvey.planner import PlannerKind
 from aerosurvey.spatial import GridSpec, Waypoint
-from oracles import init_posterior, online_update
+from oracles import init_posterior, online_update, sample_path
 
 ALL_PLANNERS = [
     PlannerKind.MIN_COST,
@@ -43,31 +43,31 @@ def make_config(**kw):
 
 
 class TestServiceErrorRate:
-    def _gt(self, powers):
-        n = powers.shape[1]
-        g = GridSpec(rows=1, cols=n, spacing=10.0)
-        return GroundTruth(grid=g, powers=powers)
+    def _served(self, powers, r_min=-65.0):
+        """True service mask: any transmitter clears the threshold."""
+        return np.any(powers >= r_min, axis=0)
 
     def test_perfect_estimate_gives_zero(self):
-        gt = self._gt(np.array([[-60.0, -70.0, -50.0, -80.0]]))
+        served = self._served(np.array([[-60.0, -70.0, -50.0, -80.0]]))
         probs = np.array([[1.0, 0.0, 1.0, 0.0]])
-        assert service_error_rate(probs, gt, -65.0) == 0.0
+        assert service_error_rate(probs, served) == 0.0
 
     def test_inverted_estimate_gives_one(self):
-        gt = self._gt(np.array([[-60.0, -70.0, -50.0, -80.0]]))
+        served = self._served(np.array([[-60.0, -70.0, -50.0, -80.0]]))
         probs = np.array([[0.0, 1.0, 0.0, 1.0]])
-        assert service_error_rate(probs, gt, -65.0) == 1.0
+        assert service_error_rate(probs, served) == 1.0
 
     def test_half_wrong(self):
-        gt = self._gt(np.array([[-60.0, -70.0, -50.0, -80.0]]))
+        served = self._served(np.array([[-60.0, -70.0, -50.0, -80.0]]))
         probs = np.array([[1.0, 0.0, 0.0, 1.0]])
-        assert service_error_rate(probs, gt, -65.0) == 0.5
+        assert service_error_rate(probs, served) == 0.5
+        with pytest.raises(ValueError, match="length"):
+            service_error_rate(probs[:, :3], served)
 
     def test_any_transmitter_serves(self):
-        powers = np.array([[-80.0, -80.0], [-50.0, -80.0]])
-        gt = self._gt(powers)
+        served = self._served(np.array([[-80.0, -80.0], [-50.0, -80.0]]))
         probs = np.array([[0.0, 0.0], [1.0, 0.0]])
-        assert service_error_rate(probs, gt, -65.0) == 0.0
+        assert service_error_rate(probs, served) == 0.0
 
 
 class TestRunSurvey:
@@ -138,20 +138,20 @@ class TestRunSurvey:
             cfg = make_config(planner=kind, seed=7, noise_var=0.25, max_measurements=30)
             rec = run_survey(cfg)
             assert rec.posterior.cov is None
-            assert len(rec.posteriors) == 2
-            assert rec.posteriors[0].cov is rec.posteriors[1].cov
-            for k, got in enumerate(rec.posteriors):
+            assert rec.posterior.means.shape == (2, cfg.grid.num_points)
+            cov = rec.posterior.covariance()
+            noise_var = max(rec.params.noise_var, estimator.VAR_FLOOR)
+            for k, mean in enumerate(rec.posterior.means):
                 state = init_posterior(cfg.grid, rec.params, k)
                 for m in rec.measurements:
-                    coeffs = estimator.observation_coefficients(cfg.grid, rec.params, m.position)
-                    state = online_update(state, coeffs, m.rss[k])
-                np.testing.assert_allclose(got.mean, state.mean, rtol=0, atol=1e-10)
-                np.testing.assert_allclose(got.cov, state.cov, rtol=0, atol=1e-10)
+                    taps = channel.interpolation_taps(cfg.grid, m.position)
+                    state = online_update(state, taps, m.rss[k], noise_var)
+                np.testing.assert_allclose(mean, state.mean, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(cov, state.cov, rtol=0, atol=1e-10)
 
     def test_posterior_diag_capped_by_prior(self):
         rec = run_survey(make_config(seed=2))
-        for state in rec.posteriors:
-            assert np.max(np.diag(state.cov)) <= 9.0 + 1e-9
+        assert np.max(np.diag(rec.posterior.covariance())) <= 9.0 + 1e-9
 
     def test_exhaustive_noiseless_survey_resolves_map(self):
         # no fading, no sensor noise: sweeping every grid point pins the field
@@ -221,12 +221,12 @@ class TestRunSurvey:
                 assert len(rec.metrics) == 21
 
     def test_positions_follow_the_shared_path_sampler(self):
-        # The survey samples its flight with the same sampler as sample_path,
+        # The survey samples its flight with the same sampler as the oracle,
         # so re-sampling the recorded polyline reproduces every position.
         for kind in ALL_PLANNERS:
             rec = run_survey(make_config(planner=kind, seed=2, max_measurements=60))
             got = np.array([m.position for m in rec.measurements])
-            want = spatial.sample_path(rec.waypoints, rec.config.measurement_spacing)
+            want = sample_path(rec.waypoints, rec.config.measurement_spacing)
             np.testing.assert_array_equal(got, want, err_msg=str(kind))
 
     def test_one_power_field_per_measurement(self, monkeypatch):
@@ -252,7 +252,6 @@ class TestRunSurvey:
             return real(grid, point)
 
         monkeypatch.setattr(channel, "interpolation_taps", counted)
-        monkeypatch.setattr(estimator, "interpolation_taps", counted)
         for kind in ALL_PLANNERS:
             calls.clear()
             rec = run_survey(make_config(planner=kind, max_measurements=20))

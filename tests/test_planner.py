@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from aerosurvey import planner, spatial
 from aerosurvey.planner import PlannerKind, PlanRequest
 from aerosurvey.spatial import GridSpec, Waypoint
-from oracles import route_cost
+from oracles import route_cost, sample_path
 
 
 def grid(rows=3, cols=3, spacing=10.0):
@@ -189,7 +189,7 @@ class TestSweepRoutes:
     def test_grid_route_covers_all_points_when_sampled(self):
         g = grid(4, 5)
         route = planner.grid_route(g)
-        samples = spatial.sample_path(route, g.spacing)
+        samples = sample_path(route, g.spacing)
         seen = {spatial.point_to_index(g, s) for s in samples}
         assert seen == set(range(g.num_points))
 
@@ -225,7 +225,7 @@ class TestSweepRoutes:
     def test_spiral_samples_cover_all_points(self):
         g = grid(5, 5)
         route = planner.spiral_route(g)
-        samples = spatial.sample_path(route, g.spacing)
+        samples = sample_path(route, g.spacing)
         seen = {spatial.point_to_index(g, s) for s in samples}
         assert seen == set(range(g.num_points))
 

