@@ -65,7 +65,9 @@ def fold_rank(num_points: int) -> int:
     or less. On a 2-vCPU VM (OpenBLAS 0.3.31) a low-rank step stayed cheaper
     than a dense in-place step up to r = 3N for N = 100 to 729: 0.21 against
     1.19 ms at N = 729 and r = N/2. Folding costs one N x N x r product:
-    0.23 s at N = 3000.
+    0.23 s at N = 3000. While it runs, the fold holds U (half a dense copy)
+    and the new dense covariance at once, so a survey that crosses the fold
+    peaks at one and a half dense copies.
     """
     return num_points // 2
 

@@ -147,14 +147,6 @@ def service_error_rate(probabilities, served) -> float:
     return float(np.mean(estimated != truth))
 
 
-def _power_field(posterior: estimator.SurveyPosterior, params) -> unc.UncertaintyField:
-    """Power uncertainty of every transmitter: they share one covariance, so one field."""
-    if params.shadow_var + params.fading_var <= 0:
-        # Degenerate prior: the map is known exactly, nothing is uncertain.
-        return unc.UncertaintyField(np.zeros(posterior.var.shape[0]), "power")
-    return unc.power_uncertainty(posterior.var, params)
-
-
 def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRecord:
     """Run one survey to its stop criterion.
 
@@ -189,35 +181,36 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
         snapshots={},
     )
 
-    def service_fields():
-        """Service probabilities (K, N) and their aggregated uncertainty field."""
+    def fields():
+        """Service probabilities (K, N) and the power and service uncertainty fields (N,)."""
         probs = estimator.service_probability(posterior.means, posterior.var, config.r_min)
-        return probs, unc.aggregate(unc.service_uncertainty(probs), config.aggregation)
+        power_unc = unc.power_uncertainty(posterior.var, params)
+        service_unc = unc.aggregate(unc.service_uncertainty(probs), config.aggregation)
+        return probs, power_unc, service_unc
 
     def capture(t: int) -> None:
-        probs, service_unc = service_fields()
+        probs, power_unc, service_unc = fields()
         record.snapshots[t] = Snapshot(
             t=t,
             posterior_means=posterior.means.copy(),
             service_prob=probs,
-            power_unc=_power_field(posterior, params).values,
-            service_unc=service_unc.values,
+            power_unc=power_unc,
+            service_unc=service_unc,
         )
 
-    def planning_field() -> unc.UncertaintyField:
-        if config.target == "power":
-            return _power_field(posterior, params)
-        return service_fields()[1]
+    target_unc = None  # the planner's field, from the latest posterior
 
     def measure_at(point, t: int, meters: float) -> bool:
         """Snapshot, measure, update, log; returns True when the run should stop."""
+        nonlocal target_unc
         if t in wanted:
             capture(t)
         taps = channel.interpolation_taps(grid, point)
         m = channel.take_measurement(gt, point, params, rng, taps=taps)
         posterior.condition(taps, m.rss)
-        probs, service_unc = service_fields()
-        power_total = unc.total_uncertainty(_power_field(posterior, params))
+        probs, power_unc, service_unc = fields()
+        target_unc = power_unc if config.target == "power" else service_unc
+        power_total = unc.total_uncertainty(power_unc)
         service_total = unc.total_uncertainty(service_unc)
         record.measurements.append(m)
         record.metrics.append(
@@ -260,21 +253,14 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
     def plan_episode() -> list[spatial.Waypoint]:
         here = spatial.Waypoint(float(pos[0]), float(pos[1]))
         if sweep is not None:
-            route = list(sweep)
+            route = sweep
         elif config.planner is planner.PlannerKind.RANDOM:
-            route = planner.random_route(
-                planner.PlanRequest(here, None, grid, graph, rng)
-            )
+            route = planner.random_route(grid, rng)
         else:
-            field_now = planning_field()
             current_idx = spatial.point_to_index(grid, pos)
-            dest = planner.pick_destination(field_now, grid)
-            if dest == current_idx:
-                dest = planner.pick_destination(field_now, grid, exclude=current_idx)
-            route = planner.min_cost_route(
-                planner.PlanRequest(here, field_now, grid, graph, rng), dest
-            )
-        if route and (route[0].x, route[0].y) != (here.x, here.y):
+            dest = planner.pick_destination(target_unc, grid, exclude=current_idx)
+            route = planner.min_cost_route(grid, graph, target_unc, here, dest)
+        if (route[0].x, route[0].y) != (here.x, here.y):
             route = [here] + route
         return route
 
@@ -337,8 +323,12 @@ def _resolve_workers(workers: int | None, runs: int) -> int:
         if env:
             try:
                 requested = int(env)
+                if requested < 0:
+                    raise ValueError
             except ValueError:
-                raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
+                raise ValueError(
+                    f"{THREADS_ENV} must be a nonnegative integer, got {env!r}"
+                ) from None
             workers = auto if requested == 0 else min(requested, auto)
         else:
             workers = auto
@@ -350,7 +340,8 @@ def monte_carlo(config: SurveyConfig, runs: int, workers: int | None = None) -> 
 
     Run ``k`` draws its transmitters and shadowing from a stream derived from
     ``(config.seed, k)``, so results are independent of execution order and of
-    the worker count. The env var AEROSURVEY_THREADS caps parallelism (0 = auto).
+    the worker count. The env var AEROSURVEY_THREADS caps parallelism (0 = auto);
+    a value that is not a nonnegative integer raises ValueError.
     Every run takes ``config.max_measurements + 1`` measurements, so a config
     with an ``uncertainty_threshold``, whose runs could stop at different
     times, is rejected.

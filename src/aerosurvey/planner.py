@@ -3,19 +3,16 @@
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.signal import convolve2d
 
 from .spatial import GridSpec, MotionGraph, Waypoint, index_to_point, point_to_index
-from .uncertainty import UncertaintyField
 
 __all__ = [
     "EDGE_FLOOR",
     "PlannerKind",
-    "PlanRequest",
     "pick_destination",
     "min_cost_route",
     "grid_route",
@@ -35,17 +32,6 @@ class PlannerKind(str, Enum):
     RANDOM = "random"
 
 
-@dataclass
-class PlanRequest:
-    """Inputs a planner may consult when producing the next route."""
-
-    current_position: Waypoint
-    uncertainty: UncertaintyField | np.ndarray | None
-    grid: GridSpec
-    graph: MotionGraph | None = None
-    rng: np.random.Generator | None = None
-
-
 def pick_destination(uncertainty, grid: GridSpec, exclude: int | None = None) -> int:
     """Grid index maximizing the 3x3 box-filtered uncertainty.
 
@@ -53,14 +39,13 @@ def pick_destination(uncertainty, grid: GridSpec, exclude: int | None = None) ->
     lowest linear index; ``exclude`` removes one candidate (used to avoid
     replanning to the point the agent already occupies).
     """
-    vals = np.asarray(getattr(uncertainty, "values", uncertainty), dtype=float)
+    vals = np.asarray(uncertainty, dtype=float)
     if vals.size != grid.num_points:
         raise ValueError("uncertainty field does not match the grid")
     field = vals.reshape(grid.rows, grid.cols)
     filtered = convolve2d(field, np.ones((3, 3)), mode="same", boundary="fill", fillvalue=0.0)
     flat = filtered.ravel()
     if exclude is not None and flat.size > 1:
-        flat = flat.copy()
         flat[exclude] = -np.inf
     return int(np.argmax(flat))
 
@@ -102,25 +87,26 @@ def _dijkstra(grid: GridSpec, graph: MotionGraph, u: np.ndarray, src: int, dst: 
     raise RuntimeError("destination unreachable in motion graph")
 
 
-def min_cost_route(request: PlanRequest, destination: int) -> list[Waypoint]:
-    """Cheapest king-move walk from the nearest grid point to ``destination``.
+def min_cost_route(
+    grid: GridSpec, graph: MotionGraph | None, uncertainty, start: Waypoint, destination: int
+) -> list[Waypoint]:
+    """Cheapest king-move walk from the grid point nearest ``start`` to ``destination``.
 
     Each edge costs the reciprocal of the trapezoidal uncertainty line
     integral along it (floored at EDGE_FLOOR), so routes gravitate toward
     high-uncertainty terrain. Dijkstra finds the route.
     """
-    if request.graph is None:
+    if graph is None:
         raise ValueError("min-cost routing needs a motion graph")
-    grid = request.grid
     if not 0 <= destination < grid.num_points:
         raise IndexError(f"destination {destination} out of range [0, {grid.num_points})")
-    u = np.asarray(getattr(request.uncertainty, "values", request.uncertainty), dtype=float)
+    u = np.asarray(uncertainty, dtype=float)
     if u.size != grid.num_points:
         raise ValueError("uncertainty field does not match the grid")
-    src = point_to_index(grid, (request.current_position.x, request.current_position.y))
+    src = point_to_index(grid, (start.x, start.y))
     if src == destination:
         return [Waypoint(*index_to_point(grid, src))]
-    path = _dijkstra(grid, request.graph, u, src, destination)
+    path = _dijkstra(grid, graph, u, src, destination)
     return [Waypoint(*index_to_point(grid, g)) for g in path]
 
 
@@ -177,13 +163,7 @@ def spiral_route(grid: GridSpec) -> list[Waypoint]:
     return wps
 
 
-def random_route(request: PlanRequest) -> list[Waypoint]:
-    """Straight segment from the current position to a uniform random grid point."""
-    if request.rng is None:
-        raise ValueError("random planner needs an rng")
-    g = int(request.rng.integers(request.grid.num_points))
-    p = index_to_point(request.grid, g)
-    dest = Waypoint(p[0], p[1])
-    if (request.current_position.x, request.current_position.y) == (dest.x, dest.y):
-        return [dest]
-    return [request.current_position, dest]
+def random_route(grid: GridSpec, rng: np.random.Generator) -> list[Waypoint]:
+    """A uniform random grid point, to be flown to in a straight line."""
+    p = index_to_point(grid, int(rng.integers(grid.num_points)))
+    return [Waypoint(p[0], p[1])]

@@ -129,18 +129,9 @@ def build_motion_graph(grid: GridSpec) -> MotionGraph:
     return MotionGraph(neighbors=tuple(neighbors))
 
 
-def as_coords(waypoints: Iterable[Waypoint] | np.ndarray) -> np.ndarray:
-    """Coerce a waypoint sequence (Waypoint, pair, or array rows) to an (M, 2) array."""
-    if isinstance(waypoints, np.ndarray):
-        arr = np.asarray(waypoints, dtype=float)
-        return arr.reshape(-1, 2)
-    rows = []
-    for w in waypoints:
-        if isinstance(w, Waypoint):
-            rows.append((w.x, w.y))
-        else:
-            rows.append((float(w[0]), float(w[1])))
-    return np.asarray(rows, dtype=float).reshape(-1, 2)
+def as_coords(waypoints: Iterable[Waypoint]) -> np.ndarray:
+    """Waypoint sequence as an (M, 2) array of coordinates."""
+    return np.array([(w.x, w.y) for w in waypoints], dtype=float).reshape(-1, 2)
 
 
 class PathSampler:

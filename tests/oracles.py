@@ -86,7 +86,7 @@ def batch_posterior(
 
 def route_cost(grid: GridSpec, u, waypoints: list[Waypoint]) -> float:
     """Total reciprocal-integral cost of a grid-point waypoint sequence."""
-    vals = np.asarray(getattr(u, "values", u), dtype=float)
+    vals = np.asarray(u, dtype=float)
     total = 0.0
     for a, b in zip(waypoints[:-1], waypoints[1:]):
         i = point_to_index(grid, (a.x, a.y))
@@ -130,7 +130,11 @@ def sample_path(waypoints: Iterable[Waypoint] | np.ndarray, delta: float) -> np.
     rounding.
     """
     sampler = spatial.PathSampler(delta)
-    pts = spatial.as_coords(waypoints)
+    if isinstance(waypoints, np.ndarray):
+        pts = np.asarray(waypoints, dtype=float).reshape(-1, 2)
+    else:
+        rows = [(w.x, w.y) if isinstance(w, Waypoint) else (w[0], w[1]) for w in waypoints]
+        pts = np.array(rows, dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:
         raise ValueError("need at least one waypoint")
     samples = [pts[0]]

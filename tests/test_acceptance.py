@@ -28,7 +28,7 @@ from aerosurvey import channel, cli, estimator, planner, spatial
 from aerosurvey.channel import ChannelParams, Transmitter
 from aerosurvey.cli import default_config
 from aerosurvey.harness import monte_carlo, run_survey
-from aerosurvey.planner import PlannerKind, PlanRequest
+from aerosurvey.planner import PlannerKind
 from aerosurvey.spatial import GridSpec, Waypoint
 from oracles import batch_posterior, route_cost
 
@@ -281,13 +281,13 @@ def test_07_min_cost_routes_match_exhaustive_enumeration():
                 u[rng.integers(0, n, size=n // 2)] = 0.0  # flat patches too
             src, dst = rng.choice(n, size=2, replace=False)
             pos = spatial.index_to_point(grid, int(src))
-            req = PlanRequest(
-                current_position=Waypoint(float(pos[0]), float(pos[1])),
-                uncertainty=u,
-                grid=grid,
-                graph=spatial.build_motion_graph(grid),
+            route = planner.min_cost_route(
+                grid,
+                spatial.build_motion_graph(grid),
+                u,
+                Waypoint(float(pos[0]), float(pos[1])),
+                int(dst),
             )
-            route = planner.min_cost_route(req, int(dst))
             got = route_cost(grid, u, route)
             best = _enumerate_best_cost(grid, u, int(src), int(dst))
             assert got == pytest.approx(best, rel=1e-9, abs=1e-12)

@@ -243,6 +243,30 @@ class TestRunSurvey:
         rec = run_survey(cfg)
         assert len(calls) == len(rec.measurements)
 
+    def test_fields_computed_once_per_posterior(self, monkeypatch):
+        # Each measurement's fields feed the metrics and the next plan; only
+        # snapshots compute them again. The planner picks one destination per route.
+        counts = {"service_probability": 0, "pick_destination": 0, "min_cost_route": 0}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        counting(estimator, "service_probability")
+        counting(harness.planner, "pick_destination")
+        counting(harness.planner, "min_cost_route")
+        cfg = make_config(rows=10, cols=10, seed=11, max_measurements=300)
+        rec = run_survey(cfg, snapshots=(0, 7, 100))
+        assert len(rec.snapshots) == 3
+        assert counts["service_probability"] == len(rec.measurements) + len(rec.snapshots)
+        assert counts["min_cost_route"] > 0
+        assert counts["pick_destination"] == counts["min_cost_route"]
+
     def test_interpolation_taps_computed_once_per_measurement(self, monkeypatch):
         calls = []
         real = channel.interpolation_taps
@@ -418,6 +442,18 @@ class TestMonteCarlo:
         monkeypatch.setenv(harness.THREADS_ENV, "1")
         b = monte_carlo(cfg, 3)
         np.testing.assert_array_equal(a.mean_total_unc_service, b.mean_total_unc_service)
+
+    @pytest.mark.parametrize("value", ["two", "1.5"])
+    def test_env_var_rejects_non_integers(self, monkeypatch, value):
+        monkeypatch.setenv(harness.THREADS_ENV, value)
+        with pytest.raises(ValueError, match=harness.THREADS_ENV):
+            monte_carlo(make_config(max_measurements=5), 3)
+
+    @pytest.mark.parametrize("value", ["-1", "-3"])
+    def test_env_var_rejects_negatives(self, monkeypatch, value):
+        monkeypatch.setenv(harness.THREADS_ENV, value)
+        with pytest.raises(ValueError, match=harness.THREADS_ENV):
+            monte_carlo(make_config(max_measurements=5), 3)
 
     def test_planner_identity_recorded(self):
         cfg = make_config(max_measurements=5, planner=PlannerKind.SPIRAL)

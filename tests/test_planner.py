@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aerosurvey import planner, spatial
-from aerosurvey.planner import PlannerKind, PlanRequest
+from aerosurvey.planner import PlannerKind
 from aerosurvey.spatial import GridSpec, Waypoint
 from oracles import route_cost, sample_path
 
@@ -82,19 +82,31 @@ class TestPickDestination:
         with pytest.raises(ValueError):
             planner.pick_destination(np.zeros(5), grid(3, 3))
 
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        levels=st.integers(1, 3),
+        seed=st.integers(0, 10_000),
+    )
+    def test_exclude_equals_pick_then_repick(self, shape, levels, seed):
+        # Few distinct levels make ties common; levels == 1 is the all-zero
+        # field. Excluding the current node up front picks what picking, then
+        # picking again without the current node when it won, picks.
+        g = grid(*shape)
+        u = np.random.default_rng(seed).integers(0, levels, g.num_points) / 2.0
+        for current in range(g.num_points):
+            want = planner.pick_destination(u, g)
+            if want == current:
+                want = planner.pick_destination(u, g, exclude=current)
+            assert planner.pick_destination(u, g, exclude=current) == want
+
 
 class TestMinCostRoute:
-    def request(self, g, u, pos=(0.0, 0.0)):
-        return PlanRequest(
-            current_position=Waypoint(*pos),
-            uncertainty=u,
-            grid=g,
-            graph=spatial.build_motion_graph(g),
-        )
+    def route(self, g, u, dst, pos=(0.0, 0.0)):
+        return planner.min_cost_route(g, spatial.build_motion_graph(g), u, Waypoint(*pos), dst)
 
     def test_same_source_and_destination(self):
         g = grid()
-        route = planner.min_cost_route(self.request(g, np.ones(9)), 0)
+        route = self.route(g, np.ones(9), 0)
         assert len(route) == 1
         assert (route[0].x, route[0].y) == (0.0, 0.0)
 
@@ -102,7 +114,7 @@ class TestMinCostRoute:
         g = grid(4, 4)
         u = np.random.default_rng(0).uniform(0.1, 1.0, 16)
         graph = spatial.build_motion_graph(g)
-        route = planner.min_cost_route(self.request(g, u), 15)
+        route = self.route(g, u, 15)
         idx = [spatial.point_to_index(g, (w.x, w.y)) for w in route]
         assert idx[0] == 0 and idx[-1] == 15
         for a, b in zip(idx[:-1], idx[1:]):
@@ -110,14 +122,14 @@ class TestMinCostRoute:
 
     def test_uniform_field_gives_chebyshev_hops(self):
         g = grid(3, 3)
-        route = planner.min_cost_route(self.request(g, np.ones(9)), 2)
+        route = self.route(g, np.ones(9), 2)
         # (0,0) to (20,0): Chebyshev distance 2, so 3 waypoints
         assert len(route) == 3
 
     def test_uniform_field_cost_matches_enumeration(self):
         g = grid(3, 3)
         u = np.ones(9)
-        route = planner.min_cost_route(self.request(g, u), 2)
+        route = self.route(g, u, 2)
         got = route_cost(g, u, route)
         best = enumerate_best_cost(g, u, 0, 2)
         assert got == pytest.approx(best, rel=1e-12)
@@ -127,7 +139,7 @@ class TestMinCostRoute:
         g = grid(3, 4)
         u = np.full(12, 1e-9)
         u[0:4] = 1.0
-        route = planner.min_cost_route(self.request(g, u), 3)
+        route = self.route(g, u, 3)
         idx = [spatial.point_to_index(g, (w.x, w.y)) for w in route]
         assert idx == [0, 1, 2, 3]
         got = route_cost(g, u, route)
@@ -135,16 +147,18 @@ class TestMinCostRoute:
         assert got == pytest.approx(best, rel=1e-12)
 
     def test_missing_graph_rejected(self):
-        g = grid()
-        req = PlanRequest(Waypoint(0, 0), np.ones(9), g, graph=None)
         with pytest.raises(ValueError):
-            planner.min_cost_route(req, 2)
+            planner.min_cost_route(grid(), None, np.ones(9), Waypoint(0, 0), 2)
+
+    def test_destination_out_of_range_rejected(self):
+        g = grid()
+        for dst in (-1, 9):
+            with pytest.raises(IndexError):
+                self.route(g, np.ones(9), dst)
 
     def test_off_grid_start_snaps_to_nearest(self):
         g = grid(3, 3)
-        route = planner.min_cost_route(
-            self.request(g, np.ones(9), pos=(1.0, 1.5)), 8
-        )
+        route = self.route(g, np.ones(9), 8, pos=(1.0, 1.5))
         assert (route[0].x, route[0].y) == (0.0, 0.0)
 
     @settings(max_examples=25, deadline=None)
@@ -155,7 +169,7 @@ class TestMinCostRoute:
     def test_optimality_against_enumeration(self, seed, dst):
         g = grid(3, 3)
         u = np.random.default_rng(seed).uniform(0.0, 1.0, 9)
-        route = planner.min_cost_route(self.request(g, u), dst)
+        route = self.route(g, u, dst)
         got = route_cost(g, u, route)
         best = enumerate_best_cost(g, u, 0, dst)
         assert got == pytest.approx(best, rel=1e-9, abs=1e-12)
@@ -233,24 +247,14 @@ class TestSweepRoutes:
 class TestRandomRoute:
     def test_reproducible_with_seed(self):
         g = grid(3, 3)
-        a = planner.random_route(
-            PlanRequest(Waypoint(0, 0), None, g, rng=np.random.default_rng(5))
-        )
-        b = planner.random_route(
-            PlanRequest(Waypoint(0, 0), None, g, rng=np.random.default_rng(5))
-        )
+        a = planner.random_route(g, np.random.default_rng(5))
+        b = planner.random_route(g, np.random.default_rng(5))
         assert [(w.x, w.y) for w in a] == [(w.x, w.y) for w in b]
 
     def test_single_point_grid(self):
         g = GridSpec(rows=1, cols=1, spacing=10.0)
-        route = planner.random_route(
-            PlanRequest(Waypoint(0, 0), None, g, rng=np.random.default_rng(0))
-        )
+        route = planner.random_route(g, np.random.default_rng(0))
         assert [(w.x, w.y) for w in route] == [(0.0, 0.0)]
-
-    def test_requires_rng(self):
-        with pytest.raises(ValueError):
-            planner.random_route(PlanRequest(Waypoint(0, 0), None, grid(), rng=None))
 
     def test_destination_uniform_over_grid(self):
         g = grid(3, 3)
@@ -258,8 +262,7 @@ class TestRandomRoute:
         n = 10_000
         counts = np.zeros(9)
         for _ in range(n):
-            route = planner.random_route(PlanRequest(Waypoint(-1.0, -1.0), None, g, rng=rng))
-            dest = route[-1]
+            (dest,) = planner.random_route(g, rng)
             counts[spatial.point_to_index(g, (dest.x, dest.y))] += 1
         freq = counts / n
         se = np.sqrt((1 / 9) * (8 / 9) / n)

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from aerosurvey import estimator, uncertainty
 from aerosurvey.channel import ChannelParams, Transmitter
 from aerosurvey.spatial import GridSpec
-from aerosurvey.uncertainty import UncertaintyField
 
 
 def make_params(**kw):
@@ -28,12 +27,12 @@ class TestPowerUncertainty:
         g = GridSpec(rows=4, cols=4, spacing=10.0, altitude=20.0)
         p = make_params()
         u = uncertainty.power_uncertainty(estimator.SurveyPosterior.from_grid(g, p).var, p)
-        np.testing.assert_allclose(u.values, 1.0)
+        np.testing.assert_allclose(u, 1.0)
 
     def test_half_variance_gives_half(self):
         p = make_params()
         u = uncertainty.power_uncertainty(np.array([4.5]), p)
-        assert u.values[0] == pytest.approx(0.5)
+        assert u[0] == pytest.approx(0.5)
 
     def test_conditioned_coordinate_near_zero(self):
         g = GridSpec(rows=4, cols=4, spacing=10.0, altitude=20.0)
@@ -43,30 +42,27 @@ class TestPowerUncertainty:
 
         posterior.condition(channel.interpolation_taps(g, spatial.grid_points(g)[5]), [-60.0])
         u = uncertainty.power_uncertainty(posterior.var, p)
-        assert u.values[5] == pytest.approx(0.0, abs=1e-6)
+        assert u[5] == pytest.approx(0.0, abs=1e-6)
 
-    def test_zero_prior_variance_rejected(self):
+    def test_zero_prior_variance_gives_zeros(self):
+        # A map known exactly has nothing uncertain, whatever ``var`` holds.
         p = make_params(shadow_var=0.0, fading_var=0.0)
-        with pytest.raises(ValueError):
-            uncertainty.power_uncertainty(np.array([0.0]), p)
-
-    def test_kind_label(self):
-        p = make_params()
-        assert uncertainty.power_uncertainty(np.array([9.0]), p).kind == "power"
+        u = uncertainty.power_uncertainty(np.array([0.0, 2.0, 0.0]), p)
+        np.testing.assert_array_equal(u, np.zeros(3))
 
 
 class TestServiceUncertainty:
     def test_half_probability_is_one_bit(self):
         u = uncertainty.service_uncertainty(np.array([0.5]))
-        assert u.values[0] == pytest.approx(1.0)
+        assert u[0] == pytest.approx(1.0)
 
     def test_certain_points_are_zero(self):
         u = uncertainty.service_uncertainty(np.array([0.0, 1.0]))
-        np.testing.assert_array_equal(u.values, [0.0, 0.0])
+        np.testing.assert_array_equal(u, [0.0, 0.0])
 
     def test_quarter_probability(self):
         u = uncertainty.service_uncertainty(np.array([0.25]))
-        assert u.values[0] == pytest.approx(0.8112781244591328, rel=1e-12)
+        assert u[0] == pytest.approx(0.8112781244591328, rel=1e-12)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -82,47 +78,44 @@ class TestServiceUncertainty:
         )
     )
     def test_symmetric_and_bounded(self, p):
-        a = uncertainty.service_uncertainty(p).values
-        b = uncertainty.service_uncertainty(1.0 - p).values
+        a = uncertainty.service_uncertainty(p)
+        b = uncertainty.service_uncertainty(1.0 - p)
         np.testing.assert_allclose(a, b, atol=1e-12)
         assert np.all(a >= 0.0) and np.all(a <= 1.0)
 
 
 class TestAggregate:
     def test_single_field_identity(self):
-        f = UncertaintyField(values=np.array([0.2, 0.7]), kind="service")
-        for field in (f, UncertaintyField(values=f.values[None], kind="service")):
+        f = np.array([0.2, 0.7])
+        for field in (f, f[None]):
             got = uncertainty.aggregate(field, "max")
-            np.testing.assert_array_equal(got.values, f.values)
+            np.testing.assert_array_equal(got, f)
 
     def test_max_elementwise(self):
-        f = UncertaintyField(values=np.array([[0.2, 0.9], [0.5, 0.1]]), kind="service")
+        f = np.array([[0.2, 0.9], [0.5, 0.1]])
         got = uncertainty.aggregate(f, "max")
-        np.testing.assert_allclose(got.values, [0.5, 0.9])
+        np.testing.assert_allclose(got, [0.5, 0.9])
 
     def test_mean_elementwise(self):
-        f = UncertaintyField(values=np.array([[0.2, 0.9], [0.5, 0.1]]), kind="service")
+        f = np.array([[0.2, 0.9], [0.5, 0.1]])
         got = uncertainty.aggregate(f, "mean")
-        np.testing.assert_allclose(got.values, [0.35, 0.5])
+        np.testing.assert_allclose(got, [0.35, 0.5])
 
     def test_rejects_empty_field(self):
         with pytest.raises(ValueError):
-            uncertainty.aggregate(UncertaintyField(values=np.empty((0, 3)), kind="service"), "max")
+            uncertainty.aggregate(np.empty((0, 3)), "max")
 
     def test_stacked_field_equals_its_rows(self):
         # Row-by-row reductions are the reference for the stacked (K, N) field.
         values = np.array([[0.2, 0.9, 0.4], [0.5, 0.1, 0.4], [0.3, 0.3, 0.8]])
-        stacked = UncertaintyField(values=values, kind="power")
-        got_max = uncertainty.aggregate(stacked, "max")
-        got_mean = uncertainty.aggregate(stacked, "mean")
-        np.testing.assert_array_equal(got_max.values, np.maximum(np.maximum(values[0], values[1]), values[2]))
-        np.testing.assert_allclose(got_mean.values, (values[0] + values[1] + values[2]) / 3, rtol=0, atol=1e-15)
-        assert got_max.kind == got_mean.kind == "power"
+        got_max = uncertainty.aggregate(values, "max")
+        got_mean = uncertainty.aggregate(values, "mean")
+        np.testing.assert_array_equal(got_max, np.maximum(np.maximum(values[0], values[1]), values[2]))
+        np.testing.assert_allclose(got_mean, (values[0] + values[1] + values[2]) / 3, rtol=0, atol=1e-15)
 
     def test_rejects_unknown_mode(self):
-        a = UncertaintyField(values=np.array([0.2]), kind="service")
         with pytest.raises(ValueError):
-            uncertainty.aggregate(a, "median")
+            uncertainty.aggregate(np.array([0.2]), "median")
 
     @given(
         vals=st.lists(
@@ -132,35 +125,33 @@ class TestAggregate:
         )
     )
     def test_max_dominates_mean(self, vals):
-        field = UncertaintyField(values=np.array(vals), kind="service")
-        hi = uncertainty.aggregate(field, "max").values
-        avg = uncertainty.aggregate(field, "mean").values
+        field = np.array(vals)
+        hi = uncertainty.aggregate(field, "max")
+        avg = uncertainty.aggregate(field, "mean")
         assert np.all(hi >= avg - 1e-12)
 
 
 class TestTotalUncertainty:
     def test_all_ones(self):
-        f = UncertaintyField(values=np.ones(5), kind="service")
-        assert uncertainty.total_uncertainty(f) == 1.0
+        assert uncertainty.total_uncertainty(np.ones(5)) == 1.0
 
     def test_all_zeros(self):
-        f = UncertaintyField(values=np.zeros(5), kind="service")
-        assert uncertainty.total_uncertainty(f) == 0.0
+        assert uncertainty.total_uncertainty(np.zeros(5)) == 0.0
 
     def test_known_mean(self):
-        f = UncertaintyField(values=np.array([1.0, 0.0, 0.5, 0.5]), kind="service")
+        f = np.array([1.0, 0.0, 0.5, 0.5])
         assert uncertainty.total_uncertainty(f) == pytest.approx(0.5)
+
+    def test_rejects_empty_field(self):
+        with pytest.raises(ValueError):
+            uncertainty.total_uncertainty(np.array([]))
 
     def test_monotone_in_components(self):
         base = np.array([0.1, 0.4, 0.7])
-        lo = uncertainty.total_uncertainty(
-            UncertaintyField(values=base, kind="service")
-        )
+        lo = uncertainty.total_uncertainty(base)
         raised = base.copy()
         raised[1] += 0.2
-        hi = uncertainty.total_uncertainty(
-            UncertaintyField(values=raised, kind="service")
-        )
+        hi = uncertainty.total_uncertainty(raised)
         assert hi > lo
 
 
@@ -176,7 +167,7 @@ class TestRingStructure:
         posterior = estimator.SurveyPosterior.from_grid(g, p)
         probs = estimator.service_probability(posterior.means[0], posterior.var, r_min)
         u = uncertainty.service_uncertainty(probs)
-        j = int(np.argmax(u.values))
+        j = int(np.argmax(u))
         from aerosurvey import spatial
         from aerosurvey.channel import base_powers
 
