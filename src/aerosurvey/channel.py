@@ -115,7 +115,7 @@ def base_powers(
     txx, txy, txz = tx.position
     d = np.sqrt((pts[:, 0] - txx) ** 2 + (pts[:, 1] - txy) ** 2 + (altitude - txz) ** 2)
     if np.any(d <= 0):
-        raise ValueError("point coincides with the transmitter")
+        raise ValueError(f"a point coincides with the transmitter at {tx.position}")
     gain = -10.0 * params.pathloss_exponent * np.log10(
         4.0 * np.pi * params.frequency * d / SPEED_OF_LIGHT
     )

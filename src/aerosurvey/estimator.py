@@ -17,12 +17,12 @@ After r measurements that covariance is exactly ``Σ0 − UᵀU``, where ``Σ0``
 the prior (the cached, read-only shadowing covariance of
 :func:`aerosurvey.channel.grid_prior` plus fading on the diagonal) and row i
 of ``U`` is measurement i's gain column scaled by the square root of its
-innovation variance. While r is small the posterior keeps only ``U`` and the
-N variances, so a measurement costs O(N·r). Once r reaches about half the
-grid size it materialises the dense covariance once and downdates it in
-place from then on (O(N²) per measurement). Both forms share one update,
-:meth:`SurveyPosterior.condition`; only the covariance column through the
-measurement's taps and the target of the downdate differ.
+innovation variance. The posterior keeps only ``U`` and the N variances, so a
+measurement costs O(N·r). Once ``U`` holds about half as many rows as the
+grid has points, the posterior re-bases: it folds ``UᵀU`` into an owned copy
+of the prior, which becomes the new ``Σ0``, and empties ``U``. Every
+measurement goes through the one low-rank update,
+:meth:`SurveyPosterior.condition`.
 
 Every measurement observes the grid through the simulator's own
 interpolation (:func:`aerosurvey.channel.interpolation_taps`): a fixed
@@ -37,6 +37,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 from scipy.special import ndtr
 
 from .channel import ChannelParams, grid_base_powers, grid_prior
@@ -53,23 +54,19 @@ __all__ = [
 # measurements numerically well posed.
 VAR_FLOOR = 1e-9
 
-# Rows of the covariance downdated per step; bounds the rank-one temporary.
-_ROW_BLOCK = 64
-
 
 def fold_rank(num_points: int) -> int:
-    """Measurements after which :class:`SurveyPosterior` turns dense.
+    """Rows of ``U`` after which :class:`SurveyPosterior` re-bases its prior.
 
-    Memory sets the point, not speed. ``U`` holds r·N numbers against the
-    dense N², so folding at N/2 keeps the low-rank form at half a dense copy
-    or less. On a 2-vCPU VM (OpenBLAS 0.3.31) a low-rank step stayed cheaper
-    than a dense in-place step up to r = 3N for N = 100 to 729: 0.21 against
-    1.19 ms at N = 729 and r = N/2. Folding costs one N x N x r product:
-    0.23 s at N = 3000. While it runs, the fold holds U (half a dense copy)
-    and the new dense covariance at once, so a survey that crosses the fold
-    peaks at one and a half dense copies.
+    Memory sets the point, not speed: ``U`` holds r·N numbers against the
+    dense N², so re-basing at N/2 keeps it at half a dense copy or less. One
+    measurement in N/2 pays the re-base, an N x N x r symmetric product (0.18 s
+    at N = 3000 on a 2-vCPU VM, OpenBLAS 0.3.31); amortised, a step then costs
+    at most about one dense rank-one step. The first re-base copies the shared
+    prior while ``U`` is full, so a survey past N/2 measurements peaks at one
+    and a half dense copies; later re-bases run in place.
     """
-    return num_points // 2
+    return max(1, num_points // 2)
 
 
 class SurveyPosterior:
@@ -77,13 +74,14 @@ class SurveyPosterior:
 
     ``means`` holds one row of N posterior means per transmitter and ``var``
     the N posterior variances they share, clamped at zero after every
-    measurement. The covariance is the read-only shared prior ``prior_cov``
-    (shadowing only), plus ``fading_var`` on the diagonal, minus ``UᵀU`` with
-    one row of ``U`` per measurement. After :func:`fold_rank` measurements it
-    is materialised as the dense ``cov`` array, which later measurements
-    downdate in place; ``cov`` is None until then. ``noise_var`` is the
-    sensor noise variance, floored at :data:`VAR_FLOOR`, and ``rank`` counts
-    the measurements conditioned on.
+    measurement. The covariance is ``prior_cov``, plus ``fading_var`` on the
+    diagonal, minus ``UᵀU`` with one row of ``U`` per measurement since the
+    last re-base. ``prior_cov`` starts as the read-only shared prior
+    (shadowing only). When ``U`` is full (:func:`fold_rank` rows), the next
+    measurement re-bases first: ``UᵀU`` is folded into an owned prior whose
+    diagonal takes ``var``, ``fading_var`` becomes 0 and ``U`` empties.
+    ``noise_var`` is the sensor noise variance, floored at :data:`VAR_FLOOR`,
+    and ``rank`` counts the measurements conditioned on.
     """
 
     def __init__(self, prior_cov: np.ndarray, fading_var: float, means, noise_var: float) -> None:
@@ -100,10 +98,11 @@ class SurveyPosterior:
         self.means = means
         self.noise_var = max(float(noise_var), VAR_FLOOR)
         self.var = np.diagonal(prior_cov) + self.fading_var
-        self.cov: np.ndarray | None = None
         self.rank = 0
         # Untouched rows cost address space only, not memory.
         self._u = np.empty((fold_rank(n), n))
+        self._rows = 0
+        self._owns_prior = False
 
     @classmethod
     def from_grid(cls, grid: GridSpec, params: ChannelParams) -> "SurveyPosterior":
@@ -130,54 +129,50 @@ class SurveyPosterior:
             raise ValueError("measurement value must be finite")
         if not np.all(np.isfinite(w)):
             raise ValueError("tap weights must be finite")
-        if self.cov is None and self.rank == len(self._u):
-            self._fold()
+        if self._rows == len(self._u):
+            self._rebase()
         # Column of the covariance through the taps; the covariance is
         # symmetric, so its rows are read instead of its columns.
-        if self.cov is None:
-            u = self._u[: self.rank]
-            col = w @ self.prior_cov[index]
-            np.add.at(col, index, self.fading_var * w)
-            col -= (u[:, index] @ w) @ u
-        else:
-            col = w @ self.cov[index]
+        u = self._u[: self._rows]
+        col = w @ self.prior_cov[index]
+        np.add.at(col, index, self.fading_var * w)
+        col -= (u[:, index] @ w) @ u
         denom = self.noise_var + float(w @ col[index])
         scaled = col / np.sqrt(denom)
-        if self.cov is None:
-            self._u[self.rank] = scaled
-            self.var -= scaled * scaled
-            np.maximum(self.var, 0.0, out=self.var)
-        else:
-            # outer(b, b) is bit-exactly symmetric, so the downdate preserves
-            # symmetry without a correction pass.
-            for i in range(0, scaled.shape[0], _ROW_BLOCK):
-                self.cov[i : i + _ROW_BLOCK] -= np.multiply.outer(scaled[i : i + _ROW_BLOCK], scaled)
-            # Roundoff from near-exact observations can leave tiny negative variances.
-            np.fill_diagonal(self.cov, np.maximum(self.var, 0.0))
+        self._u[self._rows] = scaled
+        self._rows += 1
         self.rank += 1
+        self.var -= scaled * scaled
+        # Roundoff from near-exact observations can leave tiny negative variances.
+        np.maximum(self.var, 0.0, out=self.var)
         innovations = values - self.means[:, index] @ w
         self.means += np.multiply.outer(innovations, col / denom)
 
-    def _fold(self) -> None:
-        u = self._u[: self.rank]
-        cov = u.T @ u  # symmetric to the bit (one triangle, mirrored)
-        np.subtract(self.prior_cov, cov, out=cov)
+    def _rebase(self) -> None:
+        """Fold ``UᵀU`` into an owned prior and empty ``U``."""
+        if not self._owns_prior:
+            self.prior_cov = np.array(self.prior_cov, dtype=float, order="C")
+            self._owns_prior = True
+        cov, u = self.prior_cov, self._u[: self._rows]
+        # cov -= UᵀU on the upper triangle (the lower one of the Fortran-order
+        # view, which dsyrk overwrites), then mirrored: symmetric to the bit.
+        dsyrk(-1.0, u.T, beta=1.0, c=cov.T, lower=1, overwrite_c=1)
+        for i in range(1, len(cov)):
+            cov[i, :i] = cov[:i, i]
         # The diagonal keeps the clamped variances the metrics already saw;
         # they include the fading that the shadowing prior lacks.
         np.fill_diagonal(cov, self.var)
-        self.cov = cov
-        self.var = np.diagonal(cov)  # a view: tracks the in-place updates
-        self._u = None
+        self.fading_var = 0.0
+        self._rows = 0
 
     def covariance(self) -> np.ndarray:
         """The dense N x N posterior covariance that every transmitter shares.
 
-        Materialises it on the first call; later measurements downdate the
-        returned array in place.
+        Re-bases and returns the owned prior: the covariance as of this call.
+        A later re-base overwrites that array; copy it to keep it.
         """
-        if self.cov is None:
-            self._fold()
-        return self.cov
+        self._rebase()
+        return self.prior_cov
 
 
 def service_probability(mean, var, r_min: float) -> np.ndarray:

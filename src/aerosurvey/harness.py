@@ -83,6 +83,8 @@ class SurveyConfig:
             names = [k.value for k in planner.PlannerKind]
             raise ValueError(f"unknown planner: {self.planner!r}; expected one of {names}") from None
         object.__setattr__(self, "planner", kind)
+        for tx in self.channel.transmitters:
+            channel.grid_base_powers(self.grid, self.channel, tx)  # raises if one sits on a grid point
         if (
             kind is planner.PlannerKind.MIN_COST
             and self.grid.num_points > 1
@@ -119,7 +121,7 @@ class SurveyRecord:
     """Full trace of one survey run.
 
     ``posterior`` is the final posterior of every transmitter; its
-    ``covariance()`` materialises the shared dense N x N covariance.
+    ``covariance()`` returns the shared dense N x N covariance.
     """
 
     config: SurveyConfig
@@ -265,11 +267,11 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
         return route
 
     sampler = spatial.PathSampler(config.measurement_spacing)
-    stalls = 0
+    idle = 0  # consecutive episodes that took no measurement
     while not stop:
         route = plan_episode()
         coords = spatial.as_coords(route)
-        moved = False
+        t_start = t
         for a, b, corner in zip(coords[:-1], coords[1:], route[1:]):
             for point, meters in sampler.segment(a, b):
                 t += 1
@@ -281,16 +283,12 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
             if stop:
                 break
             if not np.array_equal(a, b):
-                moved = True
                 record.waypoints.append(corner)
         if stop:
             break
-        if moved:
-            stalls = 0
-        else:
-            stalls += 1
-            if stalls > 10_000:
-                raise RuntimeError("planner made no progress for 10000 consecutive episodes")
+        idle = idle + 1 if t == t_start else 0
+        if idle > 10_000:
+            raise RuntimeError("no measurement in 10000 consecutive planner episodes")
         pos = coords[-1]
 
     return record

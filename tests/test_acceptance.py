@@ -4,8 +4,8 @@ Each test prints one PASS/FAIL line so the suite doubles as a checklist:
 
 1. the survey posterior matches the batch posterior on random on-node and
    off-grid measurements, with and without fading
-2. the survey posterior's one update, in its low-rank form and in its dense
-   form (past the fold), equals the explicit rank-one formula
+2. the survey posterior's one update, before and after a re-base, equals
+   the explicit rank-one formula
 3. sampled shadowing reproduces its covariance function statistically
 4. total power uncertainty never increases during a survey
 5. prior service uncertainty concentrates on rings around the transmitters
@@ -106,11 +106,11 @@ def test_02_gain_form_equals_explicit_rank_one_update():
             denom = var + float(a @ ca)
             explicit_cov = cov - np.outer(ca, ca) / denom
             explicit_mean = mean + ca * (y - float(a @ mean)) / denom
-            # A fresh posterior conditions in its low-rank form; one made
-            # dense by covariance() downdates the dense array.
-            for dense in (False, True):
+            # Before and after a re-base: a fresh posterior conditions on the
+            # given prior; one re-based by covariance() on its own copy.
+            for rebased in (False, True):
                 got = estimator.SurveyPosterior(cov, 0.0, mean[None], var)
-                if dense:
+                if rebased:
                     got.covariance()
                 got.condition((np.arange(n), a), [y])
                 assert np.max(np.abs(got.covariance() - explicit_cov)) < 1e-10
@@ -171,7 +171,7 @@ def test_04_total_power_uncertainty_never_increases():
         posterior = estimator.SurveyPosterior.from_grid(grid, params)
         rng = np.random.default_rng(7)
         cap = 9.0 + 1.5 + 1e-9
-        for _ in range(40):  # past the fold to dense at 32
+        for _ in range(40):  # past the re-base at 32
             point = (float(rng.uniform(0, 70)), float(rng.uniform(0, 70)))
             posterior.condition(channel.interpolation_taps(grid, point), [float(rng.normal(-60, 3))])
             assert np.max(posterior.var) <= cap

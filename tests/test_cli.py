@@ -304,6 +304,26 @@ class TestSurveyCommand:
         assert "max_measurements" in proc.stderr
         assert not os.path.exists(tmp_path / "o")
 
+    def test_run_that_never_measures_exits_two(self, tmp_path):
+        # The grid sweep moves every episode, but a spacing longer than any
+        # flight never yields a sample: the idle-episode guard ends the run.
+        # In a subprocess, so that a regression times out instead of hanging.
+        cfg = write_config(
+            tmp_path,
+            {"rows": 4, "cols": 4, "measurement_spacing": 1e12, "max_measurements": 1, "planner": "grid"},
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aerosurvey.__file__)))
+        argv = [sys.executable, "-m", "aerosurvey.cli", "survey", "--config", cfg]
+        proc = subprocess.run(
+            argv + ["--out-dir", str(tmp_path / "o")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "no measurement in 10000 consecutive planner episodes" in proc.stderr
+
     def test_min_cost_on_line_grid_exits_one(self, tmp_path, capsys):
         line = {"rows": 1, "cols": 10, "max_measurements": 20}
         cfg = write_config(tmp_path, line)
@@ -315,6 +335,17 @@ class TestSurveyCommand:
         override = ["--out-dir", str(tmp_path / "m"), "--planner", "min_cost"]
         assert main(["survey", "--config", grid_cfg] + override) == 1
         assert "min_cost" in capsys.readouterr().err
+
+    def test_transmitter_on_a_grid_node_exits_one(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {"rows": 5, "cols": 5, "altitude": 10, "transmitters": [{"position": [10, 10, 10]}]},
+        )
+        for command in (["survey"], ["montecarlo", "--runs", "2"]):
+            out = tmp_path / command[0]
+            assert main(command + ["--config", cfg, "--out-dir", str(out)]) == 1
+            assert "coincides with the transmitter" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_planner_override_applies_before_validation(self, tmp_path):
         # The default planner (min_cost) cannot fly a line grid, but the

@@ -133,11 +133,12 @@ class TestRunSurvey:
         # Fold the recorded measurements into each transmitter on its own,
         # through dense copying updates; the survey's one shared low-rank
         # covariance and its per-transmitter means must agree. 31 measurements
-        # stay below the fold at 32, which the estimator tests cover.
+        # stay below the re-base at 32, which the estimator tests cover.
         for kind in ALL_PLANNERS:
             cfg = make_config(planner=kind, seed=7, noise_var=0.25, max_measurements=30)
             rec = run_survey(cfg)
-            assert rec.posterior.cov is None
+            shared = channel.grid_prior(cfg.grid, cfg.channel.shadow_var, cfg.channel.corr_distance)
+            assert rec.posterior.prior_cov is shared.cov
             assert rec.posterior.means.shape == (2, cfg.grid.num_points)
             cov = rec.posterior.covariance()
             noise_var = max(rec.params.noise_var, estimator.VAR_FLOOR)
@@ -282,7 +283,7 @@ class TestRunSurvey:
             assert len(calls) == len(rec.measurements), kind
 
     def test_large_survey_allocates_no_dense_covariance(self):
-        # 20 measurements on a 60 x 50 grid stay far below the fold, so the
+        # 20 measurements on a 60 x 50 grid stay far below the re-base, so the
         # only N x N arrays are the cached prior and its factor.
         cfg = make_config(rows=60, cols=50, max_measurements=19)
         n = cfg.grid.num_points
@@ -293,13 +294,39 @@ class TestRunSurvey:
             _, peak = tracemalloc.get_traced_memory()
             post = rec.posterior
             assert len(rec.measurements) == 20 and post.rank == 20
-            assert post.cov is None and post.prior_cov is prior.cov
+            assert post.prior_cov is prior.cov
             held = [v for k, v in vars(post).items() if isinstance(v, np.ndarray) and k != "prior_cov"]
             assert all(a.size < n * n for a in held), [a.shape for a in held]
             assert peak < n * n * 8, f"peak {peak / 2**20:.0f} MiB"
         finally:
             tracemalloc.stop()
             channel.grid_prior.cache_clear()
+
+    def test_rebasing_survey_peaks_at_one_fold(self):
+        # 901 measurements on a 30 x 30 grid re-base the posterior twice. The
+        # first re-base copies the shared prior while U is full; later ones
+        # run in place. So the peak is U plus one N x N array, plus the
+        # survey's record, fields and temporaries: well under the quarter of
+        # a dense copy allowed here, which one N x N temporary would exceed.
+        cfg = make_config(rows=30, cols=30, max_measurements=900)
+        n = cfg.grid.num_points
+        try:
+            channel.grid_prior(cfg.grid, cfg.channel.shadow_var, cfg.channel.corr_distance)
+            tracemalloc.start()
+            rec = run_survey(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+            assert rec.posterior.rank > 2 * estimator.fold_rank(n)
+            one_fold = (estimator.fold_rank(n) + n) * n * 8
+            assert peak < one_fold + n * n * 8 // 4, f"peak {peak / 2**20:.2f} MiB"
+        finally:
+            tracemalloc.stop()
+            channel.grid_prior.cache_clear()
+
+    def test_stalled_planner_stops(self, monkeypatch):
+        # A planner that keeps the drone where it is never moves or measures.
+        monkeypatch.setattr(harness.planner, "random_route", lambda grid, rng: [Waypoint(0.0, 0.0)])
+        with pytest.raises(RuntimeError, match="no measurement in 10000"):
+            run_survey(make_config(planner=PlannerKind.RANDOM))
 
     def test_waypoints_form_connected_polyline(self):
         rec = run_survey(make_config(seed=6))
@@ -335,6 +362,12 @@ class TestRunSurvey:
             make_config(tx_height=-5.0)
         with pytest.raises(ValueError, match="tx_height"):
             replace(make_config(), tx_height=-5.0)
+        on_node = (Transmitter((10.0, 10.0, 10.0), 10.0),)
+        with pytest.raises(ValueError, match="coincides with the transmitter"):
+            make_config(rows=5, cols=5, altitude=10.0, transmitters=on_node)
+        # Above the survey altitude, or between nodes, a transmitter is fine.
+        make_config(rows=5, cols=5, altitude=20.0, transmitters=on_node)
+        make_config(rows=5, cols=5, altitude=10.0, transmitters=(Transmitter((15.0, 10.0, 10.0), 10.0),))
 
 
 class TestEqualTimeFairness:
