@@ -11,7 +11,7 @@ noise on top. All power quantities are dBm and all variances dB^2.
 from __future__ import annotations
 
 import functools
-import threading
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,7 +156,8 @@ class GridPrior:
 
 
 @functools.lru_cache(maxsize=4)
-def _factored_grid_prior(grid: GridSpec, shadow_var: float, corr_distance: float) -> GridPrior:
+def grid_prior(grid: GridSpec, shadow_var: float, corr_distance: float) -> GridPrior:
+    """The grid prior for one kernel, from a cache of four."""
     kernel = ChannelParams((), shadow_var=shadow_var, corr_distance=corr_distance)
     cov = shadow_cov_matrix(grid_points(grid), kernel)
     factor = None
@@ -173,23 +174,6 @@ def _factored_grid_prior(grid: GridSpec, shadow_var: float, corr_distance: float
         if arr is not None:
             arr.flags.writeable = False
     return GridPrior(cov=cov, factor=factor)
-
-
-_GRID_PRIOR_LOCK = threading.Lock()
-
-
-def grid_prior(grid: GridSpec, shadow_var: float, corr_distance: float) -> GridPrior:
-    """The grid prior for one kernel, from a cache of four.
-
-    Callers on several threads wait for one factorisation rather than each
-    computing their own.
-    """
-    with _GRID_PRIOR_LOCK:
-        return _factored_grid_prior(grid, shadow_var, corr_distance)
-
-
-grid_prior.cache_info = _factored_grid_prior.cache_info
-grid_prior.cache_clear = _factored_grid_prior.cache_clear
 
 
 def draw_transmitters(
@@ -247,15 +231,13 @@ def sample_ground_truth(
     return GroundTruth(grid=grid, powers=powers)
 
 
-def _catmull_rom_weights(u: float) -> np.ndarray:
+def _catmull_rom_weights(u: float) -> tuple[float, float, float, float]:
     # u = 0 gives exactly (0, 1, 0, 0), so grid points reproduce exactly.
-    return 0.5 * np.array(
-        [
-            u * (-1.0 + u * (2.0 - u)),
-            2.0 + u * u * (3.0 * u - 5.0),
-            u * (1.0 + u * (4.0 - 3.0 * u)),
-            u * u * (u - 1.0),
-        ]
+    return (
+        0.5 * (u * (-1.0 + u * (2.0 - u))),
+        0.5 * (2.0 + u * u * (3.0 * u - 5.0)),
+        0.5 * (u * (1.0 + u * (4.0 - 3.0 * u))),
+        0.5 * (u * u * (u - 1.0)),
     )
 
 
@@ -270,15 +252,18 @@ def interpolation_taps(grid: GridSpec, point) -> tuple[np.ndarray, np.ndarray]:
     x, y = float(point[0]), float(point[1])
     if not grid.contains(x, y):
         raise ValueError(f"point ({x}, {y}) lies outside the grid rectangle")
+    # Python scalars throughout: one call per measurement, where NumPy's
+    # per-call overhead on 4-element arrays costs more than the arithmetic.
     ox, oy = grid.origin
-    fx = float(np.clip((x - ox) / grid.spacing, 0.0, grid.cols - 1))
-    fy = float(np.clip((y - oy) / grid.spacing, 0.0, grid.rows - 1))
-    c0 = min(int(np.floor(fx)), grid.cols - 1)
-    r0 = min(int(np.floor(fy)), grid.rows - 1)
-    cs = np.clip(np.arange(c0 - 1, c0 + 3), 0, grid.cols - 1)
-    rs = np.clip(np.arange(r0 - 1, r0 + 3), 0, grid.rows - 1)
-    index = (rs[:, None] * grid.cols + cs).ravel()
-    weights = np.outer(_catmull_rom_weights(fy - r0), _catmull_rom_weights(fx - c0)).ravel()
+    cmax, rmax = grid.cols - 1, grid.rows - 1
+    fx = min(max((x - ox) / grid.spacing, 0.0), float(cmax))
+    fy = min(max((y - oy) / grid.spacing, 0.0), float(rmax))
+    c0 = min(math.floor(fx), cmax)
+    r0 = min(math.floor(fy), rmax)
+    cs = [min(max(c, 0), cmax) for c in range(c0 - 1, c0 + 3)]
+    rs = [min(max(r, 0), rmax) * grid.cols for r in range(r0 - 1, r0 + 3)]
+    index = np.array([r + c for r in rs for c in cs])
+    weights = np.multiply.outer(_catmull_rom_weights(fy - r0), _catmull_rom_weights(fx - c0)).ravel()
     return index, weights
 
 

@@ -279,7 +279,7 @@ def _write_montecarlo(result: MonteCarloResult, path: str) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _parse_snapshots(raw: str | None) -> tuple[int, ...]:
+def _parse_snapshots(raw: str | None, max_measurements: int) -> tuple[int, ...]:
     if not raw:
         return ()
     try:
@@ -288,6 +288,10 @@ def _parse_snapshots(raw: str | None) -> tuple[int, ...]:
         raise ConfigError(f"invalid --snapshots list: {raw!r}") from None
     if any(v < 0 for v in values):
         raise ConfigError("snapshot indices must be nonnegative")
+    if values and max(values) > max_measurements:
+        raise ConfigError(
+            f"snapshot index {max(values)} exceeds max_measurements ({max_measurements})"
+        )
     return values
 
 
@@ -310,7 +314,7 @@ def _load_for(ns: argparse.Namespace) -> SurveyConfig:
 
 def cmd_survey(ns: argparse.Namespace) -> int:
     cfg = _load_for(ns)
-    snapshots = _parse_snapshots(ns.snapshots)
+    snapshots = _parse_snapshots(ns.snapshots, cfg.max_measurements)
     record = run_survey(cfg, snapshots=snapshots)
     outdir = ns.out_dir
     os.makedirs(outdir, exist_ok=True)

@@ -12,8 +12,6 @@ aggregates the metric curves per measurement index.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,8 +29,6 @@ __all__ = [
     "run_survey",
     "monte_carlo",
 ]
-
-THREADS_ENV = "AEROSURVEY_THREADS"
 
 
 @dataclass(frozen=True)
@@ -314,52 +310,30 @@ class MonteCarloResult:
 _MC_METRICS = ("meters", "total_unc_power", "total_unc_service", "service_error_rate")
 
 
-def _resolve_workers(workers: int | None, runs: int) -> int:
-    if workers is None:
-        env = os.environ.get(THREADS_ENV, "").strip()
-        auto = os.cpu_count() or 1
-        if env:
-            try:
-                requested = int(env)
-                if requested < 0:
-                    raise ValueError
-            except ValueError:
-                raise ValueError(
-                    f"{THREADS_ENV} must be a nonnegative integer, got {env!r}"
-                ) from None
-            workers = auto if requested == 0 else min(requested, auto)
-        else:
-            workers = auto
-    return max(1, min(int(workers), runs))
-
-
-def monte_carlo(config: SurveyConfig, runs: int, workers: int | None = None) -> MonteCarloResult:
+def monte_carlo(config: SurveyConfig, runs: int, workers: int = 1) -> MonteCarloResult:
     """Aggregate survey metrics over ``runs`` independent environment realizations.
 
-    Run ``k`` draws its transmitters and shadowing from a stream derived from
-    ``(config.seed, k)``, so results are independent of execution order and of
-    the worker count. The env var AEROSURVEY_THREADS caps parallelism (0 = auto);
-    a value that is not a nonnegative integer raises ValueError.
+    Runs execute one after another. Run ``k`` draws its transmitters and
+    shadowing from a stream derived from ``(config.seed, k)``, so results do
+    not depend on the order the runs execute in.
     Every run takes ``config.max_measurements + 1`` measurements, so a config
     with an ``uncertainty_threshold``, whose runs could stop at different
     times, is rejected.
     """
+    # ``workers`` is accepted only because bench/tests/test_bench.py passes workers=1.
+    if workers != 1:
+        raise ValueError("monte_carlo runs serially; workers must be 1")
     if runs < 1:
         raise ValueError("need at least one run")
     if config.uncertainty_threshold is not None:
         raise ValueError("monte_carlo needs fixed-length runs; unset uncertainty_threshold")
-    nworkers = _resolve_workers(workers, runs)
 
     def metric_curves(k: int) -> list[list[float]]:
-        # Only the curves leave the task, so a finished run's record is freed.
+        # Only the curves are kept, so a finished run's record is freed.
         rows = run_survey(config, run_id=k).metrics
         return [[getattr(row, name) for row in rows] for name in _MC_METRICS]
 
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            curves = list(pool.map(metric_curves, range(runs)))
-    else:
-        curves = [metric_curves(k) for k in range(runs)]
+    curves = [metric_curves(k) for k in range(runs)]
 
     out = {"t": np.arange(config.max_measurements + 1)}
     for i, name in enumerate(_MC_METRICS):

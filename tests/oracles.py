@@ -121,6 +121,36 @@ def catmull_rom_power(grid: GridSpec, powers, point) -> np.ndarray:
     return np.array(out)
 
 
+def interpolation_taps(grid: GridSpec, point) -> tuple[np.ndarray, np.ndarray]:
+    """NumPy reference for :func:`aerosurvey.channel.interpolation_taps`.
+
+    The same border clamping and Catmull-Rom weights, written with array
+    operations on the 4-node neighbourhoods and one ``np.outer``.
+    """
+    x, y = float(point[0]), float(point[1])
+    if not grid.contains(x, y):
+        raise ValueError(f"point ({x}, {y}) lies outside the grid rectangle")
+    fx = float(np.clip((x - grid.origin[0]) / grid.spacing, 0.0, grid.cols - 1))
+    fy = float(np.clip((y - grid.origin[1]) / grid.spacing, 0.0, grid.rows - 1))
+    c0 = min(int(np.floor(fx)), grid.cols - 1)
+    r0 = min(int(np.floor(fy)), grid.rows - 1)
+    cs = np.clip(np.arange(c0 - 1, c0 + 3), 0, grid.cols - 1)
+    rs = np.clip(np.arange(r0 - 1, r0 + 3), 0, grid.rows - 1)
+
+    def weights(u: float) -> np.ndarray:
+        return 0.5 * np.array(
+            [
+                u * (-1.0 + u * (2.0 - u)),
+                2.0 + u * u * (3.0 * u - 5.0),
+                u * (1.0 + u * (4.0 - 3.0 * u)),
+                u * u * (u - 1.0),
+            ]
+        )
+
+    index = (rs[:, None] * grid.cols + cs).ravel()
+    return index, np.outer(weights(fy - r0), weights(fx - c0)).ravel()
+
+
 def sample_path(waypoints: Iterable[Waypoint] | np.ndarray, delta: float) -> np.ndarray:
     """Points every ``delta`` meters of arc length along a polyline.
 

@@ -11,8 +11,8 @@ Each test prints one PASS/FAIL line so the suite doubles as a checklist:
 5. prior service uncertainty concentrates on rings around the transmitters
 6. the uncertainty-driven planner beats the baselines in Monte Carlo
 7. min-cost routes are optimal against exhaustive path enumeration
-8. repeated Monte Carlo invocations, on one worker and on two, produce
-   byte-identical CSVs
+8. repeated Monte Carlo invocations produce byte-identical CSVs, and the
+   statistics do not depend on the order the runs execute in
 """
 
 import json
@@ -293,7 +293,7 @@ def test_07_min_cost_routes_match_exhaustive_enumeration():
             assert got == pytest.approx(best, rel=1e-9, abs=1e-12)
 
 
-def test_08_monte_carlo_outputs_are_byte_identical(tmp_path, monkeypatch):
+def test_08_monte_carlo_outputs_are_byte_identical(tmp_path):
     with report("8 output determinism"):
         config = {
             "rows": 8,
@@ -314,10 +314,7 @@ def test_08_monte_carlo_outputs_are_byte_identical(tmp_path, monkeypatch):
             "min_cost,random",
         ]
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-        # one worker, then two
-        monkeypatch.setenv("AEROSURVEY_THREADS", "1")
         assert cli.main(args + ["--out-dir", out_a]) == 0
-        monkeypatch.setenv("AEROSURVEY_THREADS", "2")
         assert cli.main(args + ["--out-dir", out_b]) == 0
         names = sorted(os.listdir(out_a))
         assert names == sorted(os.listdir(out_b))
@@ -328,3 +325,13 @@ def test_08_monte_carlo_outputs_are_byte_identical(tmp_path, monkeypatch):
             with open(os.path.join(out_b, name), "rb") as fb:
                 b = fb.read()
             assert a == b, f"{name} differs between invocations"
+        # Each run depends only on (seed, run id): computing the runs in
+        # reverse order and stacking them in run order gives the same bits.
+        for name in ("min_cost", "random"):
+            cfg = replace(default_config(config), planner=name)
+            result = monte_carlo(cfg, 3)
+            reverse = {k: run_survey(cfg, run_id=k).metrics for k in (2, 1, 0)}
+            for metric in ("meters", "total_unc_power", "total_unc_service", "service_error_rate"):
+                data = np.array([[getattr(row, metric) for row in reverse[k]] for k in range(3)])
+                assert np.array_equal(getattr(result, f"mean_{metric}"), data.mean(axis=0)), metric
+                assert np.array_equal(getattr(result, f"std_{metric}"), data.std(axis=0)), metric

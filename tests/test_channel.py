@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from aerosurvey import channel, spatial
 from aerosurvey.channel import ChannelParams, GroundTruth, Transmitter
 from aerosurvey.spatial import GridSpec
+import oracles
 from oracles import catmull_rom_power
 
 
@@ -244,6 +245,32 @@ class TestInterpolationTaps:
             assert np.count_nonzero(weights == 1.0) == 1
             assert np.count_nonzero(weights == 0.0) == 15
             assert index[weights == 1.0][0] == i
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            GridSpec(rows=30, cols=25, spacing=10.0),
+            GridSpec(rows=10, cols=10, spacing=3.0, origin=(1.5, -2.25)),
+            GridSpec(rows=1, cols=7, spacing=10.0),
+            GridSpec(rows=4, cols=1, spacing=10.0),
+        ],
+    )
+    def test_matches_numpy_reference_exactly(self, grid):
+        # Random points, every node, the corners, and points 1e-10 outside the
+        # rectangle that the bounds tolerance still accepts.
+        xmin, ymin, xmax, ymax = grid.bounds()
+        rng = np.random.default_rng(11)
+        points = [tuple(p) for p in rng.uniform((xmin, ymin), (xmax, ymax), size=(500, 2))]
+        points += [tuple(p) for p in spatial.grid_points(grid)]
+        edges_x = (xmin, xmax, xmin - 1e-10, xmax + 1e-10)
+        edges_y = (ymin, ymax, ymin - 1e-10, ymax + 1e-10)
+        points += [(x, y) for x in edges_x for y in edges_y]
+        for point in points:
+            index, weights = channel.interpolation_taps(grid, point)
+            want_index, want_weights = oracles.interpolation_taps(grid, point)
+            assert index.dtype == want_index.dtype and weights.dtype == want_weights.dtype
+            np.testing.assert_array_equal(index, want_index)
+            np.testing.assert_array_equal(weights, want_weights)
 
     def test_outside_bounds_rejected(self):
         g = GridSpec(rows=3, cols=3, spacing=10.0)

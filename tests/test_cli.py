@@ -257,6 +257,22 @@ class TestSurveyCommand:
         assert "snapshot_t0000_posterior_mean_tx1.pgm" in names
         assert "snapshot_t0000_service_prob_tx0.csv" in names
 
+    def test_snapshot_past_budget_exits_one_before_writing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"rows": 6, "cols": 6, "max_measurements": 10})
+        out = tmp_path / "out"
+        code = main(["survey", "--config", cfg, "--out-dir", str(out), "--snapshots", "0,50"])
+        assert code == 1
+        assert "max_measurements" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_snapshot_at_budget_is_written(self, tmp_path):
+        cfg = write_config(tmp_path, {"rows": 6, "cols": 6, "max_measurements": 10})
+        out = tmp_path / "out"
+        assert main(["survey", "--config", cfg, "--out-dir", str(out), "--snapshots", "0,10"]) == 0
+        names = os.listdir(out)
+        assert "snapshot_t0000_uncertainty.csv" in names
+        assert "snapshot_t0010_uncertainty.csv" in names
+
     def test_missing_config_file_exits_one(self, tmp_path, capsys):
         code = main(
             ["survey", "--config", "/no/such/file.json", "--out-dir", str(tmp_path)]

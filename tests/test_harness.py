@@ -429,26 +429,15 @@ class TestMonteCarlo:
             mc.std_total_unc_service, vals.std(axis=0, ddof=0), atol=1e-12
         )
 
-    def test_worker_count_does_not_change_results(self):
-        cfg = make_config(max_measurements=8)
-        serial = monte_carlo(cfg, 4, workers=1)
-        threaded = monte_carlo(cfg, 4, workers=2)
-        np.testing.assert_array_equal(
-            serial.mean_total_unc_service, threaded.mean_total_unc_service
-        )
-        np.testing.assert_array_equal(
-            serial.std_total_unc_power, threaded.std_total_unc_power
-        )
-        np.testing.assert_array_equal(
-            serial.mean_service_error_rate, threaded.mean_service_error_rate
-        )
+    def test_rejects_more_than_one_worker(self):
+        with pytest.raises(ValueError, match="workers"):
+            monte_carlo(make_config(max_measurements=2), 2, workers=2)
 
-    def test_pool_workers_share_one_factorisation(self):
-        # Both workers' first runs ask for the same 1600-point grid prior at
-        # once; the second must wait for the first factorisation.
+    def test_serial_runs_share_one_factorisation(self):
+        # A cold Monte Carlo factors the 1600-point grid prior once for all runs.
         cfg = make_config(rows=40, cols=40, max_measurements=2)
         channel.grid_prior.cache_clear()
-        monte_carlo(cfg, 2, workers=2)
+        monte_carlo(cfg, 3)
         info = channel.grid_prior.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
 
@@ -456,37 +445,17 @@ class TestMonteCarlo:
         # Each run's record, ground truth included, is freed when the run
         # ends: ten runs peak no higher than two, give or take one ground truth.
         cfg = make_config(rows=40, cols=40, max_measurements=2)
-        monte_carlo(cfg, 1, workers=1)  # warm the grid prior and other caches
+        monte_carlo(cfg, 1)  # warm the grid prior and other caches
         ground_truth_bytes = run_survey(cfg).ground_truth.powers.nbytes
         peaks = {}
         for runs in (2, 10):
             tracemalloc.start()
             try:
-                monte_carlo(cfg, runs, workers=1)
+                monte_carlo(cfg, runs)
                 peaks[runs] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert peaks[10] < peaks[2] + ground_truth_bytes, peaks
-
-    def test_env_var_controls_workers(self, monkeypatch):
-        cfg = make_config(max_measurements=5)
-        monkeypatch.setenv(harness.THREADS_ENV, "2")
-        a = monte_carlo(cfg, 3)
-        monkeypatch.setenv(harness.THREADS_ENV, "1")
-        b = monte_carlo(cfg, 3)
-        np.testing.assert_array_equal(a.mean_total_unc_service, b.mean_total_unc_service)
-
-    @pytest.mark.parametrize("value", ["two", "1.5"])
-    def test_env_var_rejects_non_integers(self, monkeypatch, value):
-        monkeypatch.setenv(harness.THREADS_ENV, value)
-        with pytest.raises(ValueError, match=harness.THREADS_ENV):
-            monte_carlo(make_config(max_measurements=5), 3)
-
-    @pytest.mark.parametrize("value", ["-1", "-3"])
-    def test_env_var_rejects_negatives(self, monkeypatch, value):
-        monkeypatch.setenv(harness.THREADS_ENV, value)
-        with pytest.raises(ValueError, match=harness.THREADS_ENV):
-            monte_carlo(make_config(max_measurements=5), 3)
 
     def test_planner_identity_recorded(self):
         cfg = make_config(max_measurements=5, planner=PlannerKind.SPIRAL)
