@@ -29,8 +29,6 @@ __all__ = [
     "shadow_cov",
     "base_powers",
     "grid_base_powers",
-    "pairwise_distances",
-    "shadow_cov_matrix",
     "grid_prior",
     "draw_transmitters",
     "sample_ground_truth",
@@ -113,11 +111,14 @@ def base_powers(
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     txx, txy, txz = tx.position
-    d = np.sqrt((pts[:, 0] - txx) ** 2 + (pts[:, 1] - txy) ** 2 + (altitude - txz) ** 2)
-    if np.any(d <= 0):
+    with np.errstate(over="ignore"):
+        d2 = (pts[:, 0] - txx) ** 2 + (pts[:, 1] - txy) ** 2 + np.float64(altitude - txz) ** 2
+    if not np.all(np.isfinite(d2)):
+        raise ValueError(f"squared link distances to the transmitter at {tx.position} overflow")
+    if np.any(d2 <= 0):
         raise ValueError(f"a point coincides with the transmitter at {tx.position}")
     gain = -10.0 * params.pathloss_exponent * np.log10(
-        4.0 * np.pi * params.frequency * d / SPEED_OF_LIGHT
+        4.0 * np.pi * params.frequency * np.sqrt(d2) / SPEED_OF_LIGHT
     )
     return tx.power_dbm + gain - params.shadow_mean
 
@@ -126,29 +127,13 @@ def grid_base_powers(grid: GridSpec, params: ChannelParams, tx: Transmitter) -> 
     return base_powers(grid_points(grid), tx, params, grid.altitude)
 
 
-def pairwise_distances(points_a, points_b) -> np.ndarray:
-    """Planar distances between two point sets, shape (len(a), len(b))."""
-    a = np.asarray(points_a, dtype=float).reshape(-1, 2)
-    b = np.asarray(points_b, dtype=float).reshape(-1, 2)
-    dx = a[:, 0, None] - b[None, :, 0]
-    dy = a[:, 1, None] - b[None, :, 1]
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return np.sqrt(dx, out=dx)
-
-
-def shadow_cov_matrix(points, params: ChannelParams) -> np.ndarray:
-    """Shadowing covariance matrix of an (M, 2) point set."""
-    return shadow_cov(pairwise_distances(points, points), params)
-
-
 @dataclass(frozen=True)
 class GridPrior:
     """Read-only shadowing covariance of the grid powers and its lower Cholesky factor.
 
-    ``factor`` factors ``cov`` plus a relative diagonal jitter, and is None
-    when the shadowing variance is zero.
+    ``cov`` is copied from a table of the kernel at every grid offset, so it is
+    exactly symmetric. ``factor`` factors ``cov`` plus a relative diagonal
+    jitter, and is None when the shadowing variance is zero.
     """
 
     cov: np.ndarray  # (N, N) dB^2
@@ -157,15 +142,25 @@ class GridPrior:
 
 @functools.lru_cache(maxsize=4)
 def grid_prior(grid: GridSpec, shadow_var: float, corr_distance: float) -> GridPrior:
-    """The grid prior for one kernel, from a cache of four."""
+    """The grid prior for one kernel, from a cache of four.
+
+    Row ``(r, c)`` of ``cov`` is the (rows, cols) window centred on ``(r, c)``
+    of one table of the stationary kernel at every grid offset.
+    """
     kernel = ChannelParams((), shadow_var=shadow_var, corr_distance=corr_distance)
-    cov = shadow_cov_matrix(grid_points(grid), kernel)
+    rows, cols = grid.rows, grid.cols
+    dy, dx = (np.abs(np.arange(1 - n, n)) * grid.spacing for n in (rows, cols))
+    table = shadow_cov(np.sqrt((dy * dy)[:, None] + dx * dx), kernel)
+    cov = np.empty((grid.num_points, grid.num_points))
+    for i, (r, c) in enumerate(np.ndindex(rows, cols)):
+        cov[i].reshape(rows, cols)[...] = table[rows - 1 - r :, cols - 1 - c :][:rows, :cols]
     factor = None
     if shadow_var != 0.0:
-        jittered = cov.copy(order="F")
+        jittered = cov.copy()
         jittered[np.diag_indices_from(jittered)] += COV_JITTER * shadow_var
         try:
-            factor = scipy.linalg.cholesky(jittered, lower=True, overwrite_a=True)
+            # cov is exactly symmetric: its transpose is the Fortran-order input LAPACK overwrites.
+            factor = scipy.linalg.cholesky(jittered.T, lower=True, overwrite_a=True)
         except scipy.linalg.LinAlgError as exc:
             raise scipy.linalg.LinAlgError(
                 "prior covariance factorization failed even after diagonal jitter"

@@ -71,6 +71,11 @@ class SurveyConfig:
             raise ValueError(f"unknown target: {self.target!r}; expected 'power' or 'service'")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
+        # The longest link: the grid diagonal plus the height offset to a drawn transmitter.
+        xmin, ymin, xmax, ymax = self.grid.bounds()
+        dz = 0.0 if self.channel.transmitters else self.grid.altitude - self.tx_height
+        if not np.isfinite((xmax - xmin) * (xmax - xmin) + (ymax - ymin) * (ymax - ymin) + dz * dz):
+            raise ValueError("squared link distances overflow: shrink the grid or altitude - tx_height")
         if not self.grid.contains(self.start_position.x, self.start_position.y):
             raise ValueError("start_position lies outside the grid rectangle")
         try:

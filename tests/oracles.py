@@ -11,6 +11,36 @@ from aerosurvey.channel import ChannelParams, Measurement
 from aerosurvey.spatial import GridSpec, Waypoint, point_to_index
 
 
+def pairwise_distances(points_a, points_b) -> np.ndarray:
+    """Planar distances between two point sets, shape (len(a), len(b))."""
+    a = np.asarray(points_a, dtype=float).reshape(-1, 2)
+    b = np.asarray(points_b, dtype=float).reshape(-1, 2)
+    dx = a[:, 0, None] - b[None, :, 0]
+    dy = a[:, 1, None] - b[None, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
+def shadow_cov_matrix(points, params: ChannelParams) -> np.ndarray:
+    """Shadowing covariance matrix of an (M, 2) point set."""
+    return channel.shadow_cov(pairwise_distances(points, points), params)
+
+
+def dense_grid_prior(grid: GridSpec, shadow_var: float, corr_distance: float):
+    """Dense reference for :func:`aerosurvey.channel.grid_prior`: ``(cov, factor)``.
+
+    The covariance comes from the pairwise distances of every grid point pair,
+    and the factor from a Fortran-order jittered copy of it.
+    """
+    kernel = ChannelParams((), shadow_var=shadow_var, corr_distance=corr_distance)
+    cov = shadow_cov_matrix(spatial.grid_points(grid), kernel)
+    jittered = cov.copy(order="F")
+    jittered[np.diag_indices_from(jittered)] += channel.COV_JITTER * shadow_var
+    return cov, scipy.linalg.cholesky(jittered, lower=True, overwrite_a=True)
+
+
 @dataclass
 class PosteriorState:
     """Dense Gaussian posterior over the grid powers of one transmitter."""

@@ -30,7 +30,7 @@ from aerosurvey.cli import default_config
 from aerosurvey.harness import monte_carlo, run_survey
 from aerosurvey.planner import PlannerKind
 from aerosurvey.spatial import GridSpec, Waypoint
-from oracles import batch_posterior, route_cost
+from oracles import batch_posterior, route_cost, shadow_cov_matrix
 
 
 @contextmanager
@@ -124,7 +124,7 @@ def test_03_sampled_shadowing_matches_covariance_function():
         tx = Transmitter((1e6, 1e6, 10.0), 10.0)
         params = ChannelParams(transmitters=(tx,), shadow_var=9.0, corr_distance=50.0)
         pts = spatial.grid_points(grid)
-        expected = channel.shadow_cov_matrix(pts, params)
+        expected = shadow_cov_matrix(pts, params)
         base = channel.grid_base_powers(grid, params, tx)
         runs = 2000
         rng = np.random.default_rng(0)

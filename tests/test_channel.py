@@ -1,5 +1,7 @@
 """Radio environment model tests: pathloss, shadowing statistics, sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,28 +114,28 @@ class TestBasePower:
 class TestCovarianceMatrix:
     def test_symmetric_and_factorizable(self):
         g = GridSpec(rows=5, cols=4, spacing=10.0)
-        cov = channel.shadow_cov_matrix(spatial.grid_points(g), make_params())
-        assert np.max(np.abs(cov - cov.T)) < 1e-12
+        cov = channel.grid_prior(g, 9.0, 50.0).cov
+        np.testing.assert_array_equal(cov, cov.T)
         jittered = cov + 1e-9 * 9.0 * np.eye(cov.shape[0])
         np.linalg.cholesky(jittered)
 
     def test_diagonal_is_variance(self):
         g = GridSpec(rows=3, cols=3, spacing=10.0)
-        cov = channel.shadow_cov_matrix(spatial.grid_points(g), make_params())
+        cov = channel.grid_prior(g, 9.0, 50.0).cov
         np.testing.assert_allclose(np.diag(cov), 9.0)
 
     def test_cross_cov_matches_matrix_at_grid_points(self):
         g = GridSpec(rows=3, cols=3, spacing=10.0)
         pts = spatial.grid_points(g)
-        cov = channel.shadow_cov_matrix(pts, make_params())
-        cross = channel.shadow_cov(channel.pairwise_distances(pts[4], pts), make_params())
+        cov = channel.grid_prior(g, 9.0, 50.0).cov
+        cross = channel.shadow_cov(oracles.pairwise_distances(pts[4], pts), make_params())
         np.testing.assert_allclose(cross[0], cov[4])
 
     @given(rows=st.integers(2, 6), cols=st.integers(2, 6), spacing=st.floats(1.0, 30.0))
     @settings(max_examples=30, deadline=None)
     def test_always_psd_after_jitter(self, rows, cols, spacing):
         g = GridSpec(rows=rows, cols=cols, spacing=spacing)
-        cov = channel.shadow_cov_matrix(spatial.grid_points(g), make_params())
+        cov = oracles.shadow_cov_matrix(spatial.grid_points(g), make_params())
         jittered = cov + 1e-9 * 9.0 * np.eye(cov.shape[0])
         np.linalg.cholesky(jittered)
 
@@ -143,12 +145,12 @@ class TestGridPrior:
         a = np.array([[0.0, 0.0], [3.0, 4.0], [-1.5, 2.0]])
         b = np.array([[3.0, 0.0], [0.0, -4.0]])
         want = np.array([[np.sqrt(np.sum((p - q) ** 2)) for q in b] for p in a])
-        np.testing.assert_array_equal(channel.pairwise_distances(a, b), want)
+        np.testing.assert_array_equal(oracles.pairwise_distances(a, b), want)
 
     def test_factor_reproduces_jittered_covariance(self):
         g = GridSpec(rows=4, cols=5, spacing=10.0)
         prior = channel.grid_prior(g, 9.0, 50.0)
-        want = channel.shadow_cov_matrix(spatial.grid_points(g), make_params())
+        want = oracles.shadow_cov_matrix(spatial.grid_points(g), make_params())
         np.testing.assert_array_equal(prior.cov, want)
         want += channel.COV_JITTER * 9.0 * np.eye(g.num_points)
         np.testing.assert_allclose(prior.factor @ prior.factor.T, want, rtol=1e-12, atol=1e-12)
@@ -159,6 +161,60 @@ class TestGridPrior:
         prior = channel.grid_prior(GridSpec(rows=2, cols=2, spacing=10.0), 0.0, 50.0)
         assert prior.factor is None
         np.testing.assert_array_equal(prior.cov, 0.0)
+
+    @pytest.mark.parametrize(
+        "rows, cols, spacing",
+        [
+            (30, 25, 10.0),
+            (60, 50, 10.0),
+            (10, 10, 10.0),
+            (5, 3, 7.0),
+            (1, 1, 10.0),
+            (1, 7, 10.0),
+            (4, 1, 10.0),
+        ],
+    )
+    def test_table_build_equals_dense_oracle(self, rows, cols, spacing):
+        # Integer grid coordinates: table offsets and pairwise differences are
+        # the same floats, so the two builds agree to the bit.
+        g = GridSpec(rows=rows, cols=cols, spacing=spacing)
+        prior = channel.grid_prior(g, 9.0, 50.0)
+        cov, factor = oracles.dense_grid_prior(g, 9.0, 50.0)
+        np.testing.assert_array_equal(prior.cov, cov)
+        np.testing.assert_array_equal(prior.factor, factor)
+        channel.grid_prior.cache_clear()
+
+    @given(
+        rows=st.integers(1, 8),
+        cols=st.integers(1, 8),
+        spacing=st.floats(0.1, 40.0).filter(lambda v: v != int(v)),
+        ox=st.floats(-1e3, 1e3).filter(lambda v: v != int(v)),
+        oy=st.floats(-1e3, 1e3).filter(lambda v: v != int(v)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_table_build_is_symmetric_and_near_dense_oracle(self, rows, cols, spacing, ox, oy):
+        # Off-integer coordinates: pairwise differences of node coordinates may
+        # round differently from offset times spacing, by a last bit.
+        g = GridSpec(rows=rows, cols=cols, spacing=spacing, origin=(ox, oy))
+        prior = channel.grid_prior(g, 9.0, 50.0)
+        cov, _ = oracles.dense_grid_prior(g, 9.0, 50.0)
+        np.testing.assert_array_equal(prior.cov, prior.cov.T)
+        np.testing.assert_allclose(prior.cov, cov, rtol=1e-13, atol=0.0)
+
+    def test_cold_build_holds_no_extra_dense_temporaries(self):
+        # The build keeps two N x N doubles, cov and the factor; the margin
+        # covers the N x N boolean of the finite check before the factorisation.
+        g = GridSpec(rows=60, cols=50, spacing=10.0)
+        n = g.num_points
+        channel.grid_prior.cache_clear()
+        tracemalloc.start()
+        try:
+            channel.grid_prior(g, 9.0, 50.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            channel.grid_prior.cache_clear()
+        assert peak < 2.25 * n * n * 8, f"peak {peak / 2**20:.1f} MiB"
 
     def test_ground_truth_and_estimator_share_one_factorisation(self):
         from aerosurvey import estimator

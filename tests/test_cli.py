@@ -363,6 +363,30 @@ class TestSurveyCommand:
             assert "coincides with the transmitter" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra", [{"spacing": 1e200}, {"spacing": 1e308}, {"tx_height": 1e200}, {"altitude": 1e200}]
+    )
+    def test_overflowing_link_distances_exit_one(self, tmp_path, capsys, extra):
+        # The grid diagonal or the altitude offset to a drawn transmitter
+        # squares past the largest float: rejected before any run starts.
+        cfg = write_config(tmp_path, dict({"rows": 3, "cols": 3, "max_measurements": 3}, **extra))
+        out = tmp_path / "o"
+        assert main(["survey", "--config", cfg, "--out-dir", str(out)]) == 1
+        assert "squared link distances overflow" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_large_but_finite_link_distances_run(self, tmp_path):
+        cfg = write_config(tmp_path, {"rows": 3, "cols": 3, "max_measurements": 3, "spacing": 1e150})
+        assert main(["survey", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
+
+    def test_overflowing_explicit_transmitter_exits_one(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {"rows": 3, "cols": 3, "max_measurements": 3, "transmitters": [{"position": [0, 0, 1e200]}]},
+        )
+        assert main(["survey", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 1
+        assert "overflow" in capsys.readouterr().err
+
     def test_planner_override_applies_before_validation(self, tmp_path):
         # The default planner (min_cost) cannot fly a line grid, but the
         # command line may pick one that can.
