@@ -65,12 +65,6 @@ def _as_number(key: str, value) -> float:
     return float(value)
 
 
-def _as_int(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(key, "expected an integer")
-    return value
-
-
 def _as_point(key: str, value) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         _fail(key, "expected [x, y]")
@@ -99,8 +93,8 @@ def _parse_transmitters(raw, default_power: float) -> tuple[Transmitter, ...]:
 def default_config(overrides: dict[str, Any] | None = None) -> SurveyConfig:
     """Build a SurveyConfig from defaults plus config-file style overrides.
 
-    This converts JSON values to the types the dataclasses take; every range
-    and choice check lives in ``GridSpec``, ``ChannelParams`` and
+    This converts JSON values to the types the dataclasses take; every range,
+    choice and integer check lives in ``GridSpec``, ``ChannelParams`` and
     ``SurveyConfig``, whose errors become ``ConfigError``.
     """
     merged = dict(_DEFAULTS)
@@ -117,8 +111,8 @@ def default_config(overrides: dict[str, Any] | None = None) -> SurveyConfig:
     tx_power = number("tx_power_dbm")
     try:
         grid = GridSpec(
-            rows=_as_int("rows", merged["rows"]),
-            cols=_as_int("cols", merged["cols"]),
+            rows=merged["rows"],
+            cols=merged["cols"],
             spacing=number("spacing"),
             origin=_as_point("origin", merged["origin"]),
             altitude=number("altitude"),
@@ -140,7 +134,7 @@ def default_config(overrides: dict[str, Any] | None = None) -> SurveyConfig:
         return SurveyConfig(
             grid=grid,
             channel=params,
-            num_transmitters=_as_int("num_transmitters", merged["num_transmitters"]),
+            num_transmitters=merged["num_transmitters"],
             tx_height=number("tx_height"),
             tx_power_dbm=tx_power,
             r_min=number("r_min"),
@@ -148,13 +142,12 @@ def default_config(overrides: dict[str, Any] | None = None) -> SurveyConfig:
             planner=merged["planner"],
             aggregation=merged["aggregation"],
             target=merged["target"],
-            # SurveyConfig checks that the budget is a nonnegative integer.
             max_measurements=merged["max_measurements"],
             uncertainty_threshold=(
                 None if threshold is None else _as_number("uncertainty_threshold", threshold)
             ),
             start_position=Waypoint(*_as_point("start_position", merged["start_position"])),
-            seed=_as_int("seed", merged["seed"]),
+            seed=merged["seed"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

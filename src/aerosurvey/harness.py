@@ -51,16 +51,19 @@ class SurveyConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # The one place survey settings are range-checked; GridSpec,
+        # The one place survey settings are type- and range-checked; GridSpec,
         # ChannelParams and Transmitter check their own fields.
+        for name in ("num_transmitters", "max_measurements", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if not self.channel.transmitters and self.num_transmitters < 1:
             raise ValueError("num_transmitters must be at least 1")
         if not self.tx_height >= 0:
             raise ValueError("tx_height must be nonnegative")
         if not 0 < self.measurement_spacing < np.inf:
             raise ValueError("measurement_spacing must be positive and finite")
-        mm = self.max_measurements
-        if isinstance(mm, bool) or not isinstance(mm, (int, np.integer)) or mm < 0:
+        if self.max_measurements < 0:
             raise ValueError("max_measurements must be a nonnegative integer")
         threshold = self.uncertainty_threshold
         if threshold is not None and not 0.0 < threshold <= 1.0:
@@ -86,12 +89,6 @@ class SurveyConfig:
         object.__setattr__(self, "planner", kind)
         for tx in self.channel.transmitters:
             channel.grid_base_powers(self.grid, self.channel, tx)  # raises if one sits on a grid point
-        if (
-            kind is planner.PlannerKind.MIN_COST
-            and self.grid.num_points > 1
-            and min(self.grid.rows, self.grid.cols) < 2
-        ):
-            raise ValueError("planner min_cost needs a grid with at least 2 rows and 2 columns")
 
 
 @dataclass(frozen=True)
@@ -167,9 +164,6 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
         )
         params = replace(config.channel, transmitters=txs)
     gt = channel.sample_ground_truth(grid, params, rng)
-    graph = (
-        spatial.build_motion_graph(grid) if grid.rows >= 2 and grid.cols >= 2 else None
-    )
     posterior = estimator.SurveyPosterior.from_grid(grid, params)
     served = np.any(gt.powers >= config.r_min, axis=0)
     wanted = set(int(s) for s in snapshots)
@@ -262,7 +256,7 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
         else:
             current_idx = spatial.point_to_index(grid, pos)
             dest = planner.pick_destination(target_unc, grid, exclude=current_idx)
-            route = planner.min_cost_route(grid, graph, target_unc, here, dest)
+            route = planner.min_cost_route(grid, target_unc, here, dest)
         if (route[0].x, route[0].y) != (here.x, here.y):
             route = [here] + route
         return route

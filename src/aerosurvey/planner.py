@@ -8,7 +8,7 @@ from enum import Enum
 import numpy as np
 from scipy.signal import convolve2d
 
-from .spatial import GridSpec, MotionGraph, Waypoint, index_to_point, point_to_index
+from .spatial import GridSpec, Waypoint, index_to_point, point_to_index
 
 __all__ = [
     "EDGE_FLOOR",
@@ -50,23 +50,23 @@ def pick_destination(uncertainty, grid: GridSpec, exclude: int | None = None) ->
     return int(np.argmax(flat))
 
 
-def _edge_length(grid: GridSpec, i: int, j: int) -> float:
-    ri, ci = divmod(i, grid.cols)
-    rj, cj = divmod(j, grid.cols)
-    return grid.spacing * float(np.hypot(ri - rj, ci - cj))
+# The eight king moves as (row step, column step), in ascending order of the
+# neighbour's index.
+_KING_MOVES = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
-def _edge_cost(u: np.ndarray, grid: GridSpec, i: int, j: int) -> float:
-    integral = _edge_length(grid, i, j) * 0.5 * (u[i] + u[j])
-    return 1.0 / max(integral, EDGE_FLOOR)
-
-
-def _dijkstra(grid: GridSpec, graph: MotionGraph, u: np.ndarray, src: int, dst: int) -> list[int]:
+def _dijkstra(grid: GridSpec, u: list[float], src: int, dst: int) -> list[int]:
+    rows, cols = grid.rows, grid.cols
+    # Each move's half length, so an edge's trapezoid integral is half * (u[i] + u[j]).
+    moves = [
+        (dr, dc, dr * cols + dc, grid.spacing * float(np.hypot(dr, dc)) * 0.5)
+        for dr, dc in _KING_MOVES
+    ]
     dist = {src: 0.0}
     prev: dict[int, int] = {}
     done: set[int] = set()
-    heap = [(0.0, src)]
-    while heap:
+    heap = [(0.0, src)]  # (cost, node): equal costs pop the lowest index first
+    while True:  # king moves connect every grid point, so dst is always reached
         d, node = heapq.heappop(heap)
         if node in done:
             continue
@@ -76,28 +76,30 @@ def _dijkstra(grid: GridSpec, graph: MotionGraph, u: np.ndarray, src: int, dst: 
                 path.append(prev[path[-1]])
             return path[::-1]
         done.add(node)
-        for nb in graph.neighbors[node]:
+        r, c = divmod(node, cols)
+        for dr, dc, step, half in moves:
+            if not (0 <= r + dr < rows and 0 <= c + dc < cols):
+                continue
+            nb = node + step
             if nb in done:
                 continue
-            nd = d + _edge_cost(u, grid, node, nb)
+            nd = d + 1.0 / max(half * (u[node] + u[nb]), EDGE_FLOOR)
             if nd < dist.get(nb, np.inf):
                 dist[nb] = nd
                 prev[nb] = node
                 heapq.heappush(heap, (nd, nb))
-    raise RuntimeError("destination unreachable in motion graph")
 
 
 def min_cost_route(
-    grid: GridSpec, graph: MotionGraph | None, uncertainty, start: Waypoint, destination: int
+    grid: GridSpec, uncertainty, start: Waypoint, destination: int
 ) -> list[Waypoint]:
     """Cheapest king-move walk from the grid point nearest ``start`` to ``destination``.
 
     Each edge costs the reciprocal of the trapezoidal uncertainty line
     integral along it (floored at EDGE_FLOOR), so routes gravitate toward
-    high-uncertainty terrain. Dijkstra finds the route.
+    high-uncertainty terrain. Dijkstra finds the route, walking the in-bounds
+    king moves of each grid point.
     """
-    if graph is None:
-        raise ValueError("min-cost routing needs a motion graph")
     if not 0 <= destination < grid.num_points:
         raise IndexError(f"destination {destination} out of range [0, {grid.num_points})")
     u = np.asarray(uncertainty, dtype=float)
@@ -106,7 +108,7 @@ def min_cost_route(
     src = point_to_index(grid, (start.x, start.y))
     if src == destination:
         return [Waypoint(*index_to_point(grid, src))]
-    path = _dijkstra(grid, graph, u, src, destination)
+    path = _dijkstra(grid, u.tolist(), src, destination)
     return [Waypoint(*index_to_point(grid, g)) for g in path]
 
 

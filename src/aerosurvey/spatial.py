@@ -1,4 +1,4 @@
-"""Survey grid geometry, 8-connected motion graph, and arc-length path sampling."""
+"""Survey grid geometry and arc-length path sampling."""
 
 from __future__ import annotations
 
@@ -10,11 +10,9 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "Waypoint",
-    "MotionGraph",
     "index_to_point",
     "point_to_index",
     "grid_points",
-    "build_motion_graph",
     "PathSampler",
 ]
 
@@ -41,7 +39,10 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for name in ("rows", "cols"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
+            if value < 1:
                 raise ValueError(f"{name} must be at least 1")
         if not self.spacing > 0:
             raise ValueError("spacing must be positive")
@@ -101,32 +102,6 @@ def grid_points(grid: GridSpec) -> np.ndarray:
     ys = oy + np.arange(grid.rows) * grid.spacing
     xx, yy = np.meshgrid(xs, ys)
     return np.column_stack([xx.ravel(), yy.ravel()])
-
-
-@dataclass(frozen=True)
-class MotionGraph:
-    """King-move adjacency over grid indices (up to 8 neighbors per node)."""
-
-    neighbors: tuple[tuple[int, ...], ...]
-
-
-_KING_MOVES = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
-
-
-def build_motion_graph(grid: GridSpec) -> MotionGraph:
-    """Adjacency lists for single-cell horizontal, vertical, and diagonal moves."""
-    if grid.rows < 2 or grid.cols < 2:
-        raise ValueError("motion graph needs at least a 2x2 grid")
-    neighbors = []
-    for r in range(grid.rows):
-        for c in range(grid.cols):
-            adj = []
-            for dr, dc in _KING_MOVES:
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < grid.rows and 0 <= cc < grid.cols:
-                    adj.append(rr * grid.cols + cc)
-            neighbors.append(tuple(adj))
-    return MotionGraph(neighbors=tuple(neighbors))
 
 
 def as_coords(waypoints: Iterable[Waypoint]) -> np.ndarray:

@@ -114,6 +114,47 @@ def batch_posterior(
     return PosteriorState(mean=mean, cov=cov)
 
 
+def king_neighbors(grid: GridSpec, i: int) -> list[int]:
+    """Grid indices at Chebyshev distance 1 from index ``i``, in index order."""
+    ri, ci = divmod(i, grid.cols)
+    return [
+        j
+        for j in range(grid.num_points)
+        if max(abs(j // grid.cols - ri), abs(j % grid.cols - ci)) == 1
+    ]
+
+
+def edge_cost(u, grid: GridSpec, i: int, j: int) -> float:
+    """Reciprocal of the trapezoidal uncertainty integral along edge (i, j), floored."""
+    ri, ci = divmod(i, grid.cols)
+    rj, cj = divmod(j, grid.cols)
+    length = grid.spacing * float(np.hypot(ri - rj, ci - cj))
+    return 1.0 / max(length * 0.5 * (u[i] + u[j]), planner.EDGE_FLOOR)
+
+
+def enumerate_best_cost(grid: GridSpec, u, src: int, dst: int) -> float:
+    """Minimum edge-cost sum over every simple king-move walk from src to dst.
+
+    Exhaustive branch-and-bound search; only for grids of a dozen or so points.
+    """
+    vals = np.asarray(u, dtype=float)
+    best = float("inf")
+
+    def visit(node, seen, cost):
+        nonlocal best
+        if cost >= best:
+            return
+        if node == dst:
+            best = cost
+            return
+        for nxt in king_neighbors(grid, node):
+            if nxt not in seen:
+                visit(nxt, seen | {nxt}, cost + edge_cost(vals, grid, node, nxt))
+
+    visit(src, {src}, 0.0)
+    return best
+
+
 def route_cost(grid: GridSpec, u, waypoints: list[Waypoint]) -> float:
     """Total reciprocal-integral cost of a grid-point waypoint sequence."""
     vals = np.asarray(u, dtype=float)
@@ -121,7 +162,7 @@ def route_cost(grid: GridSpec, u, waypoints: list[Waypoint]) -> float:
     for a, b in zip(waypoints[:-1], waypoints[1:]):
         i = point_to_index(grid, (a.x, a.y))
         j = point_to_index(grid, (b.x, b.y))
-        total += planner._edge_cost(vals, grid, i, j)
+        total += edge_cost(vals, grid, i, j)
     return total
 
 

@@ -30,7 +30,7 @@ from aerosurvey.cli import default_config
 from aerosurvey.harness import monte_carlo, run_survey
 from aerosurvey.planner import PlannerKind
 from aerosurvey.spatial import GridSpec, Waypoint
-from oracles import batch_posterior, route_cost, shadow_cov_matrix
+from oracles import batch_posterior, enumerate_best_cost, route_cost, shadow_cov_matrix
 
 
 @contextmanager
@@ -250,25 +250,6 @@ def test_06_uncertainty_planner_beats_baselines_in_monte_carlo():
         assert elapsed < 600.0, f"took {elapsed:.0f}s"
 
 
-def _enumerate_best_cost(grid, u, src, dst):
-    graph = spatial.build_motion_graph(grid)
-    best = float("inf")
-
-    def visit(node, seen, cost):
-        nonlocal best
-        if cost >= best:
-            return
-        if node == dst:
-            best = cost
-            return
-        for nxt in graph.neighbors[node]:
-            if nxt not in seen:
-                visit(nxt, seen | {nxt}, cost + planner._edge_cost(u, grid, node, nxt))
-
-    visit(src, {src}, 0.0)
-    return best
-
-
 def test_07_min_cost_routes_match_exhaustive_enumeration():
     with report("7 shortest-path oracle"):
         rng = np.random.default_rng(99)
@@ -282,14 +263,10 @@ def test_07_min_cost_routes_match_exhaustive_enumeration():
             src, dst = rng.choice(n, size=2, replace=False)
             pos = spatial.index_to_point(grid, int(src))
             route = planner.min_cost_route(
-                grid,
-                spatial.build_motion_graph(grid),
-                u,
-                Waypoint(float(pos[0]), float(pos[1])),
-                int(dst),
+                grid, u, Waypoint(float(pos[0]), float(pos[1])), int(dst)
             )
             got = route_cost(grid, u, route)
-            best = _enumerate_best_cost(grid, u, int(src), int(dst))
+            best = enumerate_best_cost(grid, u, int(src), int(dst))
             assert got == pytest.approx(best, rel=1e-9, abs=1e-12)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ class TestWriteGrid:
         g = GridSpec(rows=2, cols=2, spacing=10.0)
         path = str(tmp_path / "field.csv")
         write_grid(np.array([0.0, 1.0, 2.0, 3.0]), g, path, "csv")
-        lines = open(path).read().strip().splitlines()
+        lines = Path(path).read_text().strip().splitlines()
         assert lines == ["0,1", "2,3"]
 
     def test_csv_roundtrip_six_significant_digits(self, tmp_path):
@@ -183,14 +184,14 @@ class TestWriteGrid:
         g = GridSpec(rows=1, cols=2, spacing=10.0)
         path = str(tmp_path / "field.csv")
         write_grid(np.array([1.0, 2.0]), g, path, "csv", comment="power map (dBm)")
-        first = open(path).readline()
+        first = Path(path).read_text().splitlines()[0]
         assert first.startswith("# ")
 
     def test_pgm_header_and_scaling(self, tmp_path):
         g = GridSpec(rows=2, cols=3, spacing=10.0)
         path = str(tmp_path / "field.pgm")
         write_grid(np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]), g, path, "pgm")
-        lines = open(path).read().split("\n")
+        lines = Path(path).read_text().split("\n")
         assert lines[0] == "P2"
         assert lines[1] == "3 2"
         assert lines[2] == "255"
@@ -201,7 +202,7 @@ class TestWriteGrid:
         g = GridSpec(rows=2, cols=2, spacing=10.0)
         path = str(tmp_path / "const.pgm")
         write_grid(np.full(4, 7.0), g, path, "pgm")
-        body = open(path).read().split("\n")[3:]
+        body = Path(path).read_text().split("\n")[3:]
         vals = [int(v) for row in body for v in row.split()]
         assert vals == [0, 0, 0, 0]
 
@@ -237,9 +238,9 @@ class TestSurveyCommand:
         out = str(tmp_path / "out")
         code = main(["survey", "--config", cfg, "--out-dir", out])
         assert code == 0
-        header = open(os.path.join(out, "metrics.csv")).readline().strip()
+        header = Path(out, "metrics.csv").read_text().splitlines()[0]
         assert header == "run,t,meters,total_unc_power,total_unc_service,service_error_rate"
-        tra = open(os.path.join(out, "trajectory.csv")).read().strip().splitlines()
+        tra = Path(out, "trajectory.csv").read_text().strip().splitlines()
         assert tra[0] == "t,x,y"
         assert len(tra) == 14  # header + 13 measurements
 
@@ -340,17 +341,20 @@ class TestSurveyCommand:
         assert proc.returncode == 2
         assert "no measurement in 10000 consecutive planner episodes" in proc.stderr
 
-    def test_min_cost_on_line_grid_exits_one(self, tmp_path, capsys):
-        line = {"rows": 1, "cols": 10, "max_measurements": 20}
-        cfg = write_config(tmp_path, line)
-        code = main(["survey", "--config", cfg, "--out-dir", str(tmp_path / "o")])
-        assert code == 1
-        assert "min_cost" in capsys.readouterr().err
-        grid_cfg = write_config(tmp_path, dict(line, planner="grid"), name="grid.json")
-        assert main(["survey", "--config", grid_cfg, "--out-dir", str(tmp_path / "g")]) == 0
-        override = ["--out-dir", str(tmp_path / "m"), "--planner", "min_cost"]
-        assert main(["survey", "--config", grid_cfg] + override) == 1
-        assert "min_cost" in capsys.readouterr().err
+    def test_min_cost_on_line_grid_runs(self, tmp_path):
+        for rows, cols in ((1, 10), (10, 1)):
+            line = {"rows": rows, "cols": cols, "max_measurements": 20, "planner": "min_cost"}
+            cfg = write_config(tmp_path, line)
+            out = tmp_path / f"o{rows}x{cols}"
+            assert main(["survey", "--config", cfg, "--out-dir", str(out)]) == 0
+            metrics = (out / "metrics.csv").read_text().strip().splitlines()
+            assert len(metrics) == 1 + 21
+            trajectory = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+            assert len(trajectory) == 21
+            across = trajectory[:, 1] if cols == 1 else trajectory[:, 2]
+            along = trajectory[:, 2] if cols == 1 else trajectory[:, 1]
+            np.testing.assert_array_equal(across, 0.0)
+            assert np.all((0.0 <= along) & (along <= 90.0))
 
     def test_transmitter_on_a_grid_node_exits_one(self, tmp_path, capsys):
         cfg = write_config(
@@ -388,11 +392,11 @@ class TestSurveyCommand:
         assert "overflow" in capsys.readouterr().err
 
     def test_planner_override_applies_before_validation(self, tmp_path):
-        # The default planner (min_cost) cannot fly a line grid, but the
-        # command line may pick one that can.
-        cfg = write_config(tmp_path, {"rows": 1, "cols": 10, "max_measurements": 20})
-        assert main(["survey", "--config", cfg, "--out-dir", str(tmp_path / "g"), "--planner", "grid"]) == 0
-        assert main(["survey", "--config", cfg, "--out-dir", str(tmp_path / "m"), "--planner", "min_cost"]) == 1
+        # The file's own seed is invalid, but the command line replaces it
+        # before the config is checked.
+        cfg = write_config(tmp_path, dict(SMALL, seed=-1))
+        assert main(["survey", "--config", cfg, "--out-dir", str(tmp_path / "bad")]) == 1
+        assert main(["survey", "--config", cfg, "--out-dir", str(tmp_path / "o"), "--seed", "3"]) == 0
 
     def test_bad_seed_override_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL)
@@ -420,8 +424,8 @@ class TestSurveyCommand:
             )
             == 0
         )
-        a = open(os.path.join(out_a, "trajectory.csv")).read()
-        b = open(os.path.join(out_b, "trajectory.csv")).read()
+        a = Path(out_a, "trajectory.csv").read_text()
+        b = Path(out_b, "trajectory.csv").read_text()
         assert a != b
 
     def test_bad_planner_override_exits_one(self, tmp_path, capsys):
@@ -472,7 +476,7 @@ class TestMonteCarloCommand:
         main(
             ["montecarlo", "--config", cfg, "--runs", "2", "--planners", "grid", "--out-dir", out]
         )
-        header = open(os.path.join(out, "montecarlo_grid.csv")).readline().strip()
+        header = Path(out, "montecarlo_grid.csv").read_text().splitlines()[0]
         assert header == (
             "t,mean_meters,std_meters,mean_total_unc_power,std_total_unc_power,"
             "mean_total_unc_service,std_total_unc_service,"
@@ -499,8 +503,8 @@ class TestMonteCarloCommand:
         assert main(args + ["--out-dir", out_a]) == 0
         assert main(args + ["--out-dir", out_b]) == 0
         for name in ("montecarlo_min_cost.csv", "montecarlo_random.csv"):
-            a = open(os.path.join(out_a, name), "rb").read()
-            b = open(os.path.join(out_b, name), "rb").read()
+            a = Path(out_a, name).read_bytes()
+            b = Path(out_b, name).read_bytes()
             assert a == b
 
     def test_bad_runs_exits_one(self, tmp_path, capsys):
@@ -518,14 +522,22 @@ class TestMonteCarloCommand:
         assert "uncertainty_threshold" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_min_cost_in_planner_list_on_line_grid_exits_one(self, tmp_path, capsys):
+    def test_min_cost_in_planner_list_on_line_grid_runs(self, tmp_path):
         line = {"rows": 1, "cols": 10, "max_measurements": 5, "planner": "grid"}
         cfg = write_config(tmp_path, line)
         out = tmp_path / "mc"
         argv = ["montecarlo", "--config", cfg, "--runs", "1", "--planners", "grid,min_cost"]
-        code = main(argv + ["--out-dir", str(out)])
-        assert code == 1
-        assert "min_cost" in capsys.readouterr().err
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        for name in ("grid", "min_cost"):
+            rows = (out / f"montecarlo_{name}.csv").read_text().strip().splitlines()
+            assert len(rows) == 1 + 6
+
+    def test_unknown_planner_in_list_exits_one_before_running(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "mc"
+        argv = ["montecarlo", "--config", cfg, "--runs", "1", "--planners", "grid,zigzag"]
+        assert main(argv + ["--out-dir", str(out)]) == 1
+        assert "zigzag" in capsys.readouterr().err
         assert not out.exists()
 
     def test_defaults_to_config_planner(self, tmp_path):

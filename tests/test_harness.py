@@ -213,13 +213,22 @@ class TestRunSurvey:
         assert len(rec.measurements) == 5
         assert all(m.position == (0.0, 0.0) for m in rec.measurements)
 
-    def test_min_cost_rejected_on_line_grid(self):
-        for rows, cols in ((1, 10), (10, 1)):
-            with pytest.raises(ValueError, match="min_cost"):
-                make_config(rows=rows, cols=cols)
-            for kind in (PlannerKind.GRID, PlannerKind.SPIRAL, PlannerKind.RANDOM):
-                rec = run_survey(make_config(rows=rows, cols=cols, planner=kind, max_measurements=20))
+    def test_every_planner_runs_on_line_grid(self):
+        # On a line the min-cost walk has only the two in-bounds moves.
+        cases = [(1, 10, (0.0, 0.0)), (10, 1, (0.0, 0.0)), (1, 2, (0.0, 0.0)), (1, 2, (3.0, 0.0))]
+        for rows, cols, start in cases:
+            for kind in ALL_PLANNERS:
+                cfg = make_config(
+                    rows=rows,
+                    cols=cols,
+                    planner=kind,
+                    max_measurements=20,
+                    start_position=Waypoint(*start),
+                )
+                rec = run_survey(cfg)
                 assert len(rec.metrics) == 21
+                for x, y in (m.position for m in rec.measurements):
+                    assert cfg.grid.contains(x, y) and (x == 0.0 if cols == 1 else y == 0.0)
 
     def test_positions_follow_the_shared_path_sampler(self):
         # The survey samples its flight with the same sampler as the oracle,
@@ -362,6 +371,17 @@ class TestRunSurvey:
             make_config(tx_height=-5.0)
         with pytest.raises(ValueError, match="tx_height"):
             replace(make_config(), tx_height=-5.0)
+        # Integer fields take ints only: no floats, no bools.
+        cfg = make_config()
+        for name in ("rows", "cols"):
+            for value in (4.0, True):
+                shape = {"rows": 4, "cols": 4, name: value}
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    replace(cfg, grid=GridSpec(spacing=10.0, **shape))
+        for name in ("num_transmitters", "seed"):
+            for value in (2.0, 1.5, True):
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    replace(cfg, **{name: value})
         on_node = (Transmitter((10.0, 10.0, 10.0), 10.0),)
         with pytest.raises(ValueError, match="coincides with the transmitter"):
             make_config(rows=5, cols=5, altitude=10.0, transmitters=on_node)

@@ -1,7 +1,5 @@
 """Trajectory planner tests, including an exhaustive shortest-path oracle."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,31 +8,11 @@ from hypothesis import strategies as st
 from aerosurvey import planner, spatial
 from aerosurvey.planner import PlannerKind
 from aerosurvey.spatial import GridSpec, Waypoint
-from oracles import route_cost, sample_path
+from oracles import edge_cost, enumerate_best_cost, king_neighbors, route_cost, sample_path
 
 
 def grid(rows=3, cols=3, spacing=10.0):
     return GridSpec(rows=rows, cols=cols, spacing=spacing)
-
-
-def enumerate_best_cost(g: GridSpec, u: np.ndarray, src: int, dst: int) -> float:
-    """Brute-force minimum cost over all simple paths (oracle for small grids)."""
-    graph = spatial.build_motion_graph(g)
-    best = float("inf")
-
-    def visit(node, seen, cost):
-        nonlocal best
-        if cost >= best:
-            return
-        if node == dst:
-            best = cost
-            return
-        for nxt in graph.neighbors[node]:
-            if nxt not in seen:
-                visit(nxt, seen | {nxt}, cost + planner._edge_cost(u, g, node, nxt))
-
-    visit(src, {src}, 0.0)
-    return best
 
 
 class TestPickDestination:
@@ -102,7 +80,10 @@ class TestPickDestination:
 
 class TestMinCostRoute:
     def route(self, g, u, dst, pos=(0.0, 0.0)):
-        return planner.min_cost_route(g, spatial.build_motion_graph(g), u, Waypoint(*pos), dst)
+        return planner.min_cost_route(g, u, Waypoint(*pos), dst)
+
+    def indices(self, g, route):
+        return [spatial.point_to_index(g, (w.x, w.y)) for w in route]
 
     def test_same_source_and_destination(self):
         g = grid()
@@ -113,12 +94,10 @@ class TestMinCostRoute:
     def test_route_is_walk_on_graph(self):
         g = grid(4, 4)
         u = np.random.default_rng(0).uniform(0.1, 1.0, 16)
-        graph = spatial.build_motion_graph(g)
-        route = self.route(g, u, 15)
-        idx = [spatial.point_to_index(g, (w.x, w.y)) for w in route]
+        idx = self.indices(g, self.route(g, u, 15))
         assert idx[0] == 0 and idx[-1] == 15
         for a, b in zip(idx[:-1], idx[1:]):
-            assert b in graph.neighbors[a]
+            assert b in king_neighbors(g, a)
 
     def test_uniform_field_gives_chebyshev_hops(self):
         g = grid(3, 3)
@@ -140,15 +119,10 @@ class TestMinCostRoute:
         u = np.full(12, 1e-9)
         u[0:4] = 1.0
         route = self.route(g, u, 3)
-        idx = [spatial.point_to_index(g, (w.x, w.y)) for w in route]
-        assert idx == [0, 1, 2, 3]
+        assert self.indices(g, route) == [0, 1, 2, 3]
         got = route_cost(g, u, route)
         best = enumerate_best_cost(g, u, 0, 3)
         assert got == pytest.approx(best, rel=1e-12)
-
-    def test_missing_graph_rejected(self):
-        with pytest.raises(ValueError):
-            planner.min_cost_route(grid(), None, np.ones(9), Waypoint(0, 0), 2)
 
     def test_destination_out_of_range_rejected(self):
         g = grid()
@@ -173,6 +147,35 @@ class TestMinCostRoute:
         got = route_cost(g, u, route)
         best = enumerate_best_cost(g, u, 0, dst)
         assert got == pytest.approx(best, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        seed=st.integers(0, 10_000),
+        ends=st.tuples(st.integers(0, 15), st.integers(0, 15)),
+    )
+    def test_optimal_king_walk_on_every_grid_shape(self, shape, seed, ends):
+        # Line grids included. Three levels, 0 among them, make exact cost
+        # ties and all-zero fields common.
+        g = grid(*shape)
+        u = np.random.default_rng(seed).integers(0, 3, g.num_points) / 2.0
+        src, dst = (e % g.num_points for e in ends)
+        start = spatial.index_to_point(g, src) + 0.3 * g.spacing
+        route = self.route(g, u, dst, pos=start)
+        idx = self.indices(g, route)
+        assert idx[0] == src and idx[-1] == dst
+        for a, b in zip(idx[:-1], idx[1:]):
+            assert b in king_neighbors(g, a)
+        assert route_cost(g, u, route) == pytest.approx(
+            enumerate_best_cost(g, u, src, dst), rel=1e-9, abs=1e-12
+        )
+
+    def test_ties_go_to_the_lowest_index(self):
+        # On an all-zero field every edge costs 1 / EDGE_FLOOR, so the
+        # straight two-move routes tie with the bent ones.
+        g = grid(3, 3)
+        assert self.indices(g, self.route(g, np.zeros(9), 2)) == [0, 1, 2]
+        assert self.indices(g, self.route(g, np.zeros(9), 6)) == [0, 3, 6]
 
 
 class TestSweepRoutes:
@@ -270,19 +273,21 @@ class TestRandomRoute:
 
 
 class TestEdgeCost:
+    """Hand-computed edge costs of the oracle that route costs are summed with."""
+
     def test_positive_even_on_zero_uncertainty(self):
         g = grid(3, 3)
-        assert planner._edge_cost(np.zeros(9), g, 0, 1) > 0
+        assert edge_cost(np.zeros(9), g, 0, 1) == 1.0 / planner.EDGE_FLOOR
 
     def test_reciprocal_of_trapezoid(self):
         g = grid(3, 3)
         u = np.zeros(9)
         u[0], u[1] = 0.4, 0.6
-        got = planner._edge_cost(u, g, 0, 1)
+        got = edge_cost(u, g, 0, 1)
         assert got == pytest.approx(1.0 / (10.0 * 0.5), rel=1e-12)
 
     def test_diagonal_uses_diagonal_length(self):
         g = grid(3, 3)
         u = np.ones(9)
-        got = planner._edge_cost(u, g, 0, 4)
+        got = edge_cost(u, g, 0, 4)
         assert got == pytest.approx(1.0 / (10.0 * np.sqrt(2.0)), rel=1e-12)
