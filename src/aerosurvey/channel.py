@@ -156,11 +156,18 @@ def grid_prior(grid: GridSpec, shadow_var: float, corr_distance: float) -> GridP
         cov[i].reshape(rows, cols)[...] = table[rows - 1 - r :, cols - 1 - c :][:rows, :cols]
     factor = None
     if shadow_var != 0.0:
+        # Every jittered entry is a table entry or the jittered diagonal, so
+        # checking those is checking the matrix, without an N x N temporary.
+        diagonal = float(table[rows - 1, cols - 1]) + COV_JITTER * float(shadow_var)
+        if not (np.isfinite(table).all() and math.isfinite(diagonal)):
+            raise ValueError("prior covariance must be finite")
         jittered = cov.copy()
         jittered[np.diag_indices_from(jittered)] += COV_JITTER * shadow_var
         try:
             # cov is exactly symmetric: its transpose is the Fortran-order input LAPACK overwrites.
-            factor = scipy.linalg.cholesky(jittered.T, lower=True, overwrite_a=True)
+            factor = scipy.linalg.cholesky(
+                jittered.T, lower=True, overwrite_a=True, check_finite=False
+            )
         except scipy.linalg.LinAlgError as exc:
             raise scipy.linalg.LinAlgError(
                 "prior covariance factorization failed even after diagonal jitter"
@@ -294,6 +301,6 @@ def take_measurement(
     caller that already holds them does not compute them twice.
     """
     gen = np.random.default_rng(rng)
-    noise = np.sqrt(params.noise_var) * gen.standard_normal(params.num_transmitters)
+    noise = math.sqrt(params.noise_var) * gen.standard_normal(params.num_transmitters)
     rss = true_power(gt, point, taps) + noise
-    return Measurement(position=(float(point[0]), float(point[1])), rss=tuple(rss))
+    return Measurement(position=(float(point[0]), float(point[1])), rss=tuple(rss.tolist()))

@@ -34,6 +34,7 @@ plus sensor noise.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -125,28 +126,33 @@ class SurveyPosterior:
         if len(values) != self.means.shape[0]:
             raise ValueError("need one value per transmitter")
         values = np.array(values, dtype=float)
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("measurement value must be finite")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValueError("tap weights must be finite")
-        if self._rows == len(self._u):
+        rows = self._rows
+        if rows == len(self._u):
             self._rebase()
+            rows = 0
         # Column of the covariance through the taps; the covariance is
-        # symmetric, so its rows are read instead of its columns.
-        u = self._u[: self._rows]
+        # symmetric, so its rows are read instead of its columns. The fading
+        # scatter and the U correction are skipped where they add exact zeros.
         col = w @ self.prior_cov[index]
-        np.add.at(col, index, self.fading_var * w)
-        col -= (u[:, index] @ w) @ u
+        if self.fading_var:
+            np.add.at(col, index, self.fading_var * w)
+        if rows:
+            u = self._u[:rows]
+            col -= (u[:, index] @ w) @ u
         denom = self.noise_var + float(w @ col[index])
-        scaled = col / np.sqrt(denom)
-        self._u[self._rows] = scaled
-        self._rows += 1
+        scaled = np.divide(col, math.sqrt(denom), out=self._u[rows])
+        self._rows = rows + 1
         self.rank += 1
         self.var -= scaled * scaled
         # Roundoff from near-exact observations can leave tiny negative variances.
         np.maximum(self.var, 0.0, out=self.var)
         innovations = values - self.means[:, index] @ w
-        self.means += np.multiply.outer(innovations, col / denom)
+        col /= denom
+        self.means += np.multiply.outer(innovations, col)
 
     def _rebase(self) -> None:
         """Fold ``UᵀU`` into an owned prior and empty ``U``."""
@@ -184,10 +190,9 @@ def service_probability(mean, var, r_min: float) -> np.ndarray:
     """
     mean = np.asarray(mean, dtype=float)
     std = np.sqrt(np.maximum(var, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = (mean - r_min) / std
-    p = ndtr(z)
     degenerate = std == 0.0
-    if np.any(degenerate):
-        p = np.where(degenerate, (mean >= r_min).astype(float), p)
-    return p
+    if not degenerate.any():
+        return ndtr((mean - r_min) / std)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = ndtr((mean - r_min) / std)
+    return np.where(degenerate, (mean >= r_min).astype(float), p)

@@ -143,8 +143,8 @@ def service_error_rate(probabilities, served) -> float:
     truth = np.asarray(served, dtype=bool)
     if p.shape[1] != truth.shape[0]:
         raise ValueError("probability vector length does not match the grid")
-    estimated = np.any(p >= 0.5, axis=0)
-    return float(np.mean(estimated != truth))
+    wrong = (p >= 0.5).any(axis=0) != truth
+    return float(np.count_nonzero(wrong) / wrong.size)
 
 
 def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRecord:

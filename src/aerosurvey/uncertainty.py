@@ -31,7 +31,7 @@ def power_uncertainty(var, params: ChannelParams) -> np.ndarray:
     prior = params.shadow_var + params.fading_var
     if prior <= 0:
         return np.zeros(var.shape)
-    return np.clip(var / prior, 0.0, 1.0)
+    return np.minimum(np.maximum(var / prior, 0.0), 1.0)
 
 
 def service_uncertainty(probabilities) -> np.ndarray:
@@ -41,10 +41,14 @@ def service_uncertainty(probabilities) -> np.ndarray:
     (K, N) field.
     """
     p = np.asarray(probabilities, dtype=float)
-    if np.any((p < 0.0) | (p > 1.0)) or not np.all(np.isfinite(p)):
+    # NaN and infinities fail these comparisons too.
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
-    ent = -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)) / _LN2
-    return np.clip(ent, 0.0, 1.0)
+    q = 1.0 - p
+    ent = xlogy(p, p) + xlogy(q, q)
+    ent /= -_LN2
+    # A certain point gives -0.0 here; the lower clip makes it +0.0.
+    return np.minimum(np.maximum(ent, 0.0), 1.0)
 
 
 def aggregate(field, mode: str = "max") -> np.ndarray:
@@ -67,4 +71,5 @@ def total_uncertainty(field) -> float:
     vals = np.asarray(field, dtype=float)
     if vals.size == 0:
         raise ValueError("empty uncertainty field")
-    return float(vals.mean())
+    # The sum ndarray.mean takes, without its Python wrapper.
+    return float(np.add.reduce(vals, axis=None) / vals.size)

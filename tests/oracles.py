@@ -5,6 +5,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.special import ndtr, xlogy
 
 from aerosurvey import channel, planner, spatial
 from aerosurvey.channel import ChannelParams, Measurement
@@ -242,3 +243,46 @@ def sample_path(waypoints: Iterable[Waypoint] | np.ndarray, delta: float) -> np.
     for a, b in zip(pts[:-1], pts[1:]):
         samples.extend(point for point, _ in sampler.segment(a, b))
     return np.asarray(samples)
+
+
+def service_probability(mean, var, r_min: float) -> np.ndarray:
+    """Readable reference for :func:`aerosurvey.estimator.service_probability`."""
+    mean = np.asarray(mean, dtype=float)
+    std = np.sqrt(np.maximum(var, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (mean - r_min) / std
+    p = ndtr(z)
+    degenerate = std == 0.0
+    if np.any(degenerate):
+        p = np.where(degenerate, (mean >= r_min).astype(float), p)
+    return p
+
+
+def service_uncertainty(probabilities) -> np.ndarray:
+    """Readable reference for :func:`aerosurvey.uncertainty.service_uncertainty`.
+
+    A certain point gives -0.0 here, where the package gives +0.0.
+    """
+    p = np.asarray(probabilities, dtype=float)
+    if np.any((p < 0.0) | (p > 1.0)) or not np.all(np.isfinite(p)):
+        raise ValueError("probabilities must lie in [0, 1]")
+    ent = -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)) / np.log(2.0)
+    return np.clip(ent, 0.0, 1.0)
+
+
+def total_uncertainty(field) -> float:
+    """Readable reference for :func:`aerosurvey.uncertainty.total_uncertainty`."""
+    vals = np.asarray(field, dtype=float)
+    if vals.size == 0:
+        raise ValueError("empty uncertainty field")
+    return float(vals.mean())
+
+
+def service_error_rate(probabilities, served) -> float:
+    """Readable reference for :func:`aerosurvey.harness.service_error_rate`."""
+    p = np.atleast_2d(np.asarray(probabilities, dtype=float))
+    truth = np.asarray(served, dtype=bool)
+    if p.shape[1] != truth.shape[0]:
+        raise ValueError("probability vector length does not match the grid")
+    estimated = np.any(p >= 0.5, axis=0)
+    return float(np.mean(estimated != truth))

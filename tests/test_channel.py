@@ -202,8 +202,8 @@ class TestGridPrior:
         np.testing.assert_allclose(prior.cov, cov, rtol=1e-13, atol=0.0)
 
     def test_cold_build_holds_no_extra_dense_temporaries(self):
-        # The build keeps two N x N doubles, cov and the factor; the margin
-        # covers the N x N boolean of the finite check before the factorisation.
+        # The build keeps two N x N doubles, cov and the factor. The finite
+        # check reads the kernel table, so no N x N boolean joins them.
         g = GridSpec(rows=60, cols=50, spacing=10.0)
         n = g.num_points
         channel.grid_prior.cache_clear()
@@ -214,7 +214,14 @@ class TestGridPrior:
         finally:
             tracemalloc.stop()
             channel.grid_prior.cache_clear()
-        assert peak < 2.25 * n * n * 8, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 2.05 * n * n * 8, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_non_finite_prior_rejected(self):
+        # An infinite table, and a finite table whose jittered diagonal overflows.
+        g = GridSpec(rows=3, cols=4, spacing=10.0)
+        for shadow_var in (np.inf, np.finfo(float).max):
+            with pytest.raises(ValueError):
+                channel.grid_prior(g, shadow_var, 50.0)
 
     def test_ground_truth_and_estimator_share_one_factorisation(self):
         from aerosurvey import estimator

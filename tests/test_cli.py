@@ -258,6 +258,16 @@ class TestSurveyCommand:
         assert "snapshot_t0000_posterior_mean_tx1.pgm" in names
         assert "snapshot_t0000_service_prob_tx0.csv" in names
 
+    def test_uncertainty_maps_print_no_negative_zero(self, tmp_path):
+        # By measurement 10 this survey is certain of some points' service.
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        assert main(["survey", "--config", cfg, "--out-dir", str(out), "--snapshots", "10,12"]) == 0
+        for t in (10, 12):
+            text = (out / f"snapshot_t{t:04d}_uncertainty.csv").read_text()
+            cells = [c for line in text.splitlines()[1:] for c in line.split(",")]
+            assert "0" in cells and "-0" not in cells
+
     def test_snapshot_past_budget_exits_one_before_writing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"rows": 6, "cols": 6, "max_measurements": 10})
         out = tmp_path / "out"

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aerosurvey import channel, estimator, spatial
 from aerosurvey.channel import ChannelParams, Transmitter
 from aerosurvey.spatial import GridSpec
+import oracles
 from oracles import PosteriorState, batch_posterior, init_posterior, online_update
 
 
@@ -483,6 +485,21 @@ class TestServiceProbability:
     def test_always_in_unit_interval(self, mean, var, r_min):
         p = estimator.service_probability(np.array([mean]), np.array([var]), r_min)
         assert 0.0 <= p[0] <= 1.0
+
+    @given(
+        means=arrays(float, (2, 12), elements=st.floats(-90.0, -30.0)),
+        var=arrays(float, 12, elements=st.floats(-1.0, 25.0)),
+        zeros=arrays(bool, 12),
+        r_min=st.floats(-80.0, -40.0),
+    )
+    def test_matches_oracle(self, means, var, zeros, r_min):
+        # Variances without zeros, and with zeros (and negatives, floored at zero).
+        var = np.where(zeros, 0.0, var)
+        for mean in (means, means[0]):
+            np.testing.assert_array_equal(
+                estimator.service_probability(mean, var, r_min),
+                oracles.service_probability(mean, var, r_min),
+            )
 
 
 class TestRankOneIdentity:

@@ -6,12 +6,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aerosurvey import channel, estimator, harness
 from aerosurvey.channel import ChannelParams, Transmitter
 from aerosurvey.harness import SurveyConfig, monte_carlo, run_survey, service_error_rate
 from aerosurvey.planner import PlannerKind
 from aerosurvey.spatial import GridSpec, Waypoint
+import oracles
 from oracles import init_posterior, online_update, sample_path
 
 ALL_PLANNERS = [
@@ -68,6 +72,19 @@ class TestServiceErrorRate:
         served = self._served(np.array([[-80.0, -80.0], [-50.0, -80.0]]))
         probs = np.array([[0.0, 0.0], [1.0, 0.0]])
         assert service_error_rate(probs, served) == 0.0
+
+    @given(
+        probs=arrays(
+            float,
+            st.tuples(st.integers(1, 3), st.just(40)),
+            elements=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+        ),
+        served=arrays(bool, 40),
+    )
+    def test_matches_oracle(self, probs, served):
+        for p in (probs, probs[0]):
+            got = service_error_rate(p, served)
+            assert type(got) is float and got == oracles.service_error_rate(p, served)
 
 
 class TestRunSurvey:

@@ -9,6 +9,12 @@ from hypothesis.extra.numpy import arrays
 from aerosurvey import estimator, uncertainty
 from aerosurvey.channel import ChannelParams, Transmitter
 from aerosurvey.spatial import GridSpec
+import oracles
+
+# Probabilities on both sides of the degenerate cases: exactly 0 or 1, or inside (0, 1).
+probabilities = st.one_of(
+    st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+)
 
 
 def make_params(**kw):
@@ -60,15 +66,35 @@ class TestServiceUncertainty:
         u = uncertainty.service_uncertainty(np.array([0.0, 1.0]))
         np.testing.assert_array_equal(u, [0.0, 0.0])
 
+    def test_certain_points_are_positive_zero(self):
+        # Written maps print these cells as 0, never -0.
+        assert not np.signbit(uncertainty.service_uncertainty([0.0, 1.0])).any()
+
     def test_quarter_probability(self):
         u = uncertainty.service_uncertainty(np.array([0.25]))
         assert u[0] == pytest.approx(0.8112781244591328, rel=1e-12)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            uncertainty.service_uncertainty(np.array([1.2]))
-        with pytest.raises(ValueError):
-            uncertainty.service_uncertainty(np.array([-0.1]))
+        for bad in (1.2, -0.1, np.nan, np.inf, -np.inf):
+            for p in ([bad], [0.5, bad, 0.25]):
+                with pytest.raises(ValueError):
+                    uncertainty.service_uncertainty(np.array(p))
+
+    def test_empty_gives_empty(self):
+        u = uncertainty.service_uncertainty(np.array([]))
+        assert isinstance(u, np.ndarray) and u.shape == (0,)
+
+    @given(
+        p=arrays(float, st.tuples(st.integers(1, 3), st.integers(1, 30)), elements=probabilities),
+        mode=st.sampled_from(["max", "mean"]),
+    )
+    def test_matches_oracle_through_the_totals(self, p, mode):
+        # Equal by value: the oracle's certain points are -0.0, these +0.0.
+        got = uncertainty.service_uncertainty(p)
+        want = oracles.service_uncertainty(p)
+        np.testing.assert_array_equal(got, want)
+        got_total = uncertainty.total_uncertainty(uncertainty.aggregate(got, mode))
+        assert got_total == oracles.total_uncertainty(uncertainty.aggregate(want, mode))
 
     @given(
         p=arrays(
@@ -145,6 +171,16 @@ class TestTotalUncertainty:
     def test_rejects_empty_field(self):
         with pytest.raises(ValueError):
             uncertainty.total_uncertainty(np.array([]))
+
+    @given(
+        field=arrays(
+            float, st.tuples(st.integers(1, 3), st.integers(1, 200)), elements=st.floats(0.0, 1.0)
+        )
+    )
+    def test_matches_oracle(self, field):
+        for f in (field, field[0]):
+            got = uncertainty.total_uncertainty(f)
+            assert type(got) is float and got == oracles.total_uncertainty(f)
 
     def test_monotone_in_components(self):
         base = np.array([0.1, 0.4, 0.7])
