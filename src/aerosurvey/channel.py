@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .spatial import GridSpec, grid_points
 
@@ -26,10 +25,12 @@ __all__ = [
     "GroundTruth",
     "Measurement",
     "GridPrior",
+    "MAX_TORUS_POINTS",
     "shadow_cov",
     "base_powers",
     "grid_base_powers",
     "grid_prior",
+    "circulant_root",
     "draw_transmitters",
     "sample_ground_truth",
     "interpolation_taps",
@@ -39,9 +40,9 @@ __all__ = [
 
 SPEED_OF_LIGHT = 299_792_458.0
 
-# Relative diagonal jitter applied before factorizing shadowing covariance
-# matrices; dense grids make them numerically singular.
-COV_JITTER = 1e-9
+# The largest torus, in points, that shadowing is drawn on. The torus side
+# grows with corr_distance / spacing, so this bounds the correlation length.
+MAX_TORUS_POINTS = 2**24
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,13 @@ class ChannelParams:
         if not self.corr_distance > 0:
             raise ValueError("corr_distance must be positive")
         for name in ("shadow_var", "fading_var", "noise_var"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
+        # The estimator squares and sums terms bounded by the shadowing
+        # variance, which overflow when it lies within rounding of the
+        # largest float.
+        if not math.isfinite(float(self.shadow_var) * (1.0 + 1e-9)):
+            raise ValueError("shadow_var must lie below the largest float by a relative 1e-9")
 
     @property
     def num_transmitters(self) -> int:
@@ -127,17 +133,21 @@ def grid_base_powers(grid: GridSpec, params: ChannelParams, tx: Transmitter) -> 
     return base_powers(grid_points(grid), tx, params, grid.altitude)
 
 
+def _kernel_at_offsets(row_offsets, col_offsets, spacing: float, kernel: ChannelParams) -> np.ndarray:
+    """The kernel at every pair of integer node offsets: one row per ``row_offsets`` entry."""
+    dy, dx = row_offsets * spacing, col_offsets * spacing
+    return shadow_cov(np.sqrt((dy * dy)[:, None] + dx * dx), kernel)
+
+
 @dataclass(frozen=True)
 class GridPrior:
-    """Read-only shadowing covariance of the grid powers and its lower Cholesky factor.
+    """Read-only shadowing covariance of the grid powers.
 
     ``cov`` is copied from a table of the kernel at every grid offset, so it is
-    exactly symmetric. ``factor`` factors ``cov`` plus a relative diagonal
-    jitter, and is None when the shadowing variance is zero.
+    exactly symmetric.
     """
 
     cov: np.ndarray  # (N, N) dB^2
-    factor: np.ndarray | None  # (N, N) lower triangular
 
 
 @functools.lru_cache(maxsize=4)
@@ -149,33 +159,76 @@ def grid_prior(grid: GridSpec, shadow_var: float, corr_distance: float) -> GridP
     """
     kernel = ChannelParams((), shadow_var=shadow_var, corr_distance=corr_distance)
     rows, cols = grid.rows, grid.cols
-    dy, dx = (np.abs(np.arange(1 - n, n)) * grid.spacing for n in (rows, cols))
-    table = shadow_cov(np.sqrt((dy * dy)[:, None] + dx * dx), kernel)
-    cov = np.empty((grid.num_points, grid.num_points))
-    for i, (r, c) in enumerate(np.ndindex(rows, cols)):
-        cov[i].reshape(rows, cols)[...] = table[rows - 1 - r :, cols - 1 - c :][:rows, :cols]
-    factor = None
-    if shadow_var != 0.0:
-        # Every jittered entry is a table entry or the jittered diagonal, so
-        # checking those is checking the matrix, without an N x N temporary.
-        diagonal = float(table[rows - 1, cols - 1]) + COV_JITTER * float(shadow_var)
-        if not (np.isfinite(table).all() and math.isfinite(diagonal)):
-            raise ValueError("prior covariance must be finite")
-        jittered = cov.copy()
-        jittered[np.diag_indices_from(jittered)] += COV_JITTER * shadow_var
-        try:
-            # cov is exactly symmetric: its transpose is the Fortran-order input LAPACK overwrites.
-            factor = scipy.linalg.cholesky(
-                jittered.T, lower=True, overwrite_a=True, check_finite=False
-            )
-        except scipy.linalg.LinAlgError as exc:
-            raise scipy.linalg.LinAlgError(
-                "prior covariance factorization failed even after diagonal jitter"
-            ) from exc
-    for arr in (cov, factor):
-        if arr is not None:
-            arr.flags.writeable = False
-    return GridPrior(cov=cov, factor=factor)
+    table = _kernel_at_offsets(*(np.abs(np.arange(1 - n, n)) for n in (rows, cols)), grid.spacing, kernel)
+    # windows[a, b] is table[a:a + rows, b:b + cols]; row (r, c) takes window
+    # (rows - 1 - r, cols - 1 - c). The reshape copies them into one array.
+    windows = np.lib.stride_tricks.sliding_window_view(table, (rows, cols))
+    cov = np.ascontiguousarray(windows[::-1, ::-1].reshape(grid.num_points, grid.num_points))
+    cov.flags.writeable = False
+    return GridPrior(cov=cov)
+
+
+def _torus_kernel(shape: tuple[int, int], spacing: float, kernel: ChannelParams) -> np.ndarray:
+    """First row of the kernel's circulant covariance on a ``shape`` torus of grid nodes.
+
+    Entry ``(i, j)`` is the kernel at the shorter way round each axis:
+    ``min(i, P - i)`` by ``min(j, Q - j)`` nodes.
+    """
+    return _kernel_at_offsets(*(np.minimum(np.arange(n), n - np.arange(n)) for n in shape), spacing, kernel)
+
+
+@functools.lru_cache(maxsize=4)
+def circulant_root(grid: GridSpec, corr_distance: float) -> np.ndarray:
+    """Square root of the unit-variance kernel's circulant spectrum, from a cache of four.
+
+    The grid sits in a corner of a P x Q torus, on which the kernel's first
+    row (:func:`_torus_kernel`) defines a circulant covariance whose
+    eigenvalues are that row's ``fft2`` (Wood & Chan 1994; Dietrich & Newsam
+    1997). On every pair of grid points that covariance is the kernel, so
+    fields drawn through it are exact on the grid. The torus is the smallest
+    of 2(R-1) x 2(C-1), doubled along every axis longer than one point, whose
+    eigenvalues are all at least -1e-12 times the largest; those are clamped
+    at zero. The returned (P, Q) array is read-only.
+
+    Raises ValueError when no such torus has at most :data:`MAX_TORUS_POINTS`
+    points: the torus side grows with ``corr_distance / spacing``.
+    """
+    kernel = ChannelParams((), shadow_var=1.0, corr_distance=corr_distance)
+    rows, cols = grid.rows, grid.cols
+    shape = (max(2 * (rows - 1), 1), max(2 * (cols - 1), 1))
+    while shape[0] * shape[1] <= MAX_TORUS_POINTS:
+        half = np.fft.rfft2(_torus_kernel(shape, grid.spacing, kernel)).real
+        if half.min() >= -1e-12 * half.max():
+            # The row is even along each axis, so column l of the spectrum is column Q - l.
+            spectrum = np.concatenate((half, half[:, (shape[1] - 1) // 2 : 0 : -1]), axis=1)
+            root = np.sqrt(np.maximum(spectrum, 0.0, out=spectrum), out=spectrum)
+            root.flags.writeable = False
+            return root
+        shape = (shape[0] * 2 if rows > 1 else 1, shape[1] * 2 if cols > 1 else 1)
+    raise ValueError(
+        f"corr_distance {corr_distance:g} m is too long for spacing {grid.spacing:g} m on a "
+        f"{rows} x {cols} grid: drawing its shadowing needs a torus of more than "
+        f"{MAX_TORUS_POINTS} points"
+    )
+
+
+def _shadowing(grid: GridSpec, params: ChannelParams, gen: np.random.Generator) -> np.ndarray:
+    """One zero-mean shadowing field per transmitter, each with covariance ``grid_prior().cov``.
+
+    With ``z`` complex standard normal on the torus, ``fft2(root * z)`` has
+    real and imaginary parts that are independent draws with the torus
+    covariance times P·Q, so one FFT yields the fields of two transmitters.
+    """
+    root = circulant_root(grid, params.corr_distance)
+    count = params.num_transmitters
+    fields = np.empty((count + count % 2, grid.rows, grid.cols))
+    for k in range(0, count, 2):
+        z = gen.standard_normal(2 * root.size).view(np.complex128).reshape(root.shape)
+        z *= root
+        draw = np.fft.fft2(z)[: grid.rows, : grid.cols]
+        fields[k], fields[k + 1] = draw.real, draw.imag
+    fields *= math.sqrt(params.shadow_var / root.size)
+    return fields[:count].reshape(count, grid.num_points)
 
 
 def draw_transmitters(
@@ -211,25 +264,23 @@ def sample_ground_truth(
 ) -> GroundTruth:
     """Draw one realization of the true power map for every transmitter.
 
-    Shadowing is drawn through the factorized grid covariance and fading is
-    added independently per point; both draws happen per transmitter, so the
-    result is deterministic for a given seed.
+    Shadowing is drawn by circulant embedding (:func:`circulant_root`), two
+    transmitters per FFT, and fading is then added independently per point
+    and transmitter. No BLAS call is made, so the draw is deterministic for a
+    given seed whatever the BLAS thread count.
     """
     if params.num_transmitters < 1:
         raise ValueError("need at least one transmitter")
     gen = np.random.default_rng(rng)
     n = grid.num_points
+    if params.shadow_var > 0:
+        shadow = _shadowing(grid, params, gen)
+    else:
+        shadow = np.zeros((params.num_transmitters, n))
     powers = np.empty((params.num_transmitters, n))
     for k, tx in enumerate(params.transmitters):
-        base = grid_base_powers(grid, params, tx)
-        shadow_z = gen.standard_normal(n)
-        if params.shadow_var > 0:
-            prior = grid_prior(grid, params.shadow_var, params.corr_distance)
-            shadow = prior.factor @ shadow_z
-        else:
-            shadow = np.zeros(n)
         fading = np.sqrt(params.fading_var) * gen.standard_normal(n)
-        powers[k] = base - shadow + fading
+        powers[k] = grid_base_powers(grid, params, tx) - shadow[k] + fading
     return GroundTruth(grid=grid, powers=powers)
 
 

@@ -89,6 +89,10 @@ class SurveyConfig:
         object.__setattr__(self, "planner", kind)
         for tx in self.channel.transmitters:
             channel.grid_base_powers(self.grid, self.channel, tx)  # raises if one sits on a grid point
+        if self.channel.shadow_var > 0:
+            # Raises if corr_distance is too long for the grid spacing; the
+            # ground truth then reuses the cached embedding.
+            channel.circulant_root(self.grid, self.channel.corr_distance)
 
 
 @dataclass(frozen=True)

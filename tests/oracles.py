@@ -29,17 +29,13 @@ def shadow_cov_matrix(points, params: ChannelParams) -> np.ndarray:
     return channel.shadow_cov(pairwise_distances(points, points), params)
 
 
-def dense_grid_prior(grid: GridSpec, shadow_var: float, corr_distance: float):
-    """Dense reference for :func:`aerosurvey.channel.grid_prior`: ``(cov, factor)``.
+def dense_grid_prior(grid: GridSpec, shadow_var: float, corr_distance: float) -> np.ndarray:
+    """Dense reference for :func:`aerosurvey.channel.grid_prior`'s ``cov``.
 
-    The covariance comes from the pairwise distances of every grid point pair,
-    and the factor from a Fortran-order jittered copy of it.
+    The covariance comes from the pairwise distances of every grid point pair.
     """
     kernel = ChannelParams((), shadow_var=shadow_var, corr_distance=corr_distance)
-    cov = shadow_cov_matrix(spatial.grid_points(grid), kernel)
-    jittered = cov.copy(order="F")
-    jittered[np.diag_indices_from(jittered)] += channel.COV_JITTER * shadow_var
-    return cov, scipy.linalg.cholesky(jittered, lower=True, overwrite_a=True)
+    return shadow_cov_matrix(spatial.grid_points(grid), kernel)
 
 
 @dataclass
@@ -80,6 +76,11 @@ def online_update(state: PosteriorState, taps, y: float, noise_var: float) -> Po
     return PosteriorState(mean=mean, cov=cov)
 
 
+# Relative diagonal jitter on the measurement Gram matrix: repeated
+# noise-free measurements make it singular.
+GRAM_JITTER = 1e-9
+
+
 def batch_posterior(
     grid: GridSpec, params: ChannelParams, tx: int, measurements: Sequence[Measurement]
 ) -> PosteriorState:
@@ -103,7 +104,7 @@ def batch_posterior(
         np.add.at(row, index, weights)
     cross = prior.cov @ h.T
     gram = h @ cross
-    gram[np.diag_indices_from(gram)] += params.noise_var + channel.COV_JITTER * params.shadow_var
+    gram[np.diag_indices_from(gram)] += params.noise_var + GRAM_JITTER * params.shadow_var
     try:
         cho = scipy.linalg.cho_factor(gram, lower=True)
     except scipy.linalg.LinAlgError as exc:

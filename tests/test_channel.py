@@ -1,5 +1,8 @@
 """Radio environment model tests: pathloss, shadowing statistics, sampling."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -147,20 +150,16 @@ class TestGridPrior:
         want = np.array([[np.sqrt(np.sum((p - q) ** 2)) for q in b] for p in a])
         np.testing.assert_array_equal(oracles.pairwise_distances(a, b), want)
 
-    def test_factor_reproduces_jittered_covariance(self):
-        g = GridSpec(rows=4, cols=5, spacing=10.0)
-        prior = channel.grid_prior(g, 9.0, 50.0)
-        want = oracles.shadow_cov_matrix(spatial.grid_points(g), make_params())
-        np.testing.assert_array_equal(prior.cov, want)
-        want += channel.COV_JITTER * 9.0 * np.eye(g.num_points)
-        np.testing.assert_allclose(prior.factor @ prior.factor.T, want, rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(np.triu(prior.factor, 1), 0.0)
-        assert not prior.cov.flags.writeable and not prior.factor.flags.writeable
-
     def test_zero_prior_has_no_factor(self):
-        prior = channel.grid_prior(GridSpec(rows=2, cols=2, spacing=10.0), 0.0, 50.0)
-        assert prior.factor is None
+        # No shadowing: the covariance is zero and the ground truth builds no
+        # circulant square root.
+        g = GridSpec(rows=2, cols=2, spacing=10.0)
+        prior = channel.grid_prior(g, 0.0, 50.0)
         np.testing.assert_array_equal(prior.cov, 0.0)
+        channel.circulant_root.cache_clear()
+        p = make_params(transmitters=(Transmitter((5.0, 5.0, 10.0), 10.0),), shadow_var=0.0)
+        channel.sample_ground_truth(g, p, 0)
+        assert channel.circulant_root.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
         "rows, cols, spacing",
@@ -179,9 +178,8 @@ class TestGridPrior:
         # the same floats, so the two builds agree to the bit.
         g = GridSpec(rows=rows, cols=cols, spacing=spacing)
         prior = channel.grid_prior(g, 9.0, 50.0)
-        cov, factor = oracles.dense_grid_prior(g, 9.0, 50.0)
-        np.testing.assert_array_equal(prior.cov, cov)
-        np.testing.assert_array_equal(prior.factor, factor)
+        np.testing.assert_array_equal(prior.cov, oracles.dense_grid_prior(g, 9.0, 50.0))
+        assert prior.cov.flags.c_contiguous and not prior.cov.flags.writeable
         channel.grid_prior.cache_clear()
 
     @given(
@@ -197,13 +195,14 @@ class TestGridPrior:
         # round differently from offset times spacing, by a last bit.
         g = GridSpec(rows=rows, cols=cols, spacing=spacing, origin=(ox, oy))
         prior = channel.grid_prior(g, 9.0, 50.0)
-        cov, _ = oracles.dense_grid_prior(g, 9.0, 50.0)
+        cov = oracles.dense_grid_prior(g, 9.0, 50.0)
         np.testing.assert_array_equal(prior.cov, prior.cov.T)
         np.testing.assert_allclose(prior.cov, cov, rtol=1e-13, atol=0.0)
 
     def test_cold_build_holds_no_extra_dense_temporaries(self):
-        # The build keeps two N x N doubles, cov and the factor. The finite
-        # check reads the kernel table, so no N x N boolean joins them.
+        # The build holds one N x N double, cov, copied straight from windows
+        # of the kernel table; the finite check reads the table, so no N x N
+        # boolean or second copy joins it.
         g = GridSpec(rows=60, cols=50, spacing=10.0)
         n = g.num_points
         channel.grid_prior.cache_clear()
@@ -214,22 +213,29 @@ class TestGridPrior:
         finally:
             tracemalloc.stop()
             channel.grid_prior.cache_clear()
-        assert peak < 2.05 * n * n * 8, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 1.01 * n * n * 8, f"peak {peak / 2**20:.1f} MiB"
 
     def test_non_finite_prior_rejected(self):
-        # An infinite table, and a finite table whose jittered diagonal overflows.
+        # An infinite variance, and one within rounding of the largest float.
         g = GridSpec(rows=3, cols=4, spacing=10.0)
         for shadow_var in (np.inf, np.finfo(float).max):
             with pytest.raises(ValueError):
                 channel.grid_prior(g, shadow_var, 50.0)
 
-    def test_ground_truth_and_estimator_share_one_factorisation(self):
+    def test_ground_truth_builds_no_covariance(self):
+        # The ground truth reads only the circulant root; the estimator alone
+        # builds the dense covariance, once.
         from aerosurvey import estimator
 
         g = GridSpec(rows=5, cols=3, spacing=7.0)
         p = make_params(corr_distance=41.0)
         channel.grid_prior.cache_clear()
+        channel.circulant_root.cache_clear()
         channel.sample_ground_truth(g, p, 0)
+        channel.sample_ground_truth(g, p, 1)
+        assert channel.grid_prior.cache_info().currsize == 0
+        info = channel.circulant_root.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
         estimator.SurveyPosterior.from_grid(g, p)
         info = channel.grid_prior.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
@@ -241,7 +247,120 @@ class TestGridPrior:
         assert channel.grid_prior.cache_info().currsize <= 4
 
 
+TORUS_GRIDS = [
+    GridSpec(rows=10, cols=10, spacing=10.0),
+    GridSpec(rows=6, cols=5, spacing=10.0),
+    GridSpec(rows=3, cols=17, spacing=7.0),
+    GridSpec(rows=30, cols=25, spacing=10.0),
+    GridSpec(rows=1, cols=9, spacing=10.0),
+    GridSpec(rows=4, cols=1, spacing=10.0),
+    GridSpec(rows=2, cols=2, spacing=10.0),
+    GridSpec(rows=1, cols=1, spacing=10.0),
+]
+
+
+class TestCirculantRoot:
+    def test_torus_row_equals_kernel_table(self):
+        # Every offset between two grid points, read the short way round the
+        # torus, is the same float as in the dense covariance.
+        for g in TORUS_GRIDS:
+            root = channel.circulant_root(g, 50.0)
+            p, q = root.shape
+            row = channel._torus_kernel(root.shape, g.spacing, make_params())
+            cov = channel.grid_prior(g, 9.0, 50.0).cov.reshape(g.rows, g.cols, g.rows, g.cols)
+            for dr in range(1 - g.rows, g.rows):
+                for dc in range(1 - g.cols, g.cols):
+                    r0, c0 = max(0, -dr), max(0, -dc)
+                    assert row[dr % p, dc % q] == cov[r0, c0, r0 + dr, c0 + dc], (g, dr, dc)
+
+    def test_root_reproduces_torus_kernel(self):
+        for g in TORUS_GRIDS:
+            root = channel.circulant_root(g, 50.0)
+            row = channel._torus_kernel(root.shape, g.spacing, make_params())
+            assert not root.flags.writeable and np.all(root >= 0.0)
+            np.testing.assert_allclose(9.0 * np.fft.ifft2(root**2).real, row, rtol=0, atol=1e-12 * 9.0)
+
+    @pytest.mark.parametrize(
+        "rows, cols, corr, shape",
+        [
+            (30, 25, 50.0, (58, 48)),
+            (60, 50, 50.0, (118, 98)),
+            (10, 10, 50.0, (72, 72)),
+            (6, 5, 50.0, (80, 64)),
+            (1, 9, 1e6, (1, 16)),
+            (2, 2, 1e6, (2, 2)),
+            (1, 1, 50.0, (1, 1)),
+        ],
+    )
+    def test_smallest_valid_doubling_of_the_minimal_torus(self, rows, cols, corr, shape):
+        # Minimal on the default grids, padded 4x at 10 x 10 and 8x at 6 x 5;
+        # one-dimensional and 2 x 2 grids take any correlation length.
+        assert channel.circulant_root(GridSpec(rows=rows, cols=cols, spacing=10.0), corr).shape == shape
+
+    @pytest.mark.parametrize(
+        "grid, runs",
+        [
+            (GridSpec(rows=1, cols=9, spacing=10.0), 1000),
+            (GridSpec(rows=2, cols=2, spacing=10.0), 1000),
+            (GridSpec(rows=10, cols=10, spacing=10.0), 1000),
+            (GridSpec(rows=3, cols=17, spacing=7.0), 300),
+        ],
+        ids=["1x9", "2x2", "10x10", "3x17"],
+    )
+    def test_fields_match_the_covariance_within_three_standard_errors(self, grid, runs):
+        # Two transmitters per draw: their fields are the real and imaginary
+        # parts of one FFT, so each must have the grid covariance and the two
+        # must be uncorrelated. Checked in the style of acceptance 3, at 3
+        # standard errors, between the corner and itself, its neighbour along
+        # each axis and the far corner: the shortest and longest lags. (Over
+        # all 5050 entries of the 10 x 10 grid, exact draws exceed 3 standard
+        # errors somewhere for about half of all seeds.)
+        probes = sorted({0, min(1, grid.cols - 1), min(grid.cols, grid.num_points - 1), grid.num_points - 1})
+        txs = (Transmitter((1e6, 1e6, 10.0), 10.0), Transmitter((-1e6, 1e6, 10.0), 10.0))
+        p = make_params(transmitters=txs)
+        base = np.vstack([channel.grid_base_powers(grid, p, tx) for tx in txs])
+        rng = np.random.default_rng(3)
+        draws = np.empty((2, runs, grid.num_points))
+        for i in range(runs):
+            draws[:, i] = base - channel.sample_ground_truth(grid, p, rng).powers
+        cov = channel.grid_prior(grid, 9.0, 50.0).cov
+        expected = cov[0, probes]
+        var_products = cov[0, 0] * np.diag(cov)[probes]
+        se = np.sqrt((var_products + expected**2) / runs)
+        for k in range(2):
+            sample = draws[k, :, 0] @ draws[k][:, probes] / runs
+            worst = float(np.max(np.abs(sample - expected) / se))
+            assert worst < 3.0, f"field {k}: worst entry at {worst:.2f} standard errors"
+        cross = draws[0, :, 0] @ draws[1][:, probes] / runs
+        worst = float(np.max(np.abs(cross) / np.sqrt(var_products / runs)))
+        assert worst < 3.0, f"cross-covariance at {worst:.2f} standard errors"
+
+
 class TestSampleGroundTruth:
+    def test_draw_does_not_depend_on_blas_threads(self):
+        # The draw makes no BLAS call, so one and two OpenBLAS threads give
+        # the same bytes, on the default grid and on the 60 x 50 one.
+        script = (
+            "import hashlib\n"
+            "from aerosurvey import channel\n"
+            "from aerosurvey.spatial import GridSpec\n"
+            "for rows, cols in ((30, 25), (60, 50)):\n"
+            "    g = GridSpec(rows=rows, cols=cols, spacing=10.0, altitude=20.0)\n"
+            "    p = channel.ChannelParams(channel.draw_transmitters(g, 2, 10.0, 10.0, 5))\n"
+            "    powers = channel.sample_ground_truth(g, p, 7).powers\n"
+            "    print(hashlib.sha256(powers.tobytes()).hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(channel.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout.split())
+        assert len(outputs[0]) == 2 and outputs[0] == outputs[1]
+
     def test_noiseless_equals_base(self):
         g = GridSpec(rows=4, cols=4, spacing=10.0, altitude=20.0)
         tx = Transmitter((15.0, 15.0, 10.0), 10.0)
@@ -467,6 +586,16 @@ class TestChannelParamsValidation:
             make_params(fading_var=-0.1)
         with pytest.raises(ValueError):
             make_params(noise_var=-0.1)
+
+    def test_rejects_infinite_variances(self):
+        for name in ("shadow_var", "fading_var", "noise_var"):
+            with pytest.raises(ValueError, match=name):
+                make_params(**{name: np.inf})
+
+    def test_shadow_variance_needs_headroom_below_the_largest_float(self):
+        with pytest.raises(ValueError, match="shadow_var"):
+            make_params(shadow_var=np.finfo(float).max)
+        make_params(shadow_var=1e308)
 
     def test_rejects_bad_frequency_and_exponent(self):
         with pytest.raises(ValueError):

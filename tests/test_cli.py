@@ -389,6 +389,29 @@ class TestSurveyCommand:
         assert "squared link distances overflow" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_too_long_correlation_exits_one(self, tmp_path, capsys):
+        # Drawing this shadowing exactly would need a circulant torus of more
+        # than 2**24 points: rejected before any run starts.
+        cfg = write_config(tmp_path, {"rows": 6, "cols": 5, "corr_distance": 2000, "max_measurements": 3})
+        out = tmp_path / "o"
+        assert main(["survey", "--config", cfg, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "corr_distance 2000 m" in err and "spacing 10 m" in err
+        assert not out.exists()
+
+    def test_shadow_variance_at_the_float_limit_exits_one(self, tmp_path, capsys):
+        # The estimator's update would overflow; rejected before any run starts.
+        cfg = write_config(tmp_path, {"rows": 3, "cols": 3, "shadow_var": 1.7976931348623157e308})
+        out = tmp_path / "o"
+        assert main(["survey", "--config", cfg, "--out-dir", str(out)]) == 1
+        assert "shadow_var" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_too_long_correlation_without_shadowing_runs(self, tmp_path):
+        config = {"rows": 6, "cols": 5, "corr_distance": 2000, "shadow_var": 0, "max_measurements": 3}
+        cfg = write_config(tmp_path, config)
+        assert main(["survey", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
+
     def test_large_but_finite_link_distances_run(self, tmp_path):
         cfg = write_config(tmp_path, {"rows": 3, "cols": 3, "max_measurements": 3, "spacing": 1e150})
         assert main(["survey", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
