@@ -139,33 +139,55 @@ def _kernel_at_offsets(row_offsets, col_offsets, spacing: float, kernel: Channel
     return shadow_cov(np.sqrt((dy * dy)[:, None] + dx * dx), kernel)
 
 
-@dataclass(frozen=True)
 class GridPrior:
-    """Read-only shadowing covariance of the grid powers.
+    """Read-only shadowing covariance of the grid powers, kept as its kernel table.
 
-    ``cov`` is copied from a table of the kernel at every grid offset, so it is
-    exactly symmetric.
+    The kernel is stationary, so the N x N covariance is determined by
+    ``table``, the kernel at every grid offset: entry ``(R - 1 + dr, C - 1 + dc)``
+    for ``dr`` rows and ``dc`` columns apart on an R x C grid. Row ``(r, c)``
+    of the covariance is the (R, C) window of the table whose first entry is
+    ``(R - 1 - r, C - 1 - c)``. Indexing with grid indices
+    returns those rows, as indexing the dense array would; :meth:`dense`
+    builds the whole array. Both copy the same table entries, so they agree
+    to the bit and the covariance is exactly symmetric.
     """
 
-    cov: np.ndarray  # (N, N) dB^2
+    def __init__(self, table: np.ndarray, rows: int, cols: int) -> None:
+        self.table = table
+        self.shape = (rows * cols, rows * cols)
+        # windows[r, c] is row (r, c) of the covariance, as an (R, C) view.
+        self._windows = np.lib.stride_tricks.sliding_window_view(table, (rows, cols))[::-1, ::-1]
+        self._rows, self._cols = rows, cols
+
+    def __getitem__(self, index) -> np.ndarray:
+        """Rows ``index`` of the covariance: a new C-contiguous (len(index), N) array."""
+        index = np.asarray(index)
+        r, c = np.divmod(index, self._cols)
+        return self._windows[r, c].reshape(*index.shape, self.shape[1])
+
+    def diagonal(self) -> np.ndarray:
+        """The N prior variances: the kernel at offset zero, everywhere."""
+        return np.full(self.shape[0], self.table[self._rows - 1, self._cols - 1])
+
+    def dense(self) -> np.ndarray:
+        """The N x N covariance as a new, writable C-contiguous array."""
+        out = np.empty(self.shape)
+        out.reshape(self._windows.shape)[...] = self._windows
+        return out
 
 
 @functools.lru_cache(maxsize=4)
 def grid_prior(grid: GridSpec, shadow_var: float, corr_distance: float) -> GridPrior:
     """The grid prior for one kernel, from a cache of four.
 
-    Row ``(r, c)`` of ``cov`` is the (rows, cols) window centred on ``(r, c)``
-    of one table of the stationary kernel at every grid offset.
+    Only the (2R - 1) x (2C - 1) kernel table is built and cached, read-only;
+    no N x N array is.
     """
     kernel = ChannelParams((), shadow_var=shadow_var, corr_distance=corr_distance)
     rows, cols = grid.rows, grid.cols
     table = _kernel_at_offsets(*(np.abs(np.arange(1 - n, n)) for n in (rows, cols)), grid.spacing, kernel)
-    # windows[a, b] is table[a:a + rows, b:b + cols]; row (r, c) takes window
-    # (rows - 1 - r, cols - 1 - c). The reshape copies them into one array.
-    windows = np.lib.stride_tricks.sliding_window_view(table, (rows, cols))
-    cov = np.ascontiguousarray(windows[::-1, ::-1].reshape(grid.num_points, grid.num_points))
-    cov.flags.writeable = False
-    return GridPrior(cov=cov)
+    table.flags.writeable = False
+    return GridPrior(table, rows, cols)
 
 
 def _torus_kernel(shape: tuple[int, int], spacing: float, kernel: ChannelParams) -> np.ndarray:
@@ -213,7 +235,7 @@ def circulant_root(grid: GridSpec, corr_distance: float) -> np.ndarray:
 
 
 def _shadowing(grid: GridSpec, params: ChannelParams, gen: np.random.Generator) -> np.ndarray:
-    """One zero-mean shadowing field per transmitter, each with covariance ``grid_prior().cov``.
+    """One zero-mean shadowing field per transmitter, each with covariance ``grid_prior().dense()``.
 
     With ``z`` complex standard normal on the torus, ``fft2(root * z)`` has
     real and imaginary parts that are independent draws with the torus

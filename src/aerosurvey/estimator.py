@@ -14,15 +14,17 @@ covariance shared by all transmitters, and one mean per transmitter that
 moves by its own innovation.
 
 After r measurements that covariance is exactly ``Σ0 − UᵀU``, where ``Σ0`` is
-the prior (the cached, read-only shadowing covariance of
-:func:`aerosurvey.channel.grid_prior` plus fading on the diagonal) and row i
-of ``U`` is measurement i's gain column scaled by the square root of its
-innovation variance. The posterior keeps only ``U`` and the N variances, so a
-measurement costs O(N·r). Once ``U`` holds about half as many rows as the
-grid has points, the posterior re-bases: it folds ``UᵀU`` into an owned copy
-of the prior, which becomes the new ``Σ0``, and empties ``U``. Every
-measurement goes through the one low-rank update,
-:meth:`SurveyPosterior.condition`.
+the prior (the shadowing covariance of :func:`aerosurvey.channel.grid_prior`
+plus fading on the diagonal) and row i of ``U`` is measurement i's gain column
+scaled by the square root of its innovation variance. The shadowing kernel is
+stationary, so the shared prior is cached as a table of the kernel at every
+grid offset, (2R−1)·(2C−1) numbers, and a measurement reads the 16 prior rows
+it needs from that table. The posterior keeps only ``U`` and the N variances,
+so a measurement costs O(N·r) and no N x N array exists. Once ``U`` holds
+about half as many rows as the grid has points, the posterior re-bases: it
+folds ``UᵀU`` into an owned dense prior (built from the table the first
+time), which becomes the new ``Σ0``, and empties ``U``. Every measurement
+goes through the one low-rank update, :meth:`SurveyPosterior.condition`.
 
 Every measurement observes the grid through the simulator's own
 interpolation (:func:`aerosurvey.channel.interpolation_taps`): a fixed
@@ -41,11 +43,12 @@ import numpy as np
 from scipy.linalg.blas import dsyrk
 from scipy.special import ndtr
 
-from .channel import ChannelParams, grid_base_powers, grid_prior
+from .channel import ChannelParams, GridPrior, grid_base_powers, grid_prior
 from .spatial import GridSpec
 
 __all__ = [
     "VAR_FLOOR",
+    "RELATIVE_VAR_FLOOR",
     "SurveyPosterior",
     "fold_rank",
     "service_probability",
@@ -55,6 +58,11 @@ __all__ = [
 # measurements numerically well posed.
 VAR_FLOOR = 1e-9
 
+# The noise floor relative to the largest prior variance. Rounding in the
+# innovation variance grows with the prior's scale; below about 1000 dB^2 of
+# prior variance the absolute floor is the larger one.
+RELATIVE_VAR_FLOOR = 1e-12
+
 
 def fold_rank(num_points: int) -> int:
     """Rows of ``U`` after which :class:`SurveyPosterior` re-bases its prior.
@@ -63,9 +71,11 @@ def fold_rank(num_points: int) -> int:
     dense N², so re-basing at N/2 keeps it at half a dense copy or less. One
     measurement in N/2 pays the re-base, an N x N x r symmetric product (0.18 s
     at N = 3000 on a 2-vCPU VM, OpenBLAS 0.3.31); amortised, a step then costs
-    at most about one dense rank-one step. The first re-base copies the shared
-    prior while ``U`` is full, so a survey past N/2 measurements peaks at one
-    and a half dense copies; later re-bases run in place.
+    at most about one dense rank-one step. Up to N/2 measurements the prior is
+    read from its kernel table, so a survey holds ``U``, at most half a dense
+    copy. The first re-base builds the dense prior while ``U`` is full, so a
+    survey past N/2 measurements peaks at one and a half dense copies; later
+    re-bases run in place.
     """
     return max(1, num_points // 2)
 
@@ -77,15 +87,19 @@ class SurveyPosterior:
     the N posterior variances they share, clamped at zero after every
     measurement. The covariance is ``prior_cov``, plus ``fading_var`` on the
     diagonal, minus ``UᵀU`` with one row of ``U`` per measurement since the
-    last re-base. ``prior_cov`` starts as the read-only shared prior
-    (shadowing only). When ``U`` is full (:func:`fold_rank` rows), the next
-    measurement re-bases first: ``UᵀU`` is folded into an owned prior whose
-    diagonal takes ``var``, ``fading_var`` becomes 0 and ``U`` empties.
-    ``noise_var`` is the sensor noise variance, floored at :data:`VAR_FLOOR`,
-    and ``rank`` counts the measurements conditioned on.
+    last re-base. ``prior_cov`` starts as the shared prior (shadowing only):
+    the read-only :class:`aerosurvey.channel.GridPrior` of a grid, or any
+    symmetric N x N array, which is never written. Either way its rows are
+    read by indexing it with grid indices. When ``U`` is full
+    (:func:`fold_rank` rows), the next measurement re-bases first: ``UᵀU`` is
+    folded into an owned dense prior whose diagonal takes ``var``,
+    ``fading_var`` becomes 0 and ``U`` empties. ``noise_var`` is the sensor
+    noise variance, floored at the larger of :data:`VAR_FLOOR` and
+    :data:`RELATIVE_VAR_FLOOR` times the largest prior variance, and ``rank``
+    counts the measurements conditioned on.
     """
 
-    def __init__(self, prior_cov: np.ndarray, fading_var: float, means, noise_var: float) -> None:
+    def __init__(self, prior_cov: GridPrior | np.ndarray, fading_var: float, means, noise_var: float) -> None:
         means = np.array(means, dtype=float)
         if means.ndim != 2 or means.shape[0] < 1:
             raise ValueError("need a (K, N) array of prior means with at least one transmitter")
@@ -97,13 +111,16 @@ class SurveyPosterior:
         self.prior_cov = prior_cov
         self.fading_var = float(fading_var)
         self.means = means
-        self.noise_var = max(float(noise_var), VAR_FLOOR)
-        self.var = np.diagonal(prior_cov) + self.fading_var
+        self.var = prior_cov.diagonal() + self.fading_var
+        largest = float(self.var.max(initial=0.0))
+        self.noise_var = max(float(noise_var), VAR_FLOOR, RELATIVE_VAR_FLOOR * largest)
         self.rank = 0
         # Untouched rows cost address space only, not memory.
         self._u = np.empty((fold_rank(n), n))
         self._rows = 0
         self._owns_prior = False
+        # The prior rows of the latest taps, and those taps' index bytes.
+        self._block = self._block_key = None
 
     @classmethod
     def from_grid(cls, grid: GridSpec, params: ChannelParams) -> "SurveyPosterior":
@@ -111,8 +128,8 @@ class SurveyPosterior:
         if params.num_transmitters < 1:
             raise ValueError("need at least one transmitter")
         means = np.vstack([grid_base_powers(grid, params, tx) for tx in params.transmitters])
-        prior_cov = grid_prior(grid, params.shadow_var, params.corr_distance).cov
-        return cls(prior_cov, params.fading_var, means, params.noise_var)
+        prior = grid_prior(grid, params.shadow_var, params.corr_distance)
+        return cls(prior, params.fading_var, means, params.noise_var)
 
     def condition(self, taps, values: Sequence[float]) -> None:
         """Condition on one measurement; ``values[k]`` is transmitter ``k``'s value.
@@ -135,9 +152,14 @@ class SurveyPosterior:
             self._rebase()
             rows = 0
         # Column of the covariance through the taps; the covariance is
-        # symmetric, so its rows are read instead of its columns. The fading
-        # scatter and the U correction are skipped where they add exact zeros.
-        col = w @ self.prior_cov[index]
+        # symmetric, so its rows are read instead of its columns. Consecutive
+        # measurements often share their taps, and then reuse the rows read.
+        # The fading scatter and the U correction are skipped where they add
+        # exact zeros.
+        key = index.tobytes()
+        if key != self._block_key:
+            self._block, self._block_key = self.prior_cov[index], key
+        col = w @ self._block
         if self.fading_var:
             np.add.at(col, index, self.fading_var * w)
         if rows:
@@ -157,8 +179,10 @@ class SurveyPosterior:
     def _rebase(self) -> None:
         """Fold ``UᵀU`` into an owned prior and empty ``U``."""
         if not self._owns_prior:
-            self.prior_cov = np.array(self.prior_cov, dtype=float, order="C")
+            prior = self.prior_cov
+            self.prior_cov = prior.dense() if isinstance(prior, GridPrior) else np.array(prior, dtype=float, order="C")
             self._owns_prior = True
+        self._block = self._block_key = None
         cov, u = self.prior_cov, self._u[: self._rows]
         # cov -= UᵀU on the upper triangle (the lower one of the Fortran-order
         # view, which dsyrk overwrites), then mirrored: symmetric to the bit.

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import heapq
+import math
+from array import array
 from enum import Enum
 
 import numpy as np
@@ -62,29 +64,33 @@ def _dijkstra(grid: GridSpec, u: list[float], src: int, dst: int) -> list[int]:
         (dr, dc, dr * cols + dc, grid.spacing * float(np.hypot(dr, dc)) * 0.5)
         for dr, dc in _KING_MOVES
     ]
-    dist = {src: 0.0}
-    prev: dict[int, int] = {}
-    done: set[int] = set()
+    # Flat typed arrays hold one slot per grid point, so the search allocates
+    # only its heap entries, however far it explores.
+    n = rows * cols
+    dist = array("d", [math.inf]) * n
+    dist[src] = 0.0
+    prev = array("q", [0]) * n
+    done = bytearray(n)
     heap = [(0.0, src)]  # (cost, node): equal costs pop the lowest index first
     while True:  # king moves connect every grid point, so dst is always reached
         d, node = heapq.heappop(heap)
-        if node in done:
+        if done[node]:
             continue
         if node == dst:
             path = [dst]
             while path[-1] != src:
                 path.append(prev[path[-1]])
             return path[::-1]
-        done.add(node)
+        done[node] = 1
         r, c = divmod(node, cols)
         for dr, dc, step, half in moves:
             if not (0 <= r + dr < rows and 0 <= c + dc < cols):
                 continue
             nb = node + step
-            if nb in done:
+            if done[nb]:
                 continue
             nd = d + 1.0 / max(half * (u[node] + u[nb]), EDGE_FLOOR)
-            if nd < dist.get(nb, np.inf):
+            if nd < dist[nb]:
                 dist[nb] = nd
                 prev[nb] = node
                 heapq.heappush(heap, (nd, nb))

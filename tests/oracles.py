@@ -30,7 +30,7 @@ def shadow_cov_matrix(points, params: ChannelParams) -> np.ndarray:
 
 
 def dense_grid_prior(grid: GridSpec, shadow_var: float, corr_distance: float) -> np.ndarray:
-    """Dense reference for :func:`aerosurvey.channel.grid_prior`'s ``cov``.
+    """Dense reference for :meth:`aerosurvey.channel.GridPrior.dense`.
 
     The covariance comes from the pairwise distances of every grid point pair.
     """
@@ -50,7 +50,7 @@ def init_posterior(grid: GridSpec, params: ChannelParams, tx: int) -> PosteriorS
     """Dense prior over grid powers for transmitter ``tx`` before any measurement."""
     if not 0 <= tx < params.num_transmitters:
         raise IndexError(f"transmitter index {tx} out of range [0, {params.num_transmitters})")
-    cov = channel.grid_prior(grid, params.shadow_var, params.corr_distance).cov.copy()
+    cov = channel.grid_prior(grid, params.shadow_var, params.corr_distance).dense()
     cov[np.diag_indices_from(cov)] += params.fading_var
     mean = channel.grid_base_powers(grid, params, params.transmitters[tx])
     return PosteriorState(mean=mean, cov=cov)

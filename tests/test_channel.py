@@ -117,20 +117,20 @@ class TestBasePower:
 class TestCovarianceMatrix:
     def test_symmetric_and_factorizable(self):
         g = GridSpec(rows=5, cols=4, spacing=10.0)
-        cov = channel.grid_prior(g, 9.0, 50.0).cov
+        cov = channel.grid_prior(g, 9.0, 50.0).dense()
         np.testing.assert_array_equal(cov, cov.T)
         jittered = cov + 1e-9 * 9.0 * np.eye(cov.shape[0])
         np.linalg.cholesky(jittered)
 
     def test_diagonal_is_variance(self):
         g = GridSpec(rows=3, cols=3, spacing=10.0)
-        cov = channel.grid_prior(g, 9.0, 50.0).cov
+        cov = channel.grid_prior(g, 9.0, 50.0).dense()
         np.testing.assert_allclose(np.diag(cov), 9.0)
 
     def test_cross_cov_matches_matrix_at_grid_points(self):
         g = GridSpec(rows=3, cols=3, spacing=10.0)
         pts = spatial.grid_points(g)
-        cov = channel.grid_prior(g, 9.0, 50.0).cov
+        cov = channel.grid_prior(g, 9.0, 50.0).dense()
         cross = channel.shadow_cov(oracles.pairwise_distances(pts[4], pts), make_params())
         np.testing.assert_allclose(cross[0], cov[4])
 
@@ -155,7 +155,7 @@ class TestGridPrior:
         # circulant square root.
         g = GridSpec(rows=2, cols=2, spacing=10.0)
         prior = channel.grid_prior(g, 0.0, 50.0)
-        np.testing.assert_array_equal(prior.cov, 0.0)
+        np.testing.assert_array_equal(prior.dense(), 0.0)
         channel.circulant_root.cache_clear()
         p = make_params(transmitters=(Transmitter((5.0, 5.0, 10.0), 10.0),), shadow_var=0.0)
         channel.sample_ground_truth(g, p, 0)
@@ -175,11 +175,41 @@ class TestGridPrior:
     )
     def test_table_build_equals_dense_oracle(self, rows, cols, spacing):
         # Integer grid coordinates: table offsets and pairwise differences are
-        # the same floats, so the two builds agree to the bit.
+        # the same floats, so the two builds agree to the bit. The cache holds
+        # only the read-only table; each dense build is a new, owned array.
         g = GridSpec(rows=rows, cols=cols, spacing=spacing)
         prior = channel.grid_prior(g, 9.0, 50.0)
-        np.testing.assert_array_equal(prior.cov, oracles.dense_grid_prior(g, 9.0, 50.0))
-        assert prior.cov.flags.c_contiguous and not prior.cov.flags.writeable
+        assert prior.table.shape == (2 * rows - 1, 2 * cols - 1) and not prior.table.flags.writeable
+        cov = prior.dense()
+        np.testing.assert_array_equal(cov, oracles.dense_grid_prior(g, 9.0, 50.0))
+        np.testing.assert_array_equal(cov, cov.T)
+        assert cov.flags.c_contiguous and cov.flags.writeable and cov.flags.owndata
+        assert prior.dense() is not cov
+        np.testing.assert_array_equal(prior.diagonal(), np.diagonal(cov))
+        channel.grid_prior.cache_clear()
+
+    @pytest.mark.parametrize(
+        "rows, cols, spacing",
+        [(1, 1, 10.0), (1, 7, 10.0), (4, 1, 10.0), (2, 2, 10.0), (5, 3, 7.0), (10, 10, 10.0), (30, 25, 10.0)],
+    )
+    def test_row_blocks_equal_dense_oracle_rows(self, rows, cols, spacing):
+        # One point in every cell, the last row and column included, gives
+        # every tap block interpolation_taps can return; border blocks
+        # repeat indices.
+        g = GridSpec(rows=rows, cols=cols, spacing=spacing)
+        prior = channel.grid_prior(g, 9.0, 50.0)
+        cov = oracles.dense_grid_prior(g, 9.0, 50.0)
+        blocks = set()
+        for r in range(rows):
+            for c in range(cols):
+                point = (min(c + 0.5, cols - 1) * spacing, min(r + 0.5, rows - 1) * spacing)
+                index, _ = channel.interpolation_taps(g, point)
+                block = prior[index]
+                assert block.shape == (16, g.num_points) and block.flags.c_contiguous
+                np.testing.assert_array_equal(block, cov[index])
+                blocks.add(tuple(index))
+        assert len(blocks) == g.num_points
+        assert any(len(set(b)) < 16 for b in blocks)
         channel.grid_prior.cache_clear()
 
     @given(
@@ -194,26 +224,25 @@ class TestGridPrior:
         # Off-integer coordinates: pairwise differences of node coordinates may
         # round differently from offset times spacing, by a last bit.
         g = GridSpec(rows=rows, cols=cols, spacing=spacing, origin=(ox, oy))
-        prior = channel.grid_prior(g, 9.0, 50.0)
+        dense = channel.grid_prior(g, 9.0, 50.0).dense()
         cov = oracles.dense_grid_prior(g, 9.0, 50.0)
-        np.testing.assert_array_equal(prior.cov, prior.cov.T)
-        np.testing.assert_allclose(prior.cov, cov, rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(dense, dense.T)
+        np.testing.assert_allclose(dense, cov, rtol=1e-13, atol=0.0)
 
     def test_cold_build_holds_no_extra_dense_temporaries(self):
-        # The build holds one N x N double, cov, copied straight from windows
-        # of the kernel table; the finite check reads the table, so no N x N
-        # boolean or second copy joins it.
+        # The build holds the (2R - 1) x (2C - 1) kernel table and the
+        # temporaries of the kernel's arithmetic, each the table's size: no
+        # N x N array, 3000 times larger here.
         g = GridSpec(rows=60, cols=50, spacing=10.0)
-        n = g.num_points
         channel.grid_prior.cache_clear()
         tracemalloc.start()
         try:
-            channel.grid_prior(g, 9.0, 50.0)
+            table = channel.grid_prior(g, 9.0, 50.0).table
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
             channel.grid_prior.cache_clear()
-        assert peak < 1.01 * n * n * 8, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 4 * table.nbytes, f"peak {peak / 2**10:.1f} KiB"
 
     def test_non_finite_prior_rejected(self):
         # An infinite variance, and one within rounding of the largest float.
@@ -224,7 +253,7 @@ class TestGridPrior:
 
     def test_ground_truth_builds_no_covariance(self):
         # The ground truth reads only the circulant root; the estimator alone
-        # builds the dense covariance, once.
+        # builds the prior's kernel table, once.
         from aerosurvey import estimator
 
         g = GridSpec(rows=5, cols=3, spacing=7.0)
@@ -267,7 +296,7 @@ class TestCirculantRoot:
             root = channel.circulant_root(g, 50.0)
             p, q = root.shape
             row = channel._torus_kernel(root.shape, g.spacing, make_params())
-            cov = channel.grid_prior(g, 9.0, 50.0).cov.reshape(g.rows, g.cols, g.rows, g.cols)
+            cov = channel.grid_prior(g, 9.0, 50.0).dense().reshape(g.rows, g.cols, g.rows, g.cols)
             for dr in range(1 - g.rows, g.rows):
                 for dc in range(1 - g.cols, g.cols):
                     r0, c0 = max(0, -dr), max(0, -dc)
@@ -323,7 +352,7 @@ class TestCirculantRoot:
         draws = np.empty((2, runs, grid.num_points))
         for i in range(runs):
             draws[:, i] = base - channel.sample_ground_truth(grid, p, rng).powers
-        cov = channel.grid_prior(grid, 9.0, 50.0).cov
+        cov = channel.grid_prior(grid, 9.0, 50.0).dense()
         expected = cov[0, probes]
         var_products = cov[0, 0] * np.diag(cov)[probes]
         se = np.sqrt((var_products + expected**2) / runs)

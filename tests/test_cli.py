@@ -407,6 +407,15 @@ class TestSurveyCommand:
         assert "shadow_var" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_noise_free_survey_with_large_shadowing_exits_zero(self, tmp_path):
+        # The noise floor grows with the prior variance, so near-exact
+        # repeated observations keep a positive innovation variance.
+        cfg = write_config(tmp_path, {"shadow_var": 1e8, "rows": 3, "cols": 3, "max_measurements": 60})
+        out = tmp_path / "o"
+        assert main(["survey", "--config", cfg, "--out-dir", str(out)]) == 0
+        rows = (out / "metrics.csv").read_text().splitlines()
+        assert len(rows) == 62 and "nan" not in "".join(rows[1:]).lower()
+
     def test_too_long_correlation_without_shadowing_runs(self, tmp_path):
         config = {"rows": 6, "cols": 5, "corr_distance": 2000, "shadow_var": 0, "max_measurements": 3}
         cfg = write_config(tmp_path, config)

@@ -8,6 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from aerosurvey import channel, estimator, spatial
 from aerosurvey.channel import ChannelParams, Transmitter
+from aerosurvey.harness import SurveyConfig, run_survey
+from aerosurvey.planner import PlannerKind
 from aerosurvey.spatial import GridSpec
 import oracles
 from oracles import PosteriorState, batch_posterior, init_posterior, online_update
@@ -67,7 +69,8 @@ class TestInitPosterior:
 
 def noise_floor(params):
     """The observation noise variance the survey posterior uses."""
-    return max(params.noise_var, estimator.VAR_FLOOR)
+    largest = params.shadow_var + params.fading_var
+    return max(params.noise_var, estimator.VAR_FLOOR, estimator.RELATIVE_VAR_FLOOR * largest)
 
 
 def forms(grid, params):
@@ -130,6 +133,31 @@ class TestObservationCoefficients:
         post = estimator.SurveyPosterior(prior.cov, 0.0, prior.mean[None], 0.0)
         assert post.noise_var >= estimator.VAR_FLOOR
 
+    def test_noise_floor_scales_with_a_large_prior(self):
+        # At the default 9 dB^2 the absolute floor holds; past 1000 dB^2 of
+        # prior variance the floor is relative to it.
+        g = small_grid()
+        for shadow_var, fading_var, want in ((9.0, 0.0, 1e-9), (1e3, 0.0, 1e-9), (1e8, 0.0, 1e-4), (1e8, 1e8, 2e-4)):
+            p = make_params(noise_var=0.0, shadow_var=shadow_var, fading_var=fading_var)
+            assert estimator.SurveyPosterior.from_grid(g, p).noise_var == pytest.approx(want, rel=1e-12)
+        p = make_params(noise_var=0.5, shadow_var=1e8)
+        assert estimator.SurveyPosterior.from_grid(g, p).noise_var == 0.5
+
+    @pytest.mark.parametrize("planner", ["min_cost", "random"])
+    def test_noise_free_surveys_finish_at_any_shadowing_scale(self, planner):
+        # Near-exact repeated observations round the innovation variance
+        # below zero when the floor is small against the prior variance.
+        g = GridSpec(rows=3, cols=3, spacing=10.0, altitude=20.0)
+        for exponent in (6, 8, 10, 50, 100, 200, 300):
+            for seed in range(3):
+                params = ChannelParams(transmitters=(), shadow_var=10.0**exponent, noise_var=0.0)
+                cfg = SurveyConfig(grid=g, channel=params, planner=PlannerKind(planner), max_measurements=60, seed=seed)
+                rec = run_survey(cfg)
+                assert len(rec.measurements) == 61
+                rows = [(m.total_unc_power, m.total_unc_service, m.service_error_rate) for m in rec.metrics]
+                assert np.isfinite(rows).all(), (exponent, seed)
+                assert np.isfinite(rec.posterior.means).all() and np.isfinite(rec.posterior.var).all()
+
 
 class TestConditionInPlace:
     def two_tx(self):
@@ -162,21 +190,25 @@ class TestConditionInPlace:
             (off_grid, [-50.0]),
         ]
         # Fresh, then with U full before and after a re-base: a rejected
-        # call does not re-base either.
+        # call does not re-base either. The prior is read whole through its
+        # rows: from the kernel table before the first re-base, from the
+        # owned array after it.
         post = estimator.SurveyPosterior.from_grid(g, p)
         fold = estimator.fold_rank(g.num_points)
+        every = np.arange(g.num_points)
         for steps in (0, fold, fold):
             for _ in range(steps):
                 post.condition(off_grid, [-50.0, -55.0])
             means, var, rank = post.means.copy(), post.var.copy(), post.rank
-            prior_cov, fading_var = post.prior_cov.copy(), post.fading_var
+            prior, prior_cov, fading_var = post.prior_cov, post.prior_cov[every], post.fading_var
             for taps, values in bad_calls:
                 with pytest.raises(ValueError):
                     post.condition(taps, values)
             np.testing.assert_array_equal(post.means, means)
             np.testing.assert_array_equal(post.var, var)
             assert post.rank == rank
-            np.testing.assert_array_equal(post.prior_cov, prior_cov)
+            assert post.prior_cov is prior
+            np.testing.assert_array_equal(post.prior_cov[every], prior_cov)
             assert post.fading_var == fading_var
 
     def test_rejects_malformed_priors(self):
@@ -227,7 +259,7 @@ class TestSurveyPosterior:
         )
         for noise_var, fading_var, counts in cases:
             p = self.two_tx(noise_var=noise_var, fading_var=fading_var)
-            shared = channel.grid_prior(g, p.shadow_var, p.corr_distance).cov
+            shared = channel.grid_prior(g, p.shadow_var, p.corr_distance)
             for count in counts:
                 post = estimator.SurveyPosterior.from_grid(g, p)
                 dense = [init_posterior(g, p, k) for k in range(2)]
@@ -269,11 +301,45 @@ class TestSurveyPosterior:
             assert np.all(post.var >= 0.0)
         assert post.rank > estimator.fold_rank(g.num_points)
 
+    def test_row_cache_follows_the_taps_and_the_re_base(self, monkeypatch):
+        # Taps A, B, A, A: three gathers from the kernel table, each the
+        # prior's rows at those taps. After a re-base the rows come from the
+        # owned dense prior, whatever the last taps were.
+        g, p = small_grid(rows=6, cols=6), self.two_tx(fading_var=1.5)
+        post = estimator.SurveyPosterior.from_grid(g, p)
+        prior = post.prior_cov
+        dense = prior.dense()
+        a = channel.interpolation_taps(g, (7.0, 3.0))
+        b = channel.interpolation_taps(g, (31.0, 44.0))
+        gathers = []
+        real = channel.GridPrior.__getitem__
+
+        def counted(self, index):
+            gathers.append(tuple(index))
+            return real(self, index)
+
+        monkeypatch.setattr(channel.GridPrior, "__getitem__", counted)
+        for taps, count in ((a, 1), (b, 2), (a, 3), (a, 3)):
+            post.condition(taps, [-50.0, -55.0])
+            assert len(gathers) == count
+            np.testing.assert_array_equal(post._block, dense[taps[0]])
+        assert gathers == [tuple(a[0]), tuple(b[0]), tuple(a[0])]
+        while post.rank < estimator.fold_rank(g.num_points):
+            post.condition(a, [-50.0, -55.0])
+        assert post.prior_cov is prior
+        post.condition(a, [-50.0, -55.0])
+        assert isinstance(post.prior_cov, np.ndarray) and len(gathers) == 3
+        rebased = post.prior_cov.copy()
+        assert not np.array_equal(rebased[a[0]], dense[a[0]])
+        np.testing.assert_array_equal(post._block, rebased[a[0]])
+        post.condition(b, [-50.0, -55.0])
+        np.testing.assert_array_equal(post._block, rebased[b[0]])
+
     def test_shares_the_cached_prior(self):
         g, p = small_grid(), self.two_tx(fading_var=2.0)
         a, b = estimator.SurveyPosterior.from_grid(g, p), estimator.SurveyPosterior.from_grid(g, p)
         assert a.prior_cov is b.prior_cov
-        assert a.prior_cov is channel.grid_prior(g, p.shadow_var, p.corr_distance).cov
+        assert a.prior_cov is channel.grid_prior(g, p.shadow_var, p.corr_distance)
         a.condition(channel.interpolation_taps(g, (7.0, 3.0)), [-50.0, -55.0])
         np.testing.assert_array_equal(b.var, 11.0)
         np.testing.assert_array_equal(b.means, np.vstack([init_posterior(g, p, k).mean for k in range(2)]))
@@ -323,7 +389,8 @@ class TestOnlineUpdate:
                 point = pts[rng.integers(0, g.num_points)]
                 post.condition(channel.interpolation_taps(g, point), [float(rng.normal(-60, 3))])
                 assert np.min(post.var) >= 0.0
-                assert np.array_equal(post.prior_cov, post.prior_cov.T)
+                prior_cov = post.prior_cov[np.arange(g.num_points)]
+                assert np.array_equal(prior_cov, prior_cov.T)
             cov = post.covariance()
             assert np.max(np.abs(cov - cov.T)) < 1e-12
             assert np.min(np.diag(cov)) >= 0.0

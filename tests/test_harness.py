@@ -155,7 +155,7 @@ class TestRunSurvey:
             cfg = make_config(planner=kind, seed=7, noise_var=0.25, max_measurements=30)
             rec = run_survey(cfg)
             shared = channel.grid_prior(cfg.grid, cfg.channel.shadow_var, cfg.channel.corr_distance)
-            assert rec.posterior.prior_cov is shared.cov
+            assert rec.posterior.prior_cov is shared
             assert rec.posterior.means.shape == (2, cfg.grid.num_points)
             cov = rec.posterior.covariance()
             noise_var = max(rec.params.noise_var, estimator.VAR_FLOOR)
@@ -317,35 +317,39 @@ class TestRunSurvey:
             assert len(calls) == len(rec.measurements), kind
 
     def test_large_survey_allocates_no_dense_covariance(self):
-        # 20 measurements on a 60 x 50 grid stay far below the re-base, so the
-        # only N x N array is the cached prior.
+        # 20 measurements on a 60 x 50 grid stay far below the re-base, and
+        # the prior is read from its kernel table, so the survey, the prior's
+        # cold build included, holds no N x N array: U's reserved N/2 rows
+        # are the largest allocation.
         cfg = make_config(rows=60, cols=50, max_measurements=19)
         n = cfg.grid.num_points
+        channel.grid_prior.cache_clear()
         try:
-            prior = channel.grid_prior(cfg.grid, cfg.channel.shadow_var, cfg.channel.corr_distance)
             tracemalloc.start()
             rec = run_survey(cfg)
             _, peak = tracemalloc.get_traced_memory()
             post = rec.posterior
             assert len(rec.measurements) == 20 and post.rank == 20
-            assert post.prior_cov is prior.cov
-            held = [v for k, v in vars(post).items() if isinstance(v, np.ndarray) and k != "prior_cov"]
+            assert post.prior_cov is channel.grid_prior(cfg.grid, cfg.channel.shadow_var, cfg.channel.corr_distance)
+            assert post.prior_cov.table.size < n * n
+            held = [v for v in vars(post).values() if isinstance(v, np.ndarray)]
             assert all(a.size < n * n for a in held), [a.shape for a in held]
-            assert peak < n * n * 8, f"peak {peak / 2**20:.0f} MiB"
+            assert peak < 0.6 * n * n * 8, f"peak {peak / 2**20:.0f} MiB"
         finally:
             tracemalloc.stop()
             channel.grid_prior.cache_clear()
 
     def test_rebasing_survey_peaks_at_one_fold(self):
         # 901 measurements on a 30 x 30 grid re-base the posterior twice. The
-        # first re-base copies the shared prior while U is full; later ones
-        # run in place. So the peak is U plus one N x N array, plus the
-        # survey's record, fields and temporaries: well under the quarter of
-        # a dense copy allowed here, which one N x N temporary would exceed.
+        # first re-base builds the dense prior from the kernel table while U
+        # is full; later ones run in place. So the peak, the prior's cold
+        # build included, is U plus one N x N array, plus the survey's
+        # record, fields and temporaries: well under the quarter of a dense
+        # copy allowed here, which one N x N temporary would exceed.
         cfg = make_config(rows=30, cols=30, max_measurements=900)
         n = cfg.grid.num_points
+        channel.grid_prior.cache_clear()
         try:
-            channel.grid_prior(cfg.grid, cfg.channel.shadow_var, cfg.channel.corr_distance)
             tracemalloc.start()
             rec = run_survey(cfg)
             _, peak = tracemalloc.get_traced_memory()
