@@ -158,12 +158,14 @@ class GridPrior:
         # windows[r, c] is row (r, c) of the covariance, as an (R, C) view.
         self._windows = np.lib.stride_tricks.sliding_window_view(table, (rows, cols))[::-1, ::-1]
         self._rows, self._cols = rows, cols
+        # Every node's grid row and column, looked up instead of divided out per read.
+        self._node_rows, self._node_cols = np.divmod(np.arange(rows * cols), cols)
 
     def __getitem__(self, index) -> np.ndarray:
         """Rows ``index`` of the covariance: a new C-contiguous (len(index), N) array."""
         index = np.asarray(index)
-        r, c = np.divmod(index, self._cols)
-        return self._windows[r, c].reshape(*index.shape, self.shape[1])
+        rows = self._windows[self._node_rows[index], self._node_cols[index]]
+        return rows.reshape(*index.shape, self.shape[1])
 
     def diagonal(self) -> np.ndarray:
         """The N prior variances: the kernel at offset zero, everywhere."""

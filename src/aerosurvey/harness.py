@@ -20,15 +20,32 @@ from . import channel, estimator, planner, spatial
 from . import uncertainty as unc
 
 __all__ = [
+    "MAX_IDLE_EPISODES",
     "SurveyConfig",
     "MetricsRow",
     "Snapshot",
     "SurveyRecord",
     "MonteCarloResult",
     "service_error_rate",
+    "service_uncertainty_field",
     "run_survey",
     "monte_carlo",
 ]
+
+# A survey fails once its planner has flown this many episodes in a row
+# without taking a measurement. Every episode of a grid or spiral sweep flies
+# the whole sweep, so a sweep config whose spacing exceeds this many sweep
+# lengths is rejected up front instead.
+MAX_IDLE_EPISODES = 10_000
+
+
+def _sweep_route(grid: spatial.GridSpec, kind: planner.PlannerKind) -> list[spatial.Waypoint] | None:
+    """The fixed route every episode of a grid or spiral sweep flies; None for other planners."""
+    if kind is planner.PlannerKind.GRID:
+        return planner.grid_route(grid)
+    if kind is planner.PlannerKind.SPIRAL:
+        return planner.spiral_route(grid)
+    return None
 
 
 @dataclass(frozen=True)
@@ -87,6 +104,14 @@ class SurveyConfig:
             names = [k.value for k in planner.PlannerKind]
             raise ValueError(f"unknown planner: {self.planner!r}; expected one of {names}") from None
         object.__setattr__(self, "planner", kind)
+        sweep = _sweep_route(self.grid, kind)
+        if sweep is not None and self.grid.num_points > 1 and self.max_measurements > 0:
+            length = float(np.hypot(*np.diff(spatial.as_coords(sweep), axis=0).T).sum())
+            if self.measurement_spacing > MAX_IDLE_EPISODES * length:
+                raise ValueError(
+                    f"measurement_spacing {self.measurement_spacing:g} m exceeds {MAX_IDLE_EPISODES} "
+                    f"times the {kind.value} sweep's {length:g} m route: the survey would never measure"
+                )
         for tx in self.channel.transmitters:
             channel.grid_base_powers(self.grid, self.channel, tx)  # raises if one sits on a grid point
         if self.channel.shadow_var > 0:
@@ -136,19 +161,48 @@ class SurveyRecord:
     snapshots: dict[int, Snapshot] = field(default_factory=dict)
 
 
-def service_error_rate(probabilities, served) -> float:
+def service_error_rate(means, served, r_min: float) -> float:
     """Fraction of grid points whose thresholded service estimate disagrees with truth.
 
-    ``served`` is the true service mask, one boolean per grid point. With
-    several transmitters a point counts as served when any transmitter
-    serves it, on both the estimated map (probability >= 1/2) and the true map.
+    ``means`` holds one row of N posterior means per transmitter (or one
+    transmitter's N means) and ``served`` is the true service mask, one
+    boolean per grid point. A point counts as served when any transmitter
+    serves it: on the estimated map when its posterior mean clears
+    ``r_min`` (a service probability of at least 1/2 at any variance, up to
+    the rounding of the normal CDF within about 1e-16 of the threshold), and
+    on the true map when its true power does.
     """
-    p = np.atleast_2d(np.asarray(probabilities, dtype=float))
+    m = np.atleast_2d(np.asarray(means, dtype=float))
     truth = np.asarray(served, dtype=bool)
-    if p.shape[1] != truth.shape[0]:
-        raise ValueError("probability vector length does not match the grid")
-    wrong = (p >= 0.5).any(axis=0) != truth
+    if m.shape[1] != truth.shape[0]:
+        raise ValueError("mean vector length does not match the grid")
+    wrong = (m >= r_min).any(axis=0) != truth
     return float(np.count_nonzero(wrong) / wrong.size)
+
+
+def service_uncertainty_field(means, var, r_min: float, aggregation: str) -> np.ndarray:
+    """Service uncertainty per grid point, aggregated over transmitters.
+
+    ``means`` is the (K, N) stack of posterior means and ``var`` the N
+    variances they share. Under ``mean`` aggregation the K per-transmitter
+    entropies are averaged. Under ``max`` only one transmitter per point is
+    evaluated: with a shared variance, a point's entropy is even in
+    ``mean - r_min`` and falls as it moves away from zero, so the largest is
+    that of the mean nearest ``r_min`` (the first such transmitter on ties).
+    """
+    means = np.atleast_2d(np.asarray(means, dtype=float))
+    if aggregation != "max":
+        probs = estimator.service_probability(means, var, r_min)
+        return unc.aggregate(unc.service_uncertainty(probs), aggregation)
+    # A running argmin over the K rows: argmin(axis=0) across the rows of a
+    # C-order array costs several times as much.
+    dist = np.abs(means - r_min)
+    nearest, best = means[0], dist[0]
+    for row, d in zip(means[1:], dist[1:]):
+        closer = d < best
+        nearest = np.where(closer, row, nearest)
+        best = np.minimum(d, best)
+    return unc.service_uncertainty(estimator.service_probability(nearest, var, r_min))
 
 
 def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRecord:
@@ -183,18 +237,17 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
     )
 
     def fields():
-        """Service probabilities (K, N) and the power and service uncertainty fields (N,)."""
-        probs = estimator.service_probability(posterior.means, posterior.var, config.r_min)
+        """The power and service uncertainty fields (N,) of the current posterior."""
         power_unc = unc.power_uncertainty(posterior.var, params)
-        service_unc = unc.aggregate(unc.service_uncertainty(probs), config.aggregation)
-        return probs, power_unc, service_unc
+        service_unc = service_uncertainty_field(posterior.means, posterior.var, config.r_min, config.aggregation)
+        return power_unc, service_unc
 
     def capture(t: int) -> None:
-        probs, power_unc, service_unc = fields()
+        power_unc, service_unc = fields()
         record.snapshots[t] = Snapshot(
             t=t,
             posterior_means=posterior.means.copy(),
-            service_prob=probs,
+            service_prob=estimator.service_probability(posterior.means, posterior.var, config.r_min),
             power_unc=power_unc,
             service_unc=service_unc,
         )
@@ -209,7 +262,7 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
         taps = channel.interpolation_taps(grid, point)
         m = channel.take_measurement(gt, point, params, rng, taps=taps)
         posterior.condition(taps, m.rss)
-        probs, power_unc, service_unc = fields()
+        power_unc, service_unc = fields()
         target_unc = power_unc if config.target == "power" else service_unc
         power_total = unc.total_uncertainty(power_unc)
         service_total = unc.total_uncertainty(service_unc)
@@ -221,7 +274,7 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
                 meters=meters,
                 total_unc_power=power_total,
                 total_unc_service=service_total,
-                service_error_rate=service_error_rate(probs, served),
+                service_error_rate=service_error_rate(posterior.means, served, config.r_min),
             )
         )
         if t >= config.max_measurements:
@@ -243,13 +296,7 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
             stop = measure_at(pos, t, 0.0)
         return record
 
-    sweep: list[spatial.Waypoint] | None = None
-    if config.planner in (planner.PlannerKind.GRID, planner.PlannerKind.SPIRAL):
-        sweep = (
-            planner.grid_route(grid)
-            if config.planner is planner.PlannerKind.GRID
-            else planner.spiral_route(grid)
-        )
+    sweep = _sweep_route(grid, config.planner)
 
     def plan_episode() -> list[spatial.Waypoint]:
         here = spatial.Waypoint(float(pos[0]), float(pos[1]))
@@ -286,8 +333,8 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
         if stop:
             break
         idle = idle + 1 if t == t_start else 0
-        if idle > 10_000:
-            raise RuntimeError("no measurement in 10000 consecutive planner episodes")
+        if idle > MAX_IDLE_EPISODES:
+            raise RuntimeError(f"no measurement in {MAX_IDLE_EPISODES} consecutive planner episodes")
         pos = coords[-1]
 
     return record

@@ -279,11 +279,15 @@ def total_uncertainty(field) -> float:
     return float(vals.mean())
 
 
-def service_error_rate(probabilities, served) -> float:
-    """Readable reference for :func:`aerosurvey.harness.service_error_rate`."""
-    p = np.atleast_2d(np.asarray(probabilities, dtype=float))
+def service_error_rate(means, served, r_min: float) -> float:
+    """Readable reference for :func:`aerosurvey.harness.service_error_rate`.
+
+    A point is estimated served when some transmitter's posterior mean clears
+    ``r_min``.
+    """
+    m = np.atleast_2d(np.asarray(means, dtype=float))
     truth = np.asarray(served, dtype=bool)
-    if p.shape[1] != truth.shape[0]:
-        raise ValueError("probability vector length does not match the grid")
-    estimated = np.any(p >= 0.5, axis=0)
+    if m.shape[1] != truth.shape[0]:
+        raise ValueError("mean vector length does not match the grid")
+    estimated = np.any(m >= r_min, axis=0)
     return float(np.mean(estimated != truth))

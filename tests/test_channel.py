@@ -212,6 +212,18 @@ class TestGridPrior:
         assert any(len(set(b)) < 16 for b in blocks)
         channel.grid_prior.cache_clear()
 
+    def test_rows_at_any_index_array_equal_dense_rows(self):
+        # Node rows and columns are looked up per index, negative ones and
+        # index arrays of any shape included, as indexing the dense array does.
+        g = GridSpec(rows=5, cols=3, spacing=7.0)
+        prior = channel.grid_prior(g, 9.0, 50.0)
+        cov = oracles.dense_grid_prior(g, 9.0, 50.0)
+        for index in (np.arange(15)[::-1], np.array([[0, 14], [7, 7]]), np.array([-1, -15, 2]), np.array(4)):
+            np.testing.assert_array_equal(prior[index], cov[index])
+        with pytest.raises(IndexError):
+            prior[np.array([15])]
+        channel.grid_prior.cache_clear()
+
     @given(
         rows=st.integers(1, 8),
         cols=st.integers(1, 8),

@@ -332,12 +332,13 @@ class TestSurveyCommand:
         assert not os.path.exists(tmp_path / "o")
 
     def test_run_that_never_measures_exits_two(self, tmp_path):
-        # The grid sweep moves every episode, but a spacing longer than any
-        # flight never yields a sample: the idle-episode guard ends the run.
-        # In a subprocess, so that a regression times out instead of hanging.
+        # Min-cost routes are planned per episode, so their length is not
+        # known up front: a spacing longer than any flight never yields a
+        # sample, and the idle-episode guard ends the run. In a subprocess,
+        # so that a regression times out instead of hanging.
         cfg = write_config(
             tmp_path,
-            {"rows": 4, "cols": 4, "measurement_spacing": 1e12, "max_measurements": 1, "planner": "grid"},
+            {"rows": 4, "cols": 4, "measurement_spacing": 1e12, "max_measurements": 1, "planner": "min_cost"},
         )
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aerosurvey.__file__)))
         argv = [sys.executable, "-m", "aerosurvey.cli", "survey", "--config", cfg]
@@ -350,6 +351,19 @@ class TestSurveyCommand:
         )
         assert proc.returncode == 2
         assert "no measurement in 10000 consecutive planner episodes" in proc.stderr
+
+    @pytest.mark.parametrize("planner", ["grid", "spiral"])
+    def test_sweep_that_never_measures_exits_one(self, tmp_path, capsys, planner):
+        # A sweep flies its fixed route every episode, so a spacing beyond the
+        # idle guard's reach is rejected before the survey flies.
+        cfg = write_config(
+            tmp_path,
+            {"rows": 4, "cols": 4, "measurement_spacing": 1e12, "max_measurements": 1, "planner": planner},
+        )
+        code = main(["survey", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert "measurement_spacing" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
 
     def test_min_cost_on_line_grid_runs(self, tmp_path):
         for rows, cols in ((1, 10), (10, 1)):

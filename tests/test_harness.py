@@ -46,45 +46,90 @@ def make_config(**kw):
     return SurveyConfig(**defaults)
 
 
+# Means on a quarter-dB lattice around -65 dBm hit the threshold exactly and
+# tie in |mean - r_min|, between transmitters and across the threshold; the
+# wide floats reach the saturated tails of the normal CDF.
+_lattice_means = st.one_of(st.integers(-80, 80).map(lambda i: -65.0 + i / 4), st.floats(-200.0, 80.0))
+
+
 class TestServiceErrorRate:
     def _served(self, powers, r_min=-65.0):
         """True service mask: any transmitter clears the threshold."""
         return np.any(powers >= r_min, axis=0)
 
     def test_perfect_estimate_gives_zero(self):
-        served = self._served(np.array([[-60.0, -70.0, -50.0, -80.0]]))
-        probs = np.array([[1.0, 0.0, 1.0, 0.0]])
-        assert service_error_rate(probs, served) == 0.0
+        powers = np.array([[-60.0, -70.0, -50.0, -80.0]])
+        assert service_error_rate(powers, self._served(powers), -65.0) == 0.0
 
     def test_inverted_estimate_gives_one(self):
         served = self._served(np.array([[-60.0, -70.0, -50.0, -80.0]]))
-        probs = np.array([[0.0, 1.0, 0.0, 1.0]])
-        assert service_error_rate(probs, served) == 1.0
+        means = np.array([[-70.0, -60.0, -80.0, -50.0]])
+        assert service_error_rate(means, served, -65.0) == 1.0
 
     def test_half_wrong(self):
         served = self._served(np.array([[-60.0, -70.0, -50.0, -80.0]]))
-        probs = np.array([[1.0, 0.0, 0.0, 1.0]])
-        assert service_error_rate(probs, served) == 0.5
+        means = np.array([[-60.0, -80.0, -70.0, -50.0]])
+        assert service_error_rate(means, served, -65.0) == 0.5
         with pytest.raises(ValueError, match="length"):
-            service_error_rate(probs[:, :3], served)
+            service_error_rate(means[:, :3], served, -65.0)
 
     def test_any_transmitter_serves(self):
         served = self._served(np.array([[-80.0, -80.0], [-50.0, -80.0]]))
-        probs = np.array([[0.0, 0.0], [1.0, 0.0]])
-        assert service_error_rate(probs, served) == 0.0
+        means = np.array([[-90.0, -70.0], [-55.0, -75.0]])
+        assert service_error_rate(means, served, -65.0) == 0.0
 
     @given(
-        probs=arrays(
-            float,
-            st.tuples(st.integers(1, 3), st.just(40)),
-            elements=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
-        ),
+        means=arrays(float, st.tuples(st.integers(1, 3), st.just(40)), elements=_lattice_means),
+        var=arrays(float, 40, elements=st.one_of(st.just(0.0), st.floats(1e-12, 400.0))),
         served=arrays(bool, 40),
     )
-    def test_matches_oracle(self, probs, served):
-        for p in (probs, probs[0]):
-            got = service_error_rate(p, served)
-            assert type(got) is float and got == oracles.service_error_rate(p, served)
+    def test_matches_oracle(self, means, var, served):
+        # The threshold rule exactly; and the probability rule (p >= 1/2 on the
+        # posterior) away from 0 < |z| < 1e-15, where the normal CDF rounds to 1/2.
+        for m in (means, means[0]):
+            got = service_error_rate(m, served, -65.0)
+            assert type(got) is float and got == oracles.service_error_rate(m, served, -65.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.abs(means + 65.0) / np.sqrt(var)
+        clear = ~((z > 0) & (z < 1e-15)).any(axis=0)
+        by_prob = np.any(oracles.service_probability(means, var, -65.0) >= 0.5, axis=0)
+        np.testing.assert_array_equal(by_prob[clear], np.any(means >= -65.0, axis=0)[clear])
+
+
+class TestServiceUncertaintyField:
+    @given(
+        means=arrays(float, st.tuples(st.integers(1, 3), st.just(30)), elements=_lattice_means),
+        var=arrays(float, 30, elements=st.one_of(st.just(0.0), st.floats(1e-6, 400.0))),
+        aggregation=st.sampled_from(["max", "mean"]),
+    )
+    def test_matches_per_transmitter_oracle(self, means, var, aggregation):
+        # The oracle evaluates every transmitter; the slack covers the
+        # rounding of 1 - p where the CDF saturates toward 1.
+        got = harness.service_uncertainty_field(means, var, -65.0, aggregation)
+        per_tx = oracles.service_uncertainty(oracles.service_probability(means, var, -65.0))
+        want = per_tx.max(axis=0) if aggregation == "max" else per_tx.mean(axis=0)
+        assert got.shape == (30,) and not np.signbit(got).any()
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_max_evaluates_the_mean_nearest_the_threshold(self, monkeypatch):
+        # Ties in |mean - r_min| go to the first transmitter; zero variance
+        # gives the indicator of the chosen mean, whose entropy is 0.
+        seen = []
+        real = estimator.service_probability
+
+        def spy(mean, var, r_min):
+            seen.append(np.array(mean))
+            return real(mean, var, r_min)
+
+        monkeypatch.setattr(estimator, "service_probability", spy)
+        means = np.array([[-60.0, -70.0, -66.0, -64.0], [-66.0, -60.0, -64.0, -90.0]])
+        field = harness.service_uncertainty_field(means, np.array([4.0, 4.0, 0.0, 1.0]), -65.0, "max")
+        np.testing.assert_array_equal(seen[0], [-66.0, -70.0, -66.0, -64.0])
+        assert len(seen) == 1 and field[2] == 0.0
+
+    def test_rejects_unknown_aggregation(self):
+        with pytest.raises(ValueError, match="median"):
+            harness.service_uncertainty_field(np.zeros((2, 3)), np.ones(3), -65.0, "median")
 
 
 class TestRunSurvey:
@@ -280,27 +325,35 @@ class TestRunSurvey:
 
     def test_fields_computed_once_per_posterior(self, monkeypatch):
         # Each measurement's fields feed the metrics and the next plan; only
-        # snapshots compute them again. The planner picks one destination per route.
-        counts = {"service_probability": 0, "pick_destination": 0, "min_cost_route": 0}
+        # snapshots compute them again, and only snapshots evaluate the (K, N)
+        # service probabilities their files hold. Under max aggregation every
+        # other pass evaluates N values. The planner picks one destination per route.
+        calls = {"service_probability": [], "service_uncertainty": [], "pick_destination": [], "min_cost_route": []}
 
         def counting(module, name):
             real = getattr(module, name)
 
             def wrapped(*args, **kwargs):
-                counts[name] += 1
+                calls[name].append(np.shape(args[0]))
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapped)
 
         counting(estimator, "service_probability")
+        counting(harness.unc, "service_uncertainty")
         counting(harness.planner, "pick_destination")
         counting(harness.planner, "min_cost_route")
-        cfg = make_config(rows=10, cols=10, seed=11, max_measurements=300)
-        rec = run_survey(cfg, snapshots=(0, 7, 100))
-        assert len(rec.snapshots) == 3
-        assert counts["service_probability"] == len(rec.measurements) + len(rec.snapshots)
-        assert counts["min_cost_route"] > 0
-        assert counts["pick_destination"] == counts["min_cost_route"]
+        for aggregation, field_shape in (("max", (100,)), ("mean", (3, 100))):
+            for found in calls.values():
+                found.clear()
+            cfg = make_config(rows=10, cols=10, seed=11, max_measurements=300, num_transmitters=3, aggregation=aggregation)
+            rec = run_survey(cfg, snapshots=(0, 7, 100))
+            passes, files = len(rec.measurements) + len(rec.snapshots), len(rec.snapshots)
+            assert files == 3
+            assert calls["service_uncertainty"] == [field_shape] * passes, aggregation
+            assert sorted(calls["service_probability"]) == sorted([field_shape] * passes + [(3, 100)] * files)
+            assert len(calls["min_cost_route"]) > 0
+            assert len(calls["pick_destination"]) == len(calls["min_cost_route"])
 
     def test_interpolation_taps_computed_once_per_measurement(self, monkeypatch):
         calls = []
@@ -365,6 +418,22 @@ class TestRunSurvey:
         monkeypatch.setattr(harness.planner, "random_route", lambda grid, rng: [Waypoint(0.0, 0.0)])
         with pytest.raises(RuntimeError, match="no measurement in 10000"):
             run_survey(make_config(planner=PlannerKind.RANDOM))
+
+    def test_sweep_spacing_limit(self):
+        # On a 2 x 2 grid of 10 m both sweeps fly three 10 m edges per
+        # episode, so at MAX_IDLE_EPISODES such routes the survey still
+        # measures before the idle guard; beyond that, the config is rejected
+        # before anything flies.
+        limit = harness.MAX_IDLE_EPISODES * 30.0
+        for kind in (PlannerKind.GRID, PlannerKind.SPIRAL):
+            cfg = make_config(rows=2, cols=2, spacing=10.0, planner=kind, max_measurements=1)
+            rec = run_survey(replace(cfg, measurement_spacing=limit))
+            assert len(rec.measurements) == 2, kind
+            with pytest.raises(ValueError, match="measurement_spacing"):
+                replace(cfg, measurement_spacing=np.nextafter(limit, np.inf))
+            # Runs that never fly are not limited.
+            replace(cfg, measurement_spacing=1e12, max_measurements=0)
+            make_config(rows=1, cols=1, planner=kind, measurement_spacing=1e12)
 
     def test_waypoints_form_connected_polyline(self):
         rec = run_survey(make_config(seed=6))
