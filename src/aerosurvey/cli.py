@@ -6,7 +6,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from typing import Any
 
@@ -174,9 +173,17 @@ def load_config(path: str) -> SurveyConfig:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write via a temp file in the same directory plus rename."""
+    """Write via a temp file in the same directory plus rename.
+
+    The temp file is created with mode 0o666, which the kernel masks with the
+    umask exactly as for a plain ``open``; ``tempfile.mkstemp`` would give
+    every output mode 0o600 whatever the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
+    tmp = os.path.join(directory, f".tmp_{os.urandom(8).hex()}.part")
+    # O_BINARY (Windows only) keeps the newlines as written, as mkstemp does.
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

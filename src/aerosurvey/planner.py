@@ -8,7 +8,6 @@ from array import array
 from enum import Enum
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .spatial import GridSpec, Waypoint, index_to_point, point_to_index
 
@@ -34,19 +33,48 @@ class PlannerKind(str, Enum):
     RANDOM = "random"
 
 
+# The nine (row, column) offsets of the 3x3 box in the order
+# scipy.signal.convolve2d adds them up, from (+1, +1) down to (-1, -1).
+# Floating-point addition is not associative, so this order is what makes the
+# box sum equal convolve2d's bit for bit, ties in the argmax included.
+_BOX_OFFSETS = tuple((dr, dc) for dr in (1, 0, -1) for dc in (1, 0, -1))
+
+
+def _box_sum(field: np.ndarray) -> np.ndarray:
+    """3x3 box sum of a 2-D field, cells outside the grid counting as zero."""
+    rows, cols = field.shape
+    # Flatten the field with a zero border and two trailing zeros. In that
+    # layout the cells one offset adds to every output cell form a single
+    # contiguous run of rows * stride values, so each term is one 1-D add.
+    # The two border columns of each output row are junk, dropped at the end.
+    stride = cols + 2
+    size = rows * stride
+    padded = np.zeros((rows + 2) * stride + 2)
+    # Adding the field into zeros turns -0.0 into +0.0, as convolve2d's sums
+    # from zero do.
+    interior = padded[stride + 1 : stride + 1 + size].reshape(rows, stride)[:, :cols]
+    interior += field
+    first, second, *rest = [(1 + dr) * stride + 1 + dc for dr, dc in _BOX_OFFSETS]
+    acc = padded[first : first + size] + padded[second : second + size]
+    for start in rest:
+        acc += padded[start : start + size]
+    return acc.reshape(rows, stride)[:, :cols]
+
+
 def pick_destination(uncertainty, grid: GridSpec, exclude: int | None = None) -> int:
     """Grid index maximizing the 3x3 box-filtered uncertainty.
 
     Cells outside the grid count as zero in the filter. Ties break toward the
     lowest linear index; ``exclude`` removes one candidate (used to avoid
-    replanning to the point the agent already occupies).
+    replanning to the point the agent already occupies) and must be a grid
+    index.
     """
     vals = np.asarray(uncertainty, dtype=float)
     if vals.size != grid.num_points:
         raise ValueError("uncertainty field does not match the grid")
-    field = vals.reshape(grid.rows, grid.cols)
-    filtered = convolve2d(field, np.ones((3, 3)), mode="same", boundary="fill", fillvalue=0.0)
-    flat = filtered.ravel()
+    if exclude is not None and not 0 <= exclude < grid.num_points:
+        raise IndexError(f"exclude {exclude} out of range [0, {grid.num_points})")
+    flat = _box_sum(vals.reshape(grid.rows, grid.cols)).ravel()
     if exclude is not None and flat.size > 1:
         flat[exclude] = -np.inf
     return int(np.argmax(flat))

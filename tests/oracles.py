@@ -5,6 +5,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.signal import convolve2d
 from scipy.special import ndtr, xlogy
 
 from aerosurvey import channel, planner, spatial
@@ -114,6 +115,11 @@ def batch_posterior(
     cov = 0.5 * (cov + cov.T)
     np.fill_diagonal(cov, np.maximum(np.diagonal(cov), 0.0))
     return PosteriorState(mean=mean, cov=cov)
+
+
+def box_filter(field) -> np.ndarray:
+    """3x3 box sum of a 2-D field with zero fill outside it, by ``convolve2d``."""
+    return convolve2d(field, np.ones((3, 3)), mode="same", boundary="fill", fillvalue=0.0)
 
 
 def king_neighbors(grid: GridSpec, i: int) -> list[int]:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -602,3 +603,24 @@ class TestMonteCarloCommand:
         code = main(["montecarlo", "--config", cfg, "--runs", "1", "--out-dir", out])
         assert code == 0
         assert os.listdir(out) == ["montecarlo_spiral.csv"]
+
+
+class TestOutputFileModes:
+    @pytest.fixture(params=[0o022, 0o077], ids=["umask022", "umask077"])
+    def umask(self, request):
+        old = os.umask(request.param)
+        try:
+            yield request.param
+        finally:
+            os.umask(old)
+
+    def test_every_output_file_takes_the_umask(self, tmp_path, umask):
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        assert main(["survey", "--config", cfg, "--out-dir", str(out), "--snapshots", "0,12"]) == 0
+        argv = ["montecarlo", "--config", cfg, "--runs", "1", "--planners", "grid,random"]
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+        assert {"metrics.csv", "trajectory.csv", "montecarlo_grid.csv"} <= modes.keys()
+        assert any(name.endswith(".pgm") for name in modes)
+        assert set(modes.values()) == {0o666 & ~umask}

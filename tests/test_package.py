@@ -1,12 +1,15 @@
-"""Package-level checks: the public names each module exports, and the test settings."""
+"""Package-level checks: exported names, what importing loads, and the test settings."""
 
 import importlib
+import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import pytest
+
+import aerosurvey
 
 MODULES = ["channel", "cli", "estimator", "harness", "planner", "spatial", "uncertainty"]
 
@@ -17,6 +20,27 @@ def test_every_exported_name_exists(name):
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+# The scipy subpackages the program may load: ndtr and xlogy, dsyrk, and the
+# version module scipy imports itself. Anything more (scipy.signal pulls in
+# stats, optimize, sparse, ...) costs hundreds of modules and tens of MB.
+SCIPY_SUBPACKAGES = {"special", "linalg", "version"}
+
+
+def test_import_loads_only_the_scipy_subpackages_it_uses():
+    # A fresh interpreter, so that modules the test run imported do not count.
+    code = (
+        "import sys, aerosurvey.cli, aerosurvey.harness\n"
+        "names = {m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}\n"
+        "print(' '.join(sorted(n for n in names if not n.startswith('_'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aerosurvey.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) <= SCIPY_SUBPACKAGES
 
 
 def test_failing_hypothesis_test_is_an_ordinary_failure(tmp_path):

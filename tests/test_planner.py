@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aerosurvey import planner, spatial
 from aerosurvey.planner import PlannerKind
 from aerosurvey.spatial import GridSpec, Waypoint
-from oracles import edge_cost, enumerate_best_cost, king_neighbors, route_cost, sample_path
+from oracles import box_filter, edge_cost, enumerate_best_cost, king_neighbors, route_cost, sample_path
 
 
 def grid(rows=3, cols=3, spacing=10.0):
@@ -60,6 +61,11 @@ class TestPickDestination:
         with pytest.raises(ValueError):
             planner.pick_destination(np.zeros(5), grid(3, 3))
 
+    @pytest.mark.parametrize("exclude", [-1, 9])
+    def test_exclude_outside_the_grid_rejected(self, exclude):
+        with pytest.raises(IndexError):
+            planner.pick_destination(np.zeros(9), grid(3, 3), exclude=exclude)
+
     @given(
         shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
         levels=st.integers(1, 3),
@@ -76,6 +82,52 @@ class TestPickDestination:
             if want == current:
                 want = planner.pick_destination(u, g, exclude=current)
             assert planner.pick_destination(u, g, exclude=current) == want
+
+
+# Cell values for box-filter fields: signed zeros; a few exact levels, so
+# filtered sums tie; uncertainty-like values saturated at exactly 0 and 1; and
+# arbitrary finite values, at most 1e307 in magnitude so that no sum of nine
+# overflows.
+FIELD_ELEMENTS = [
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([0.0, 0.25, 0.5]),
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    st.floats(-1e307, 1e307),
+]
+
+
+@st.composite
+def box_fields(draw):
+    shape = draw(
+        st.one_of(
+            st.tuples(st.integers(1, 12), st.integers(1, 12)),
+            st.tuples(st.just(1), st.integers(1, 12)),
+            st.tuples(st.integers(1, 12), st.just(1)),
+        )
+    )
+    return draw(arrays(float, shape, elements=draw(st.sampled_from(FIELD_ELEMENTS))))
+
+
+class TestBoxFilter:
+    @settings(max_examples=300, deadline=None)
+    @given(field=box_fields())
+    def test_matches_convolve2d_bit_for_bit(self, field):
+        want = box_filter(field)
+        got = planner._box_sum(field)
+        np.testing.assert_array_equal(got, want, strict=True)
+        assert got.tobytes() == want.tobytes()  # signs of zero included
+
+    @settings(max_examples=100, deadline=None)
+    @given(field=box_fields())
+    def test_pick_destination_is_the_oracle_argmax(self, field):
+        g = grid(*field.shape)
+        filtered = box_filter(field).ravel()
+        assert planner.pick_destination(field.ravel(), g) == int(np.argmax(filtered))
+        for exclude in range(g.num_points):
+            want = filtered.copy()
+            if want.size > 1:
+                want[exclude] = -np.inf
+            assert planner.pick_destination(field.ravel(), g, exclude=exclude) == int(np.argmax(want))
 
 
 class TestMinCostRoute:
