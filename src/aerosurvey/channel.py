@@ -29,6 +29,7 @@ __all__ = [
     "shadow_cov",
     "base_powers",
     "grid_base_powers",
+    "link_budgets",
     "grid_prior",
     "circulant_root",
     "draw_transmitters",
@@ -119,9 +120,9 @@ def base_powers(
     txx, txy, txz = tx.position
     with np.errstate(over="ignore"):
         d2 = (pts[:, 0] - txx) ** 2 + (pts[:, 1] - txy) ** 2 + np.float64(altitude - txz) ** 2
-    if not np.all(np.isfinite(d2)):
+    if not np.isfinite(d2).all():
         raise ValueError(f"squared link distances to the transmitter at {tx.position} overflow")
-    if np.any(d2 <= 0):
+    if (d2 <= 0).any():
         raise ValueError(f"a point coincides with the transmitter at {tx.position}")
     gain = -10.0 * params.pathloss_exponent * np.log10(
         4.0 * np.pi * params.frequency * np.sqrt(d2) / SPEED_OF_LIGHT
@@ -131,6 +132,19 @@ def base_powers(
 
 def grid_base_powers(grid: GridSpec, params: ChannelParams, tx: Transmitter) -> np.ndarray:
     return base_powers(grid_points(grid), tx, params, grid.altitude)
+
+
+@functools.lru_cache(maxsize=1)
+def link_budgets(grid: GridSpec, params: ChannelParams) -> np.ndarray:
+    """Every transmitter's :func:`grid_base_powers` as a read-only (K, N) array, for one channel.
+
+    A survey reads them twice, for its ground truth and for its prior means.
+    The one cached entry computes them once per survey and holds them no
+    longer than until the next survey's channel.
+    """
+    budgets = np.vstack([grid_base_powers(grid, params, tx) for tx in params.transmitters])
+    budgets.flags.writeable = False
+    return budgets
 
 
 def _kernel_at_offsets(row_offsets, col_offsets, spacing: float, kernel: ChannelParams) -> np.ndarray:
@@ -242,6 +256,9 @@ def _shadowing(grid: GridSpec, params: ChannelParams, gen: np.random.Generator) 
     With ``z`` complex standard normal on the torus, ``fft2(root * z)`` has
     real and imaginary parts that are independent draws with the torus
     covariance times P·Q, so one FFT yields the fields of two transmitters.
+    Only the grid's corner of that FFT is kept, so it runs as ``fft2`` does,
+    along the rows and then down the columns, but down the grid's C columns
+    only: the same values, bit for bit, for C of the torus's Q columns.
     """
     root = circulant_root(grid, params.corr_distance)
     count = params.num_transmitters
@@ -249,7 +266,7 @@ def _shadowing(grid: GridSpec, params: ChannelParams, gen: np.random.Generator) 
     for k in range(0, count, 2):
         z = gen.standard_normal(2 * root.size).view(np.complex128).reshape(root.shape)
         z *= root
-        draw = np.fft.fft2(z)[: grid.rows, : grid.cols]
+        draw = np.fft.fft(np.fft.fft(z, axis=1)[:, : grid.cols], axis=0)[: grid.rows]
         fields[k], fields[k + 1] = draw.real, draw.imag
     fields *= math.sqrt(params.shadow_var / root.size)
     return fields[:count].reshape(count, grid.num_points)
@@ -297,14 +314,17 @@ def sample_ground_truth(
         raise ValueError("need at least one transmitter")
     gen = np.random.default_rng(rng)
     n = grid.num_points
+    # Before the shadowing, so the last survey's budgets leave the cache
+    # before the torus arrays are allocated.
+    base = link_budgets(grid, params)
     if params.shadow_var > 0:
         shadow = _shadowing(grid, params, gen)
     else:
         shadow = np.zeros((params.num_transmitters, n))
     powers = np.empty((params.num_transmitters, n))
-    for k, tx in enumerate(params.transmitters):
+    for k in range(params.num_transmitters):
         fading = np.sqrt(params.fading_var) * gen.standard_normal(n)
-        powers[k] = grid_base_powers(grid, params, tx) - shadow[k] + fading
+        powers[k] = base[k] - shadow[k] + fading
     return GroundTruth(grid=grid, powers=powers)
 
 

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg.blas import dsyrk
 from scipy.special import ndtr
 
-from .channel import ChannelParams, GridPrior, grid_base_powers, grid_prior
+from .channel import ChannelParams, GridPrior, grid_prior, link_budgets
 from .spatial import GridSpec
 
 __all__ = [
@@ -127,9 +127,8 @@ class SurveyPosterior:
         """The prior of a survey over ``grid``: link budgets, cached shadowing prior, fading."""
         if params.num_transmitters < 1:
             raise ValueError("need at least one transmitter")
-        means = np.vstack([grid_base_powers(grid, params, tx) for tx in params.transmitters])
         prior = grid_prior(grid, params.shadow_var, params.corr_distance)
-        return cls(prior, params.fading_var, means, params.noise_var)
+        return cls(prior, params.fading_var, link_budgets(grid, params), params.noise_var)
 
     def condition(self, taps, values: Sequence[float]) -> None:
         """Condition on one measurement; ``values[k]`` is transmitter ``k``'s value.

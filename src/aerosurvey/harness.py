@@ -35,7 +35,8 @@ __all__ = [
 # A survey fails once its planner has flown this many episodes in a row
 # without taking a measurement. Every episode of a grid or spiral sweep flies
 # the whole sweep, so a sweep config whose spacing exceeds this many sweep
-# lengths is rejected up front instead.
+# lengths is rejected up front instead; so is a min_cost or random config
+# whose spacing exceeds what one more than this many episodes can fly.
 MAX_IDLE_EPISODES = 10_000
 
 
@@ -46,6 +47,27 @@ def _sweep_route(grid: spatial.GridSpec, kind: planner.PlannerKind) -> list[spat
     if kind is planner.PlannerKind.SPIRAL:
         return planner.spiral_route(grid)
     return None
+
+
+def _idle_reach(grid: spatial.GridSpec, kind: planner.PlannerKind, start: spatial.Waypoint) -> float:
+    """How far, at most, ``MAX_IDLE_EPISODES + 1`` min_cost or random episodes fly from ``start``.
+
+    A random episode flies straight to a grid point, so at most the grid
+    diagonal. A min_cost episode flies to the grid point nearest its start,
+    then along a simple king-move path: at most N - 1 moves, none longer than
+    the longest step between neighbouring node coordinates along each axis.
+    Every episode after the first starts on a grid point.
+    """
+    episodes = MAX_IDLE_EPISODES + 1
+    if kind is planner.PlannerKind.RANDOM:
+        xmin, ymin, xmax, ymax = grid.bounds()
+        return episodes * float(np.hypot(xmax - xmin, ymax - ymin))
+    ox, oy = grid.origin
+    dx = np.diff(ox + np.arange(grid.cols) * grid.spacing).max(initial=0.0)
+    dy = np.diff(oy + np.arange(grid.rows) * grid.spacing).max(initial=0.0)
+    here = (start.x, start.y)
+    hop = float(np.hypot(*(spatial.index_to_point(grid, spatial.point_to_index(grid, here)) - here)))
+    return hop + episodes * (grid.num_points - 1) * float(np.hypot(dx, dy))
 
 
 @dataclass(frozen=True)
@@ -105,12 +127,25 @@ class SurveyConfig:
             raise ValueError(f"unknown planner: {self.planner!r}; expected one of {names}") from None
         object.__setattr__(self, "planner", kind)
         sweep = _sweep_route(self.grid, kind)
-        if sweep is not None and self.grid.num_points > 1 and self.max_measurements > 0:
+        flies = self.grid.num_points > 1 and self.max_measurements > 0
+        if sweep is not None and flies:
             length = float(np.hypot(*np.diff(spatial.as_coords(sweep), axis=0).T).sum())
             if self.measurement_spacing > MAX_IDLE_EPISODES * length:
                 raise ValueError(
                     f"measurement_spacing {self.measurement_spacing:g} m exceeds {MAX_IDLE_EPISODES} "
                     f"times the {kind.value} sweep's {length:g} m route: the survey would never measure"
+                )
+        elif flies and threshold is None:
+            # A threshold may end the survey at its first measurement, before
+            # it flies, so only threshold-free configs surely fail. The slack
+            # covers the path sampler's 1e-9 m tolerance, a start up to 1e-9 m
+            # outside the grid, and rounding in the lengths flown.
+            reach = _idle_reach(self.grid, kind, self.start_position)
+            if self.measurement_spacing > reach * (1.0 + 1e-6) + 1e-6:
+                raise ValueError(
+                    f"measurement_spacing {self.measurement_spacing:g} m exceeds the {reach:g} m that "
+                    f"{MAX_IDLE_EPISODES + 1} {kind.value} episodes can fly: the survey would never "
+                    "take a second measurement"
                 )
         for tx in self.channel.transmitters:
             channel.grid_base_powers(self.grid, self.channel, tx)  # raises if one sits on a grid point

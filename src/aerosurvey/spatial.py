@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -95,13 +96,18 @@ def point_to_index(grid: GridSpec, point: Sequence[float]) -> int:
     return row * grid.cols + col
 
 
+@functools.lru_cache(maxsize=4)
 def grid_points(grid: GridSpec) -> np.ndarray:
-    """All grid coordinates as an (N, 2) array in index order."""
+    """All grid coordinates as a read-only (N, 2) array in index order, from a cache of four."""
     ox, oy = grid.origin
-    xs = ox + np.arange(grid.cols) * grid.spacing
-    ys = oy + np.arange(grid.rows) * grid.spacing
-    xx, yy = np.meshgrid(xs, ys)
-    return np.column_stack([xx.ravel(), yy.ravel()])
+    # Filled by broadcasting, the same values as meshgrid and column_stack
+    # give; those two cost most of a cold survey set-up's first link budget.
+    points = np.empty((grid.rows, grid.cols, 2))
+    points[:, :, 0] = ox + np.arange(grid.cols) * grid.spacing
+    points[:, :, 1] = (oy + np.arange(grid.rows) * grid.spacing)[:, None]
+    points = points.reshape(grid.num_points, 2)
+    points.flags.writeable = False
+    return points
 
 
 def as_coords(waypoints: Iterable[Waypoint]) -> np.ndarray:

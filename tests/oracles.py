@@ -30,6 +30,23 @@ def shadow_cov_matrix(points, params: ChannelParams) -> np.ndarray:
     return channel.shadow_cov(pairwise_distances(points, points), params)
 
 
+def shadowing(grid: GridSpec, params: ChannelParams, gen: np.random.Generator) -> np.ndarray:
+    """Reference for ``channel._shadowing``: the whole torus ``fft2``, cut to the grid's corner.
+
+    Draws the same normals in the same order, two transmitters per complex
+    field, and returns the (K, N) shadowing fields.
+    """
+    root = channel.circulant_root(grid, params.corr_distance)
+    count = params.num_transmitters
+    fields = []
+    for _ in range(0, count, 2):
+        z = gen.standard_normal(2 * root.size).view(np.complex128).reshape(root.shape) * root
+        draw = np.fft.fft2(z)[: grid.rows, : grid.cols]
+        fields += [draw.real, draw.imag]
+    scale = np.sqrt(params.shadow_var / root.size)
+    return (np.array(fields[:count]) * scale).reshape(count, grid.num_points)
+
+
 def dense_grid_prior(grid: GridSpec, shadow_var: float, corr_distance: float) -> np.ndarray:
     """Dense reference for :meth:`aerosurvey.channel.GridPrior.dense`.
 

@@ -402,6 +402,56 @@ class TestSampleGroundTruth:
             outputs.append(proc.stdout.split())
         assert len(outputs[0]) == 2 and outputs[0] == outputs[1]
 
+    @given(
+        shape=st.one_of(
+            st.tuples(st.just(1), st.integers(1, 12)),
+            st.tuples(st.integers(1, 12), st.just(1)),
+            st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        ),
+        count=st.integers(1, 3),
+        corr=st.sampled_from((20.0, 50.0, 120.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_shadowing_equals_full_torus_fft_oracle(self, shape, count, corr, seed):
+        # Only the grid's corner of the torus FFT is computed; it must equal
+        # the corner of the whole fft2 byte for byte, line grids and an
+        # unused half of the last complex field (odd counts) included.
+        g = GridSpec(rows=shape[0], cols=shape[1], spacing=10.0)
+        p = make_params(transmitters=(Transmitter((1.0, 2.0, 10.0), 10.0),) * count, corr_distance=corr)
+        got = channel._shadowing(g, p, np.random.default_rng(seed))
+        want = oracles.shadowing(g, p, np.random.default_rng(seed))
+        assert got.shape == want.shape == (count, g.num_points)
+        assert got.tobytes() == want.tobytes()
+
+    def test_truth_is_link_budget_minus_shadowing_plus_fading(self):
+        g = GridSpec(rows=7, cols=5, spacing=10.0, altitude=20.0)
+        txs = tuple(Transmitter((3.0 + 11 * k, 4.0, 10.0), 10.0 + k) for k in range(3))
+        p = make_params(transmitters=txs, fading_var=1.5)
+        gt = channel.sample_ground_truth(g, p, 9)
+        gen = np.random.default_rng(9)
+        shadow = oracles.shadowing(g, p, gen)
+        for k, tx in enumerate(txs):
+            fading = np.sqrt(1.5) * gen.standard_normal(g.num_points)
+            want = channel.grid_base_powers(g, p, tx) - shadow[k] + fading
+            assert gt.powers[k].tobytes() == want.tobytes()
+
+    def test_link_budgets_are_one_cached_read_only_entry(self):
+        g = GridSpec(rows=4, cols=6, spacing=10.0, altitude=20.0)
+        txs = (Transmitter((5.0, 5.0, 10.0), 10.0), Transmitter((31.0, 12.0, 10.0), 7.0))
+        p = make_params(transmitters=txs)
+        channel.link_budgets.cache_clear()
+        budgets = channel.link_budgets(g, p)
+        assert channel.link_budgets(g, make_params(transmitters=txs)) is budgets
+        with pytest.raises(ValueError, match="read-only"):
+            budgets[0, 0] = 0.0
+        for k, tx in enumerate(txs):
+            assert budgets[k].tobytes() == channel.grid_base_powers(g, p, tx).tobytes()
+        # The next channel's budgets replace this one's.
+        channel.link_budgets(g, make_params(transmitters=txs[:1]))
+        assert channel.link_budgets.cache_info().currsize == 1
+        assert channel.link_budgets(g, p) is not budgets
+
     def test_noiseless_equals_base(self):
         g = GridSpec(rows=4, cols=4, spacing=10.0, altitude=20.0)
         tx = Transmitter((15.0, 15.0, 10.0), 10.0)

@@ -333,13 +333,23 @@ class TestSurveyCommand:
         assert not os.path.exists(tmp_path / "o")
 
     def test_run_that_never_measures_exits_two(self, tmp_path):
-        # Min-cost routes are planned per episode, so their length is not
-        # known up front: a spacing longer than any flight never yields a
-        # sample, and the idle-episode guard ends the run. In a subprocess,
-        # so that a regression times out instead of hanging.
+        # A threshold may stop a survey at its first measurement, so a
+        # threshold config is not rejected up front. This one's threshold lies
+        # below what one measurement leaves, so the survey flies, a spacing
+        # longer than any flight never yields a sample, and the idle-episode
+        # guard ends the run. In a subprocess, so that a regression times out
+        # instead of hanging.
         cfg = write_config(
             tmp_path,
-            {"rows": 4, "cols": 4, "measurement_spacing": 1e12, "max_measurements": 1, "planner": "min_cost"},
+            {
+                "rows": 4,
+                "cols": 4,
+                "measurement_spacing": 1e12,
+                "max_measurements": 1,
+                "planner": "min_cost",
+                "target": "power",
+                "uncertainty_threshold": 0.01,
+            },
         )
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aerosurvey.__file__)))
         argv = [sys.executable, "-m", "aerosurvey.cli", "survey", "--config", cfg]
@@ -364,6 +374,20 @@ class TestSurveyCommand:
         code = main(["survey", "--config", cfg, "--out-dir", str(tmp_path / "o")])
         assert code == 1
         assert "measurement_spacing" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("planner", ["min_cost", "random"])
+    def test_planned_run_that_never_measures_exits_one(self, tmp_path, capsys, planner):
+        # Min-cost and random episodes are bounded by N - 1 king moves and the
+        # grid diagonal, so a spacing beyond what the idle guard's episodes
+        # can fly is rejected before the survey flies.
+        cfg = write_config(
+            tmp_path,
+            {"rows": 4, "cols": 4, "measurement_spacing": 1e12, "max_measurements": 1, "planner": planner},
+        )
+        code = main(["survey", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert "second measurement" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o")
 
     def test_min_cost_on_line_grid_runs(self, tmp_path):

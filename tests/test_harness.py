@@ -46,6 +46,10 @@ def make_config(**kw):
     return SurveyConfig(**defaults)
 
 
+# Episodes a min_cost or random survey flies before its idle guard fails it.
+_EPISODES = harness.MAX_IDLE_EPISODES + 1
+
+
 # Means on a quarter-dB lattice around -65 dBm hit the threshold exactly and
 # tie in |mean - r_min|, between transmitters and across the threshold; the
 # wide floats reach the saturated tails of the normal CDF.
@@ -434,6 +438,59 @@ class TestRunSurvey:
             # Runs that never fly are not limited.
             replace(cfg, measurement_spacing=1e12, max_measurements=0)
             make_config(rows=1, cols=1, planner=kind, measurement_spacing=1e12)
+
+    @pytest.mark.parametrize(
+        "kind, rows, cols, start, reach",
+        [
+            # 10,001 random episodes fly at most 10,001 grid diagonals.
+            (PlannerKind.RANDOM, 2, 3, (3.0, 4.0), _EPISODES * float(np.hypot(20.0, 10.0))),
+            (PlannerKind.RANDOM, 1, 4, (3.0, 0.0), _EPISODES * 30.0),
+            # 10,001 min_cost episodes fly at most the hop from the start to
+            # its nearest node plus 10,001 paths of N - 1 king moves; a line
+            # has no diagonal moves.
+            (PlannerKind.MIN_COST, 2, 3, (3.0, 4.0), 5.0 + _EPISODES * 5 * float(np.hypot(10.0, 10.0))),
+            (PlannerKind.MIN_COST, 1, 4, (3.0, 0.0), 3.0 + _EPISODES * 3 * 10.0),
+            (PlannerKind.MIN_COST, 4, 1, (0.0, 3.0), 3.0 + _EPISODES * 3 * 10.0),
+        ],
+    )
+    def test_planned_spacing_limit(self, kind, rows, cols, start, reach):
+        # A spacing beyond the reach, give or take one part in a million, is
+        # rejected before anything flies: the survey could never take a
+        # second measurement.
+        cfg = make_config(
+            rows=rows, cols=cols, spacing=10.0, planner=kind, max_measurements=1, start_position=Waypoint(*start)
+        )
+        limit = reach * (1.0 + 1e-6) + 1e-6
+        replace(cfg, measurement_spacing=limit)
+        with pytest.raises(ValueError, match="second measurement"):
+            replace(cfg, measurement_spacing=np.nextafter(limit, np.inf))
+        # Runs that never fly, or that a threshold may stop before they fly,
+        # are not limited.
+        replace(cfg, measurement_spacing=1e12, max_measurements=0)
+        replace(cfg, measurement_spacing=1e12, uncertainty_threshold=0.5)
+        make_config(rows=1, cols=1, planner=kind, measurement_spacing=1e12)
+
+    def test_long_planned_spacing_within_reach_runs(self):
+        # Far longer than any one route, yet reached within the idle guard.
+        for kind in (PlannerKind.RANDOM, PlannerKind.MIN_COST):
+            cfg = make_config(rows=3, cols=3, planner=kind, max_measurements=2, measurement_spacing=500.0)
+            rec = run_survey(cfg)
+            assert [row.meters for row in rec.metrics] == pytest.approx([0.0, 500.0, 1000.0])
+
+    def test_prior_means_and_truth_from_the_link_budgets(self):
+        # The run's prior means are the link budgets, and its truth is link
+        # budget - shadowing + fading, bit for bit, drawn from the run's stream.
+        cfg = make_config(num_transmitters=3, fading_var=1.5, max_measurements=0, seed=4)
+        rec = run_survey(cfg, run_id=2, snapshots=(0,))
+        grid, params = cfg.grid, rec.params
+        base = np.vstack([channel.grid_base_powers(grid, params, tx) for tx in params.transmitters])
+        assert rec.snapshots[0].posterior_means.tobytes() == base.tobytes()
+        rng = np.random.default_rng([4, 2])
+        assert channel.draw_transmitters(grid, 3, cfg.tx_height, cfg.tx_power_dbm, rng) == params.transmitters
+        shadow = oracles.shadowing(grid, params, rng)
+        for k in range(3):
+            fading = np.sqrt(1.5) * rng.standard_normal(grid.num_points)
+            assert rec.ground_truth.powers[k].tobytes() == (base[k] - shadow[k] + fading).tobytes()
 
     def test_waypoints_form_connected_polyline(self):
         rec = run_survey(make_config(seed=6))

@@ -91,6 +91,17 @@ class TestIndexing:
             np.testing.assert_array_equal(pts[i], spatial.index_to_point(g, i))
 
 
+    @pytest.mark.parametrize("rows, cols", [(4, 5), (1, 7), (6, 1), (1, 1), (60, 50)])
+    def test_grid_points_cached_read_only_and_equal_to_meshgrid(self, rows, cols):
+        g = grid(rows, cols, 0.7, origin=(0.1, -3.3))
+        pts = spatial.grid_points(g)
+        assert spatial.grid_points(grid(rows, cols, 0.7, origin=(0.1, -3.3))) is pts
+        with pytest.raises(ValueError, match="read-only"):
+            pts[0, 0] = 0.0
+        xx, yy = np.meshgrid(0.1 + np.arange(cols) * 0.7, -3.3 + np.arange(rows) * 0.7)
+        assert pts.tobytes() == np.column_stack([xx.ravel(), yy.ravel()]).tobytes()
+
+
 class TestMotionGraph:
     """The king-move graph the min-cost planner walks, as ``oracles.king_neighbors`` lists it."""
 
