@@ -1,11 +1,12 @@
 """Survey execution and Monte Carlo benchmarking.
 
-A survey flies a continuous polyline assembled from planner episodes, takes a
-measurement every fixed number of meters along it (the sampling phase carries
-across route joints, so every planner pays the same travel distance per
-measurement), conditions one posterior for all transmitters online (see
-:class:`aerosurvey.estimator.SurveyPosterior`), and logs metrics after each
-measurement.
+A survey is a flight and a filter. The flight is a continuous polyline
+assembled from planner episodes, sampled every fixed number of meters along
+it (the sampling phase carries across route joints, so every planner pays the
+same travel distance per measurement). The filter takes a measurement at each
+sample, conditions one posterior for all transmitters online (see
+:class:`aerosurvey.estimator.SurveyPosterior`), logs metrics and decides
+whether to stop; the flight plans its next episode from the latest posterior.
 Monte Carlo repeats the survey over independent environment realizations and
 aggregates the metric curves per measurement index.
 """
@@ -32,11 +33,10 @@ __all__ = [
     "monte_carlo",
 ]
 
-# A survey fails once its planner has flown this many episodes in a row
-# without taking a measurement. Every episode of a grid or spiral sweep flies
-# the whole sweep, so a sweep config whose spacing exceeds this many sweep
-# lengths is rejected up front instead; so is a min_cost or random config
-# whose spacing exceeds what one more than this many episodes can fly.
+# A survey's flight fails once its planner has flown this many episodes in a
+# row without taking a measurement. A config whose spacing exceeds what one
+# more than this many episodes can fly (see ``_idle_reach``) is rejected up
+# front instead, so only a planner that stalls can meet this at run time.
 MAX_IDLE_EPISODES = 10_000
 
 
@@ -50,22 +50,32 @@ def _sweep_route(grid: spatial.GridSpec, kind: planner.PlannerKind) -> list[spat
 
 
 def _idle_reach(grid: spatial.GridSpec, kind: planner.PlannerKind, start: spatial.Waypoint) -> float:
-    """How far, at most, ``MAX_IDLE_EPISODES + 1`` min_cost or random episodes fly from ``start``.
+    """How far, at most, the first ``MAX_IDLE_EPISODES + 1`` episodes fly from ``start``.
 
-    A random episode flies straight to a grid point, so at most the grid
-    diagonal. A min_cost episode flies to the grid point nearest its start,
-    then along a simple king-move path: at most N - 1 moves, none longer than
-    the longest step between neighbouring node coordinates along each axis.
-    Every episode after the first starts on a grid point.
+    Every episode of a grid or spiral sweep flies the whole sweep, so for
+    them the reach is exact: the hop from the start to the sweep's first
+    waypoint, k sweep lengths, and k - 1 return legs from the sweep's end to
+    its start. A random episode flies straight to a grid point, so at most the
+    grid diagonal. A min_cost episode flies to the grid point nearest its
+    start, then along a simple king-move path: at most N - 1 moves, none
+    longer than the longest step between neighbouring node coordinates along
+    each axis. Every episode after the first starts on a grid point.
     """
     episodes = MAX_IDLE_EPISODES + 1
+    here = np.array([start.x, start.y])
+    sweep = _sweep_route(grid, kind)
+    if sweep is not None:
+        coords = spatial.as_coords(sweep)
+        length = float(np.hypot(*np.diff(coords, axis=0).T).sum())
+        hop = float(np.hypot(*(coords[0] - here)))
+        back = float(np.hypot(*(coords[0] - coords[-1])))
+        return hop + episodes * length + (episodes - 1) * back
     if kind is planner.PlannerKind.RANDOM:
         xmin, ymin, xmax, ymax = grid.bounds()
         return episodes * float(np.hypot(xmax - xmin, ymax - ymin))
     ox, oy = grid.origin
     dx = np.diff(ox + np.arange(grid.cols) * grid.spacing).max(initial=0.0)
     dy = np.diff(oy + np.arange(grid.rows) * grid.spacing).max(initial=0.0)
-    here = (start.x, start.y)
     hop = float(np.hypot(*(spatial.index_to_point(grid, spatial.point_to_index(grid, here)) - here)))
     return hop + episodes * (grid.num_points - 1) * float(np.hypot(dx, dy))
 
@@ -126,20 +136,11 @@ class SurveyConfig:
             names = [k.value for k in planner.PlannerKind]
             raise ValueError(f"unknown planner: {self.planner!r}; expected one of {names}") from None
         object.__setattr__(self, "planner", kind)
-        sweep = _sweep_route(self.grid, kind)
-        flies = self.grid.num_points > 1 and self.max_measurements > 0
-        if sweep is not None and flies:
-            length = float(np.hypot(*np.diff(spatial.as_coords(sweep), axis=0).T).sum())
-            if self.measurement_spacing > MAX_IDLE_EPISODES * length:
-                raise ValueError(
-                    f"measurement_spacing {self.measurement_spacing:g} m exceeds {MAX_IDLE_EPISODES} "
-                    f"times the {kind.value} sweep's {length:g} m route: the survey would never measure"
-                )
-        elif flies and threshold is None:
-            # A threshold may end the survey at its first measurement, before
-            # it flies, so only threshold-free configs surely fail. The slack
-            # covers the path sampler's 1e-9 m tolerance, a start up to 1e-9 m
-            # outside the grid, and rounding in the lengths flown.
+        if self.grid.num_points > 1 and self.max_measurements > 0:
+            # A threshold might stop the survey before it flies, but a config
+            # that could not go on if it did not is rejected all the same. The
+            # slack covers the path sampler's 1e-9 m tolerance, a start up to
+            # 1e-9 m outside the grid, and rounding in the lengths flown.
             reach = _idle_reach(self.grid, kind, self.start_position)
             if self.measurement_spacing > reach * (1.0 + 1e-6) + 1e-6:
                 raise ValueError(
@@ -182,8 +183,12 @@ class Snapshot:
 class SurveyRecord:
     """Full trace of one survey run.
 
+    ``waypoints`` is the polyline flown: the start position, every route
+    corner passed, and, if the run flew, the last sample, where it stopped.
     ``posterior`` is the final posterior of every transmitter; its
-    ``covariance()`` returns the shared dense N x N covariance.
+    ``covariance()`` returns the shared dense N x N covariance as of the call.
+    That array is the posterior's own re-based prior, which a later re-base
+    overwrites, so copy it to keep it.
     """
 
     config: SurveyConfig
@@ -240,6 +245,58 @@ def service_uncertainty_field(means, var, r_min: float, aggregation: str) -> np.
     return unc.service_uncertainty(estimator.service_probability(nearest, var, r_min))
 
 
+def _fields(posterior: estimator.SurveyPosterior, params: channel.ChannelParams, config: SurveyConfig):
+    """The power and service uncertainty fields (N,) of the current posterior."""
+    power_unc = unc.power_uncertainty(posterior.var, params)
+    service_unc = service_uncertainty_field(posterior.means, posterior.var, config.r_min, config.aggregation)
+    return power_unc, service_unc
+
+
+def _flight(config: SurveyConfig, rng: np.random.Generator, waypoints: list[spatial.Waypoint], target):
+    """Yield the survey's samples as ``(point, meters)``, without end.
+
+    The first is the start position at 0 m; a one-point grid has nowhere to
+    fly, so its flight yields the start forever. Otherwise the flight plans
+    one episode at a time, once the one before is flown out: a sweep flies its
+    fixed route, ``random`` draws a grid point from ``rng`` (after the noise
+    of the sample before it), and ``min_cost`` routes over ``target()``, the
+    planner's field of the latest posterior. Each corner flown is appended to
+    ``waypoints``. After ``MAX_IDLE_EPISODES`` episodes in a row without a
+    sample, the next one without a sample raises RuntimeError.
+    """
+    grid = config.grid
+    pos = np.array([config.start_position.x, config.start_position.y])
+    yield pos, 0.0
+    while grid.num_points == 1:
+        yield pos, 0.0
+    sweep = _sweep_route(grid, config.planner)
+    sampler = spatial.PathSampler(config.measurement_spacing)
+    idle = 0  # consecutive episodes that took no measurement
+    while True:
+        here = spatial.Waypoint(float(pos[0]), float(pos[1]))
+        if sweep is not None:
+            route = sweep
+        elif config.planner is planner.PlannerKind.RANDOM:
+            route = planner.random_route(grid, rng)
+        else:
+            field = target()
+            dest = planner.pick_destination(field, grid, exclude=spatial.point_to_index(grid, pos))
+            route = planner.min_cost_route(grid, field, here, dest)
+        if (route[0].x, route[0].y) != (here.x, here.y):
+            route = [here] + route
+        coords = spatial.as_coords(route)
+        idle += 1
+        for a, b, corner in zip(coords[:-1], coords[1:], route[1:]):
+            for sample in sampler.segment(a, b):
+                idle = 0
+                yield sample
+            if not np.array_equal(a, b):
+                waypoints.append(corner)
+        if idle > MAX_IDLE_EPISODES:
+            raise RuntimeError(f"no measurement in {MAX_IDLE_EPISODES} consecutive planner episodes")
+        pos = coords[-1]
+
+
 def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRecord:
     """Run one survey to its stop criterion.
 
@@ -260,6 +317,7 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
     posterior = estimator.SurveyPosterior.from_grid(grid, params)
     served = np.any(gt.powers >= config.r_min, axis=0)
     wanted = set(int(s) for s in snapshots)
+    threshold = config.uncertainty_threshold
     record = SurveyRecord(
         config=config,
         params=params,
@@ -270,35 +328,22 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
         posterior=posterior,
         snapshots={},
     )
-
-    def fields():
-        """The power and service uncertainty fields (N,) of the current posterior."""
-        power_unc = unc.power_uncertainty(posterior.var, params)
-        service_unc = service_uncertainty_field(posterior.means, posterior.var, config.r_min, config.aggregation)
-        return power_unc, service_unc
-
-    def capture(t: int) -> None:
-        power_unc, service_unc = fields()
-        record.snapshots[t] = Snapshot(
-            t=t,
-            posterior_means=posterior.means.copy(),
-            service_prob=estimator.service_probability(posterior.means, posterior.var, config.r_min),
-            power_unc=power_unc,
-            service_unc=service_unc,
-        )
-
     target_unc = None  # the planner's field, from the latest posterior
-
-    def measure_at(point, t: int, meters: float) -> bool:
-        """Snapshot, measure, update, log; returns True when the run should stop."""
-        nonlocal target_unc
+    flight = _flight(config, rng, record.waypoints, lambda: target_unc)
+    for t, (point, meters) in enumerate(flight):
         if t in wanted:
-            capture(t)
+            power_unc, service_unc = _fields(posterior, params, config)
+            record.snapshots[t] = Snapshot(
+                t=t,
+                posterior_means=posterior.means.copy(),
+                service_prob=estimator.service_probability(posterior.means, posterior.var, config.r_min),
+                power_unc=power_unc,
+                service_unc=service_unc,
+            )
         taps = channel.interpolation_taps(grid, point)
         m = channel.take_measurement(gt, point, params, rng, taps=taps)
         posterior.condition(taps, m.rss)
-        power_unc, service_unc = fields()
-        target_unc = power_unc if config.target == "power" else service_unc
+        power_unc, service_unc = _fields(posterior, params, config)
         power_total = unc.total_uncertainty(power_unc)
         service_total = unc.total_uncertainty(service_unc)
         record.measurements.append(m)
@@ -312,67 +357,15 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
                 service_error_rate=service_error_rate(posterior.means, served, config.r_min),
             )
         )
-        if t >= config.max_measurements:
-            return True
-        if config.uncertainty_threshold is not None:
-            target_total = power_total if config.target == "power" else service_total
-            if target_total <= config.uncertainty_threshold:
-                return True
-        return False
-
-    pos = np.array([config.start_position.x, config.start_position.y])
-    t = 0
-    stop = measure_at(pos, t, 0.0)
-
-    if grid.num_points == 1:
-        # Nowhere to fly; keep sampling in place until the budget runs out.
-        while not stop:
-            t += 1
-            stop = measure_at(pos, t, 0.0)
-        return record
-
-    sweep = _sweep_route(grid, config.planner)
-
-    def plan_episode() -> list[spatial.Waypoint]:
-        here = spatial.Waypoint(float(pos[0]), float(pos[1]))
-        if sweep is not None:
-            route = sweep
-        elif config.planner is planner.PlannerKind.RANDOM:
-            route = planner.random_route(grid, rng)
+        if config.target == "power":
+            target_unc, target_total = power_unc, power_total
         else:
-            current_idx = spatial.point_to_index(grid, pos)
-            dest = planner.pick_destination(target_unc, grid, exclude=current_idx)
-            route = planner.min_cost_route(grid, target_unc, here, dest)
-        if (route[0].x, route[0].y) != (here.x, here.y):
-            route = [here] + route
-        return route
-
-    sampler = spatial.PathSampler(config.measurement_spacing)
-    idle = 0  # consecutive episodes that took no measurement
-    while not stop:
-        route = plan_episode()
-        coords = spatial.as_coords(route)
-        t_start = t
-        for a, b, corner in zip(coords[:-1], coords[1:], route[1:]):
-            for point, meters in sampler.segment(a, b):
-                t += 1
-                stop = measure_at(point, t, meters)
-                if stop:
-                    # The run ends here; close the polyline at the last sample.
-                    record.waypoints.append(spatial.Waypoint(float(point[0]), float(point[1])))
-                    break
-            if stop:
-                break
-            if not np.array_equal(a, b):
-                record.waypoints.append(corner)
-        if stop:
-            break
-        idle = idle + 1 if t == t_start else 0
-        if idle > MAX_IDLE_EPISODES:
-            raise RuntimeError(f"no measurement in {MAX_IDLE_EPISODES} consecutive planner episodes")
-        pos = coords[-1]
-
-    return record
+            target_unc, target_total = service_unc, service_total
+        if t >= config.max_measurements or (threshold is not None and target_total <= threshold):
+            if meters:
+                # The run ends here; if it flew, close the polyline at the last sample.
+                record.waypoints.append(spatial.Waypoint(float(point[0]), float(point[1])))
+            return record
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Reference computations shared by the test modules."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -8,7 +8,8 @@ import scipy.linalg
 from scipy.signal import convolve2d
 from scipy.special import ndtr, xlogy
 
-from aerosurvey import channel, planner, spatial
+from aerosurvey import channel, estimator, harness, planner, spatial
+from aerosurvey import uncertainty as unc
 from aerosurvey.channel import ChannelParams, Measurement
 from aerosurvey.spatial import GridSpec, Waypoint, point_to_index
 
@@ -314,3 +315,141 @@ def service_error_rate(means, served, r_min: float) -> float:
         raise ValueError("mean vector length does not match the grid")
     estimated = np.any(m >= r_min, axis=0)
     return float(np.mean(estimated != truth))
+
+
+def survey_oracle(config: harness.SurveyConfig, run_id: int = 0, snapshots=()) -> harness.SurveyRecord:
+    """Reference for :func:`aerosurvey.harness.run_survey`: one loop over planner episodes.
+
+    Plans each episode, flies it segment by segment and measures at every
+    sample, with the flight and the filter interleaved in one function. It
+    calls the package's channel, estimator, planner and uncertainty functions
+    in the same order as ``run_survey``, so its record matches bit for bit.
+    """
+    rng = np.random.default_rng([config.seed, run_id])
+    grid = config.grid
+    if config.channel.transmitters:
+        params = config.channel
+    else:
+        txs = channel.draw_transmitters(
+            grid, config.num_transmitters, config.tx_height, config.tx_power_dbm, rng
+        )
+        params = replace(config.channel, transmitters=txs)
+    gt = channel.sample_ground_truth(grid, params, rng)
+    posterior = estimator.SurveyPosterior.from_grid(grid, params)
+    served = np.any(gt.powers >= config.r_min, axis=0)
+    wanted = set(int(s) for s in snapshots)
+    record = harness.SurveyRecord(
+        config=config,
+        params=params,
+        ground_truth=gt,
+        measurements=[],
+        waypoints=[config.start_position],
+        metrics=[],
+        posterior=posterior,
+        snapshots={},
+    )
+
+    def fields():
+        """The power and service uncertainty fields (N,) of the current posterior."""
+        power_unc = unc.power_uncertainty(posterior.var, params)
+        service_unc = harness.service_uncertainty_field(
+            posterior.means, posterior.var, config.r_min, config.aggregation
+        )
+        return power_unc, service_unc
+
+    def capture(t: int) -> None:
+        power_unc, service_unc = fields()
+        record.snapshots[t] = harness.Snapshot(
+            t=t,
+            posterior_means=posterior.means.copy(),
+            service_prob=estimator.service_probability(posterior.means, posterior.var, config.r_min),
+            power_unc=power_unc,
+            service_unc=service_unc,
+        )
+
+    target_unc = None  # the planner's field, from the latest posterior
+
+    def measure_at(point, t: int, meters: float) -> bool:
+        """Snapshot, measure, update, log; returns True when the run should stop."""
+        nonlocal target_unc
+        if t in wanted:
+            capture(t)
+        taps = channel.interpolation_taps(grid, point)
+        m = channel.take_measurement(gt, point, params, rng, taps=taps)
+        posterior.condition(taps, m.rss)
+        power_unc, service_unc = fields()
+        target_unc = power_unc if config.target == "power" else service_unc
+        power_total = unc.total_uncertainty(power_unc)
+        service_total = unc.total_uncertainty(service_unc)
+        record.measurements.append(m)
+        record.metrics.append(
+            harness.MetricsRow(
+                run_id=run_id,
+                t=t,
+                meters=meters,
+                total_unc_power=power_total,
+                total_unc_service=service_total,
+                service_error_rate=harness.service_error_rate(posterior.means, served, config.r_min),
+            )
+        )
+        if t >= config.max_measurements:
+            return True
+        if config.uncertainty_threshold is not None:
+            target_total = power_total if config.target == "power" else service_total
+            if target_total <= config.uncertainty_threshold:
+                return True
+        return False
+
+    pos = np.array([config.start_position.x, config.start_position.y])
+    t = 0
+    stop = measure_at(pos, t, 0.0)
+
+    if grid.num_points == 1:
+        # Nowhere to fly; keep sampling in place until the budget runs out.
+        while not stop:
+            t += 1
+            stop = measure_at(pos, t, 0.0)
+        return record
+
+    sweep = harness._sweep_route(grid, config.planner)
+
+    def plan_episode() -> list[spatial.Waypoint]:
+        here = spatial.Waypoint(float(pos[0]), float(pos[1]))
+        if sweep is not None:
+            route = sweep
+        elif config.planner is planner.PlannerKind.RANDOM:
+            route = planner.random_route(grid, rng)
+        else:
+            current_idx = spatial.point_to_index(grid, pos)
+            dest = planner.pick_destination(target_unc, grid, exclude=current_idx)
+            route = planner.min_cost_route(grid, target_unc, here, dest)
+        if (route[0].x, route[0].y) != (here.x, here.y):
+            route = [here] + route
+        return route
+
+    sampler = spatial.PathSampler(config.measurement_spacing)
+    idle = 0  # consecutive episodes that took no measurement
+    while not stop:
+        route = plan_episode()
+        coords = spatial.as_coords(route)
+        t_start = t
+        for a, b, corner in zip(coords[:-1], coords[1:], route[1:]):
+            for point, meters in sampler.segment(a, b):
+                t += 1
+                stop = measure_at(point, t, meters)
+                if stop:
+                    # The run ends here; close the polyline at the last sample.
+                    record.waypoints.append(spatial.Waypoint(float(point[0]), float(point[1])))
+                    break
+            if stop:
+                break
+            if not np.array_equal(a, b):
+                record.waypoints.append(corner)
+        if stop:
+            break
+        idle = idle + 1 if t == t_start else 0
+        if idle > harness.MAX_IDLE_EPISODES:
+            raise RuntimeError(f"no measurement in {harness.MAX_IDLE_EPISODES} consecutive planner episodes")
+        pos = coords[-1]
+
+    return record

@@ -135,7 +135,7 @@ class TestCovarianceMatrix:
         np.testing.assert_allclose(cross[0], cov[4])
 
     @given(rows=st.integers(2, 6), cols=st.integers(2, 6), spacing=st.floats(1.0, 30.0))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_always_psd_after_jitter(self, rows, cols, spacing):
         g = GridSpec(rows=rows, cols=cols, spacing=spacing)
         cov = oracles.shadow_cov_matrix(spatial.grid_points(g), make_params())
@@ -231,7 +231,7 @@ class TestGridPrior:
         ox=st.floats(-1e3, 1e3).filter(lambda v: v != int(v)),
         oy=st.floats(-1e3, 1e3).filter(lambda v: v != int(v)),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_table_build_is_symmetric_and_near_dense_oracle(self, rows, cols, spacing, ox, oy):
         # Off-integer coordinates: pairwise differences of node coordinates may
         # round differently from offset times spacing, by a last bit.
@@ -412,7 +412,7 @@ class TestSampleGroundTruth:
         corr=st.sampled_from((20.0, 50.0, 120.0)),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_shadowing_equals_full_torus_fft_oracle(self, shape, count, corr, seed):
         # Only the grid's corner of the torus FFT is computed; it must equal
         # the corner of the whole fft2 byte for byte, line grids and an

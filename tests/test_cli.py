@@ -332,13 +332,12 @@ class TestSurveyCommand:
         assert "max_measurements" in proc.stderr
         assert not os.path.exists(tmp_path / "o")
 
-    def test_run_that_never_measures_exits_two(self, tmp_path):
-        # A threshold may stop a survey at its first measurement, so a
-        # threshold config is not rejected up front. This one's threshold lies
-        # below what one measurement leaves, so the survey flies, a spacing
-        # longer than any flight never yields a sample, and the idle-episode
-        # guard ends the run. In a subprocess, so that a regression times out
-        # instead of hanging.
+    def test_threshold_run_that_never_measures_exits_one(self, tmp_path, capsys):
+        # A threshold might stop a survey at its first measurement, but this
+        # one's lies below what one measurement leaves, so the survey would fly
+        # and a spacing longer than any flight would never yield a sample. Such
+        # a config is rejected before the survey flies, like one without a
+        # threshold, instead of failing after 10,000 idle episodes.
         cfg = write_config(
             tmp_path,
             {
@@ -346,22 +345,27 @@ class TestSurveyCommand:
                 "cols": 4,
                 "measurement_spacing": 1e12,
                 "max_measurements": 1,
-                "planner": "min_cost",
+                "planner": "random",
                 "target": "power",
                 "uncertainty_threshold": 0.01,
             },
         )
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aerosurvey.__file__)))
-        argv = [sys.executable, "-m", "aerosurvey.cli", "survey", "--config", cfg]
-        proc = subprocess.run(
-            argv + ["--out-dir", str(tmp_path / "o")],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
+        code = main(["survey", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert "second measurement" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_sweep_within_reach_measures_twice(self, tmp_path):
+        # A 2 x 2 grid sweep flies 30 m per episode and a 10 m return leg
+        # between episodes, so 10,001 episodes reach 400,030 m: a spacing of
+        # 350,000 m yields its second measurement before the idle guard.
+        cfg = write_config(
+            tmp_path,
+            {"rows": 2, "cols": 2, "planner": "grid", "measurement_spacing": 350000, "max_measurements": 1},
         )
-        assert proc.returncode == 2
-        assert "no measurement in 10000 consecutive planner episodes" in proc.stderr
+        out = tmp_path / "o"
+        assert main(["survey", "--config", cfg, "--out-dir", str(out)]) == 0
+        assert len((out / "metrics.csv").read_text().strip().splitlines()) == 1 + 2
 
     @pytest.mark.parametrize("planner", ["grid", "spiral"])
     def test_sweep_that_never_measures_exits_one(self, tmp_path, capsys, planner):

@@ -505,7 +505,7 @@ class TestOnlineMatchesBatch:
         )
 
     @given(seed=st.integers(0, 50))
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=12)
     def test_agreement_across_seeds(self, seed):
         self._assert_agree(
             *self._run(seed=seed, n_meas=6, noise_var=0.5, rows=4, cols=4, n_off_grid=6)

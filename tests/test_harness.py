@@ -2,11 +2,12 @@
 
 import os
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -425,14 +426,18 @@ class TestRunSurvey:
 
     def test_sweep_spacing_limit(self):
         # On a 2 x 2 grid of 10 m both sweeps fly three 10 m edges per
-        # episode, so at MAX_IDLE_EPISODES such routes the survey still
-        # measures before the idle guard; beyond that, the config is rejected
-        # before anything flies.
-        limit = harness.MAX_IDLE_EPISODES * 30.0
+        # episode, and every episode after the first flies a 10 m return leg
+        # to the sweep's start first. So the survey still measures at the end
+        # of its 10,001st episode; beyond that, give or take one part in a
+        # million, the config is rejected before anything flies.
+        reach = _EPISODES * 30.0 + (_EPISODES - 1) * 10.0
+        limit = reach * (1.0 + 1e-6) + 1e-6
         for kind in (PlannerKind.GRID, PlannerKind.SPIRAL):
             cfg = make_config(rows=2, cols=2, spacing=10.0, planner=kind, max_measurements=1)
-            rec = run_survey(replace(cfg, measurement_spacing=limit))
+            rec = run_survey(replace(cfg, measurement_spacing=reach))
             assert len(rec.measurements) == 2, kind
+            assert rec.metrics[-1].meters == reach
+            replace(cfg, measurement_spacing=limit)
             with pytest.raises(ValueError, match="measurement_spacing"):
                 replace(cfg, measurement_spacing=np.nextafter(limit, np.inf))
             # Runs that never fly are not limited.
@@ -464,10 +469,11 @@ class TestRunSurvey:
         replace(cfg, measurement_spacing=limit)
         with pytest.raises(ValueError, match="second measurement"):
             replace(cfg, measurement_spacing=np.nextafter(limit, np.inf))
-        # Runs that never fly, or that a threshold may stop before they fly,
-        # are not limited.
+        # Runs that never fly are not limited; runs that a threshold may stop
+        # before they fly are.
         replace(cfg, measurement_spacing=1e12, max_measurements=0)
-        replace(cfg, measurement_spacing=1e12, uncertainty_threshold=0.5)
+        with pytest.raises(ValueError, match="second measurement"):
+            replace(cfg, measurement_spacing=1e12, uncertainty_threshold=0.5)
         make_config(rows=1, cols=1, planner=kind, measurement_spacing=1e12)
 
     def test_long_planned_spacing_within_reach_runs(self):
@@ -543,6 +549,76 @@ class TestRunSurvey:
         # Above the survey altitude, or between nodes, a transmitter is fine.
         make_config(rows=5, cols=5, altitude=20.0, transmitters=on_node)
         make_config(rows=5, cols=5, altitude=10.0, transmitters=(Transmitter((15.0, 10.0, 10.0), 10.0),))
+
+
+def _bits(values) -> bytes:
+    """The bytes of a float array, so that -0.0 differs from 0.0 and nan equals itself."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# Surveys checked against the loop oracle: past the re-base at N / 2 = 50
+# measurements, three transmitters on a line, a one-point grid, a threshold
+# stop, and a spacing longer than any one route, all with measurement noise.
+_ORACLE_SURVEYS = {
+    "rebase": dict(rows=10, cols=10, max_measurements=80),
+    "line": dict(rows=1, cols=12, num_transmitters=3, max_measurements=100),
+    "point": dict(rows=1, cols=1, max_measurements=20),
+    "threshold": dict(uncertainty_threshold=0.2, max_measurements=400),
+    "long_spacing": dict(rows=3, cols=3, max_measurements=5, measurement_spacing=500.0),
+}
+
+
+class TestFlightAndFilter:
+    @pytest.mark.parametrize("kind", ALL_PLANNERS)
+    @pytest.mark.parametrize("survey", list(_ORACLE_SURVEYS))
+    def test_matches_loop_oracle(self, survey, kind):
+        cfg = make_config(planner=kind, **_ORACLE_SURVEYS[survey])
+        wanted = (0, 3, 5, 60)
+        got = run_survey(cfg, snapshots=wanted)
+        want = oracles.survey_oracle(cfg, snapshots=wanted)
+        assert _bits([m.position + m.rss for m in got.measurements]) == _bits(
+            [m.position + m.rss for m in want.measurements]
+        )
+        assert _bits([astuple(row) for row in got.metrics]) == _bits([astuple(row) for row in want.metrics])
+        assert got.waypoints == want.waypoints
+        assert _bits(got.posterior.means) == _bits(want.posterior.means)
+        assert got.snapshots.keys() == want.snapshots.keys()
+        for t, snap in got.snapshots.items():
+            for name in ("posterior_means", "service_prob", "power_unc", "service_unc"):
+                assert _bits(getattr(snap, name)) == _bits(getattr(want.snapshots[t], name)), (t, name)
+        if survey == "threshold" and kind is not PlannerKind.RANDOM:
+            # Random routes stay above the threshold within the budget.
+            assert len(got.metrics) < cfg.max_measurements + 1
+
+    @settings(max_examples=8)
+    @given(
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 3)).filter(lambda s: s[0] * s[1] > 1),
+        kind=st.sampled_from(ALL_PLANNERS),
+        start=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        threshold=st.sampled_from([None, 0.5]),
+    )
+    def test_configs_past_the_reach_are_rejected_and_would_idle(self, shape, kind, start, threshold):
+        # A spacing just past what 10,001 episodes can fly is rejected up
+        # front, with or without a threshold; built anyway, the survey never
+        # takes its second measurement and its idle guard fails it.
+        rows, cols = shape
+        grid = GridSpec(rows=rows, cols=cols, spacing=10.0, altitude=20.0)
+        here = Waypoint(start[0] * (cols - 1) * 10.0, start[1] * (rows - 1) * 10.0)
+        reach = harness._idle_reach(grid, kind, here)
+        past = dict(
+            rows=rows,
+            cols=cols,
+            planner=kind,
+            start_position=here,
+            max_measurements=1,
+            measurement_spacing=np.nextafter(reach * (1.0 + 1e-6) + 1e-6, np.inf),
+        )
+        with pytest.raises(ValueError, match="second measurement"):
+            make_config(uncertainty_threshold=threshold, **past)
+        with mock.patch.object(harness, "_idle_reach", return_value=np.inf):
+            cfg = make_config(**past)
+        with pytest.raises(RuntimeError, match="no measurement in 10000"):
+            run_survey(cfg)
 
 
 class TestEqualTimeFairness:

@@ -74,3 +74,11 @@ def test_failing_hypothesis_test_is_an_ordinary_failure(tmp_path):
     assert proc.returncode == 1, output
     assert "INTERNALERROR" not in output
     assert "1 failed, 1 passed" in output, output
+
+
+def test_hypothesis_examples_have_no_deadline():
+    # A stall of a shared machine must not fail an example; the profile that
+    # conftest.py loads sets this once for every test.
+    from hypothesis import settings
+
+    assert settings.default.deadline is None

@@ -109,7 +109,7 @@ def box_fields(draw):
 
 
 class TestBoxFilter:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(field=box_fields())
     def test_matches_convolve2d_bit_for_bit(self, field):
         want = box_filter(field)
@@ -117,7 +117,7 @@ class TestBoxFilter:
         np.testing.assert_array_equal(got, want, strict=True)
         assert got.tobytes() == want.tobytes()  # signs of zero included
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(field=box_fields())
     def test_pick_destination_is_the_oracle_argmax(self, field):
         g = grid(*field.shape)
@@ -187,7 +187,7 @@ class TestMinCostRoute:
         route = self.route(g, np.ones(9), 8, pos=(1.0, 1.5))
         assert (route[0].x, route[0].y) == (0.0, 0.0)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         seed=st.integers(0, 10_000),
         dst=st.integers(0, 8),
@@ -200,7 +200,7 @@ class TestMinCostRoute:
         best = enumerate_best_cost(g, u, 0, dst)
         assert got == pytest.approx(best, rel=1e-9, abs=1e-12)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
         seed=st.integers(0, 10_000),
