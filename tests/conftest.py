@@ -1,4 +1,4 @@
-"""Hypothesis settings shared by every test module."""
+"""Hypothesis settings and test marks shared by every test module."""
 
 from hypothesis import settings
 
@@ -7,3 +7,9 @@ from hypothesis import settings
 # deadline; each keeps its own max_examples.
 settings.register_profile("aerosurvey", deadline=None)
 settings.load_profile("aerosurvey")
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "cpu_kernel_dependent: golden runs whose printed digits move with the BLAS or numpy CPU kernel"
+    )
