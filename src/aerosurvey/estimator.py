@@ -141,10 +141,9 @@ class SurveyPosterior:
         index, w = taps
         if len(values) != self.means.shape[0]:
             raise ValueError("need one value per transmitter")
-        values = np.array(values, dtype=float)
-        if not np.isfinite(values).all():
+        if not all(map(math.isfinite, values)):
             raise ValueError("measurement value must be finite")
-        if not np.isfinite(w).all():
+        if not np.logical_and.reduce(np.isfinite(w)):
             raise ValueError("tap weights must be finite")
         rows = self._rows
         if rows == len(self._u):
@@ -171,7 +170,7 @@ class SurveyPosterior:
         self.var -= scaled * scaled
         # Roundoff from near-exact observations can leave tiny negative variances.
         np.maximum(self.var, 0.0, out=self.var)
-        innovations = values - self.means[:, index] @ w
+        innovations = np.subtract(values, self.means[:, index] @ w)
         col /= denom
         self.means += np.multiply.outer(innovations, col)
 
@@ -213,9 +212,9 @@ def service_probability(mean, var, r_min: float) -> np.ndarray:
     """
     mean = np.asarray(mean, dtype=float)
     std = np.sqrt(np.maximum(var, 0.0))
-    degenerate = std == 0.0
-    if not degenerate.any():
+    # fmin skips nan variances, which are not degenerate.
+    if np.fmin.reduce(std, axis=None, initial=np.inf) != 0.0:
         return ndtr((mean - r_min) / std)
     with np.errstate(divide="ignore", invalid="ignore"):
         p = ndtr((mean - r_min) / std)
-    return np.where(degenerate, (mean >= r_min).astype(float), p)
+    return np.where(std == 0.0, (mean >= r_min).astype(float), p)

@@ -201,6 +201,12 @@ class SurveyRecord:
     snapshots: dict[int, Snapshot] = field(default_factory=dict)
 
 
+def _rows(means) -> np.ndarray:
+    """``means`` as a 2-D float array: a (K, N) stack as it is, one row of N as (1, N)."""
+    m = np.asarray(means, dtype=float)
+    return m if m.ndim == 2 else np.atleast_2d(m)
+
+
 def service_error_rate(means, served, r_min: float) -> float:
     """Fraction of grid points whose thresholded service estimate disagrees with truth.
 
@@ -212,11 +218,12 @@ def service_error_rate(means, served, r_min: float) -> float:
     the rounding of the normal CDF within about 1e-16 of the threshold), and
     on the true map when its true power does.
     """
-    m = np.atleast_2d(np.asarray(means, dtype=float))
+    m = _rows(means)
     truth = np.asarray(served, dtype=bool)
     if m.shape[1] != truth.shape[0]:
         raise ValueError("mean vector length does not match the grid")
-    wrong = (m >= r_min).any(axis=0) != truth
+    # What ndarray.any(axis=0) runs, without its Python wrapper.
+    wrong = np.logical_or.reduce(m >= r_min, axis=0) != truth
     return float(np.count_nonzero(wrong) / wrong.size)
 
 
@@ -230,18 +237,20 @@ def service_uncertainty_field(means, var, r_min: float, aggregation: str) -> np.
     ``mean - r_min`` and falls as it moves away from zero, so the largest is
     that of the mean nearest ``r_min`` (the first such transmitter on ties).
     """
-    means = np.atleast_2d(np.asarray(means, dtype=float))
+    means = _rows(means)
     if aggregation != "max":
         probs = estimator.service_probability(means, var, r_min)
         return unc.aggregate(unc.service_uncertainty(probs), aggregation)
     # A running argmin over the K rows: argmin(axis=0) across the rows of a
-    # C-order array costs several times as much.
+    # C-order array costs several times as much. The last row needs no
+    # running minimum after it.
     dist = np.abs(means - r_min)
     nearest, best = means[0], dist[0]
-    for row, d in zip(means[1:], dist[1:]):
-        closer = d < best
-        nearest = np.where(closer, row, nearest)
-        best = np.minimum(d, best)
+    last = len(means) - 1
+    for k in range(1, last + 1):
+        nearest = np.where(dist[k] < best, means[k], nearest)
+        if k < last:
+            best = np.minimum(dist[k], best)
     return unc.service_uncertainty(estimator.service_probability(nearest, var, r_min))
 
 
@@ -265,7 +274,7 @@ def _flight(config: SurveyConfig, rng: np.random.Generator, waypoints: list[spat
     sample, the next one without a sample raises RuntimeError.
     """
     grid = config.grid
-    pos = np.array([config.start_position.x, config.start_position.y])
+    pos = (float(config.start_position.x), float(config.start_position.y))
     yield pos, 0.0
     while grid.num_points == 1:
         yield pos, 0.0
@@ -273,7 +282,7 @@ def _flight(config: SurveyConfig, rng: np.random.Generator, waypoints: list[spat
     sampler = spatial.PathSampler(config.measurement_spacing)
     idle = 0  # consecutive episodes that took no measurement
     while True:
-        here = spatial.Waypoint(float(pos[0]), float(pos[1]))
+        here = spatial.Waypoint(*pos)
         if sweep is not None:
             route = sweep
         elif config.planner is planner.PlannerKind.RANDOM:
@@ -282,19 +291,19 @@ def _flight(config: SurveyConfig, rng: np.random.Generator, waypoints: list[spat
             field = target()
             dest = planner.pick_destination(field, grid, exclude=spatial.point_to_index(grid, pos))
             route = planner.min_cost_route(grid, field, here, dest)
-        if (route[0].x, route[0].y) != (here.x, here.y):
+        if (route[0].x, route[0].y) != pos:
             route = [here] + route
-        coords = spatial.as_coords(route)
+        corners = [(float(w.x), float(w.y)) for w in route]
         idle += 1
-        for a, b, corner in zip(coords[:-1], coords[1:], route[1:]):
+        for a, b, corner in zip(corners, corners[1:], route[1:]):
             for sample in sampler.segment(a, b):
                 idle = 0
                 yield sample
-            if not np.array_equal(a, b):
+            if a != b:
                 waypoints.append(corner)
         if idle > MAX_IDLE_EPISODES:
             raise RuntimeError(f"no measurement in {MAX_IDLE_EPISODES} consecutive planner episodes")
-        pos = coords[-1]
+        pos = corners[-1]
 
 
 def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRecord:
@@ -364,7 +373,7 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
         if t >= config.max_measurements or (threshold is not None and target_total <= threshold):
             if meters:
                 # The run ends here; if it flew, close the polyline at the last sample.
-                record.waypoints.append(spatial.Waypoint(float(point[0]), float(point[1])))
+                record.waypoints.append(spatial.Waypoint(*point))
             return record
 
 

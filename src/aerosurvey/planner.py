@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from array import array
@@ -61,17 +62,27 @@ def _box_sum(field: np.ndarray) -> np.ndarray:
     return acc.reshape(rows, stride)[:, :cols]
 
 
+def _finite_field(uncertainty, grid: GridSpec) -> np.ndarray:
+    """``uncertainty`` as a float array of one value per grid point, all finite."""
+    vals = np.asarray(uncertainty, dtype=float)
+    if vals.size != grid.num_points:
+        raise ValueError("uncertainty field does not match the grid")
+    finite = np.isfinite(vals).ravel()
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"uncertainty field must be finite; it holds {vals.flat[bad]} at grid index {bad}")
+    return vals
+
+
 def pick_destination(uncertainty, grid: GridSpec, exclude: int | None = None) -> int:
     """Grid index maximizing the 3x3 box-filtered uncertainty.
 
     Cells outside the grid count as zero in the filter. Ties break toward the
     lowest linear index; ``exclude`` removes one candidate (used to avoid
     replanning to the point the agent already occupies) and must be a grid
-    index.
+    index. A field holding nan or an infinity is rejected.
     """
-    vals = np.asarray(uncertainty, dtype=float)
-    if vals.size != grid.num_points:
-        raise ValueError("uncertainty field does not match the grid")
+    vals = _finite_field(uncertainty, grid)
     if exclude is not None and not 0 <= exclude < grid.num_points:
         raise IndexError(f"exclude {exclude} out of range [0, {grid.num_points})")
     flat = _box_sum(vals.reshape(grid.rows, grid.cols)).ravel()
@@ -85,43 +96,66 @@ def pick_destination(uncertainty, grid: GridSpec, exclude: int | None = None) ->
 _KING_MOVES = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
-def _dijkstra(grid: GridSpec, u: list[float], src: int, dst: int) -> list[int]:
+@functools.lru_cache(maxsize=4)
+def _route_layout(grid: GridSpec) -> tuple[int, tuple[tuple[int, float], ...], bytes]:
+    """The grid framed by a border one node wide, as the router walks it, from a cache of four.
+
+    Grid node (r, c) is node ``(r + 1) * stride + c + 1`` of the frame, with
+    ``stride = cols + 2``. Returns the stride, the eight king moves as
+    (index step, half the move's length) in ``_KING_MOVES`` order, and the
+    frame's initial done flags: 1 on the border, 0 inside. Every neighbour of a
+    grid node is then a frame node, and the border ones are never entered,
+    so no move needs a bounds check. Frame indices rise with grid indices, so
+    equal costs still pop the lowest grid index first.
+    """
+    stride = grid.cols + 2
+    moves = tuple((dr * stride + dc, grid.spacing * float(np.hypot(dr, dc)) * 0.5) for dr, dc in _KING_MOVES)
+    done = bytearray(b"\x01") * ((grid.rows + 2) * stride)
+    for r in range(1, grid.rows + 1):
+        done[r * stride + 1 : r * stride + 1 + grid.cols] = bytes(grid.cols)
+    return stride, moves, bytes(done)
+
+
+def _dijkstra(grid: GridSpec, u: np.ndarray, src: int, dst: int) -> list[int]:
+    """Grid indices of the cheapest king-move walk from ``src`` to ``dst`` over the field ``u``."""
+    stride, moves, border = _route_layout(grid)
     rows, cols = grid.rows, grid.cols
-    # Each move's half length, so an edge's trapezoid integral is half * (u[i] + u[j]).
-    moves = [
-        (dr, dc, dr * cols + dc, grid.spacing * float(np.hypot(dr, dc)) * 0.5)
-        for dr, dc in _KING_MOVES
-    ]
-    # Flat typed arrays hold one slot per grid point, so the search allocates
+    # The field in the frame; the border's zeros are never read.
+    framed = np.zeros((rows + 2, stride))
+    framed[1:-1, 1:-1] = u.reshape(rows, cols)
+    uf = framed.ravel().tolist()
+    start = src + 2 * (src // cols) + stride + 1
+    goal = dst + 2 * (dst // cols) + stride + 1
+    # Flat typed arrays hold one slot per frame node, so the search allocates
     # only its heap entries, however far it explores.
-    n = rows * cols
-    dist = array("d", [math.inf]) * n
-    dist[src] = 0.0
-    prev = array("q", [0]) * n
-    done = bytearray(n)
-    heap = [(0.0, src)]  # (cost, node): equal costs pop the lowest index first
+    dist = array("d", [math.inf]) * len(border)
+    dist[start] = 0.0
+    prev = array("q", [0]) * len(border)
+    done = bytearray(border)
+    heap = [(0.0, start)]  # (cost, node): equal costs pop the lowest index first
+    pop, push, floor = heapq.heappop, heapq.heappush, EDGE_FLOOR
     while True:  # king moves connect every grid point, so dst is always reached
-        d, node = heapq.heappop(heap)
+        d, node = pop(heap)
         if done[node]:
             continue
-        if node == dst:
-            path = [dst]
-            while path[-1] != src:
+        if node == goal:
+            path = [goal]
+            while path[-1] != start:
                 path.append(prev[path[-1]])
-            return path[::-1]
+            return [(p // stride - 1) * cols + p % stride - 1 for p in reversed(path)]
         done[node] = 1
-        r, c = divmod(node, cols)
-        for dr, dc, step, half in moves:
-            if not (0 <= r + dr < rows and 0 <= c + dc < cols):
-                continue
+        here = uf[node]
+        for step, half in moves:
             nb = node + step
             if done[nb]:
                 continue
-            nd = d + 1.0 / max(half * (u[node] + u[nb]), EDGE_FLOOR)
+            # An edge's trapezoid integral, floored; the same result as max(x, floor), nan included.
+            x = half * (here + uf[nb])
+            nd = d + 1.0 / (floor if floor > x else x)
             if nd < dist[nb]:
                 dist[nb] = nd
                 prev[nb] = node
-                heapq.heappush(heap, (nd, nb))
+                push(heap, (nd, nb))
 
 
 def min_cost_route(
@@ -131,19 +165,18 @@ def min_cost_route(
 
     Each edge costs the reciprocal of the trapezoidal uncertainty line
     integral along it (floored at EDGE_FLOOR), so routes gravitate toward
-    high-uncertainty terrain. Dijkstra finds the route, walking the in-bounds
-    king moves of each grid point.
+    high-uncertainty terrain. Dijkstra finds the route, walking the king
+    moves of each grid point inside a one-node border that is never entered.
+    A field holding nan or an infinity is rejected.
     """
     if not 0 <= destination < grid.num_points:
         raise IndexError(f"destination {destination} out of range [0, {grid.num_points})")
-    u = np.asarray(uncertainty, dtype=float)
-    if u.size != grid.num_points:
-        raise ValueError("uncertainty field does not match the grid")
+    u = _finite_field(uncertainty, grid)
     src = point_to_index(grid, (start.x, start.y))
-    if src == destination:
-        return [Waypoint(*index_to_point(grid, src))]
-    path = _dijkstra(grid, u.tolist(), src, destination)
-    return [Waypoint(*index_to_point(grid, g)) for g in path]
+    path = [src] if src == destination else _dijkstra(grid, u, src, destination)
+    # The coordinates index_to_point gives, without an array per node.
+    (ox, oy), cols, spacing = grid.origin, grid.cols, grid.spacing
+    return [Waypoint(ox + (g % cols) * spacing, oy + (g // cols) * spacing) for g in path]
 
 
 def grid_route(grid: GridSpec) -> list[Waypoint]:

@@ -132,24 +132,25 @@ class PathSampler:
         self.need = delta  # arc length left until the next sample
         self.meters = 0.0  # arc length flown so far
 
-    def segment(self, a: np.ndarray, b: np.ndarray) -> Iterator[tuple[np.ndarray, float]]:
-        """Fly from ``a`` to ``b``, yielding each sample's position and arc length.
+    def segment(self, a: Sequence[float], b: Sequence[float]) -> Iterator[tuple[tuple[float, float], float]]:
+        """Fly from ``a`` to ``b``, yielding each sample's ``(x, y)`` and arc length.
 
-        A consumer that stops iterating early leaves the flight at the last
-        sample it received.
+        The samples are Python floats, computed as ``a + direction * walked``
+        would be on arrays. A consumer that stops iterating early leaves the
+        flight at the last sample it received.
         """
-        seg = b - a
-        length = float(np.hypot(seg[0], seg[1]))
+        ax, ay = float(a[0]), float(a[1])
+        sx, sy = float(b[0]) - ax, float(b[1]) - ay
+        length = float(np.hypot(sx, sy))
         if length == 0.0:
             return
-        direction = seg / length
+        dx, dy = sx / length, sy / length
         walked = 0.0
         while self.need <= length - walked + _ARC_TOL:
             walked += self.need
             self.meters += self.need
             self.need = self.delta
-            yield a + direction * walked, self.meters
+            yield (ax + dx * walked, ay + dy * walked), self.meters
         leftover = length - walked
         self.need -= leftover
         self.meters += leftover
-

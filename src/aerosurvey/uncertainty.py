@@ -41,8 +41,9 @@ def service_uncertainty(probabilities) -> np.ndarray:
     (K, N) field.
     """
     p = np.asarray(probabilities, dtype=float)
-    # NaN and infinities fail these comparisons too.
-    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
+    # NaN and infinities fail these comparisons too. The ufunc reductions are
+    # what ndarray.min and max run, without their Python wrappers.
+    if p.size and not (np.minimum.reduce(p, axis=None) >= 0.0 and np.maximum.reduce(p, axis=None) <= 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
     q = 1.0 - p
     ent = xlogy(p, p) + xlogy(q, q)

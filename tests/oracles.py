@@ -1,5 +1,8 @@
 """Reference computations shared by the test modules."""
 
+import heapq
+import math
+from array import array
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -181,6 +184,49 @@ def enumerate_best_cost(grid: GridSpec, u, src: int, dst: int) -> float:
     return best
 
 
+def dijkstra(grid: GridSpec, u: list[float], src: int, dst: int) -> list[int]:
+    """Route oracle for ``planner._dijkstra``: Dijkstra on the grid itself.
+
+    Grid indices of the cheapest king-move walk from ``src`` to ``dst``. It
+    builds the eight moves on every call and checks each move against the
+    grid's bounds. Equal costs pop the lowest index first, which fixes the
+    route among ties.
+    """
+    rows, cols = grid.rows, grid.cols
+    moves = [
+        (dr, dc, dr * cols + dc, grid.spacing * float(np.hypot(dr, dc)) * 0.5)
+        for dr, dc in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+    ]
+    n = rows * cols
+    dist = array("d", [math.inf]) * n
+    dist[src] = 0.0
+    prev = array("q", [0]) * n
+    done = bytearray(n)
+    heap = [(0.0, src)]
+    while True:
+        d, node = heapq.heappop(heap)
+        if done[node]:
+            continue
+        if node == dst:
+            path = [dst]
+            while path[-1] != src:
+                path.append(prev[path[-1]])
+            return path[::-1]
+        done[node] = 1
+        r, c = divmod(node, cols)
+        for dr, dc, step, half in moves:
+            if not (0 <= r + dr < rows and 0 <= c + dc < cols):
+                continue
+            nb = node + step
+            if done[nb]:
+                continue
+            nd = d + 1.0 / max(half * (u[node] + u[nb]), planner.EDGE_FLOOR)
+            if nd < dist[nb]:
+                dist[nb] = nd
+                prev[nb] = node
+                heapq.heappush(heap, (nd, nb))
+
+
 def route_cost(grid: GridSpec, u, waypoints: list[Waypoint]) -> float:
     """Total reciprocal-integral cost of a grid-point waypoint sequence."""
     vals = np.asarray(u, dtype=float)
@@ -246,6 +292,29 @@ def interpolation_taps(grid: GridSpec, point) -> tuple[np.ndarray, np.ndarray]:
 
     index = (rs[:, None] * grid.cols + cs).ravel()
     return index, np.outer(weights(fy - r0), weights(fx - c0)).ravel()
+
+
+def scalar_interpolation_taps(grid: GridSpec, point) -> tuple[np.ndarray, np.ndarray]:
+    """Taps oracle for :func:`aerosurvey.channel.interpolation_taps`, in Python scalars.
+
+    It clamps the block's four rows and four columns in Python, builds the
+    index array from their 16 sums, and takes the weights' outer product
+    with ``np.multiply.outer``.
+    """
+    x, y = float(point[0]), float(point[1])
+    if not grid.contains(x, y):
+        raise ValueError(f"point ({x}, {y}) lies outside the grid rectangle")
+    ox, oy = grid.origin
+    cmax, rmax = grid.cols - 1, grid.rows - 1
+    fx = min(max((x - ox) / grid.spacing, 0.0), float(cmax))
+    fy = min(max((y - oy) / grid.spacing, 0.0), float(rmax))
+    c0 = min(math.floor(fx), cmax)
+    r0 = min(math.floor(fy), rmax)
+    cs = [min(max(c, 0), cmax) for c in range(c0 - 1, c0 + 3)]
+    rs = [min(max(r, 0), rmax) * grid.cols for r in range(r0 - 1, r0 + 3)]
+    index = np.array([r + c for r in rs for c in cs])
+    weights = np.multiply.outer(channel._catmull_rom_weights(fy - r0), channel._catmull_rom_weights(fx - c0)).ravel()
+    return index, weights
 
 
 def sample_path(waypoints: Iterable[Waypoint] | np.ndarray, delta: float) -> np.ndarray:

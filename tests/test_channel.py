@@ -545,6 +545,34 @@ class TestInterpolationTaps:
             np.testing.assert_array_equal(index, want_index)
             np.testing.assert_array_equal(weights, want_weights)
 
+    @settings(max_examples=120)
+    @given(
+        shape=st.one_of(
+            st.tuples(st.just(1), st.integers(1, 12)),
+            st.tuples(st.integers(1, 12), st.just(1)),
+            st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        ),
+        spacing=st.sampled_from([1.0, 3.0, 7.3, 10.0]),
+        origin=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+        fractions=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=20),
+    )
+    def test_same_bytes_as_the_scalar_oracle(self, shape, spacing, origin, fractions):
+        # Random points, every node, the four edges and the four corners, the
+        # far corner (xmax, ymax) among them.
+        g = GridSpec(rows=shape[0], cols=shape[1], spacing=spacing, origin=origin)
+        xmin, ymin, xmax, ymax = g.bounds()
+        points = [(xmin + fx * (xmax - xmin), ymin + fy * (ymax - ymin)) for fx, fy in fractions]
+        points += [tuple(p) for p in spatial.grid_points(g)]
+        x, y = points[0]
+        points += [(x, ymin), (x, ymax), (xmin, y), (xmax, y)]
+        points += [(xmin, ymin), (xmax, ymin), (xmin, ymax), (xmax, ymax)]
+        for point in points:
+            index, weights = channel.interpolation_taps(g, point)
+            want_index, want_weights = oracles.scalar_interpolation_taps(g, point)
+            assert index.dtype == want_index.dtype and weights.dtype == want_weights.dtype
+            assert index.tobytes() == want_index.tobytes(), point
+            assert weights.tobytes() == want_weights.tobytes(), point
+
     def test_outside_bounds_rejected(self):
         g = GridSpec(rows=3, cols=3, spacing=10.0)
         for point in ((-5.0, 0.0), (0.0, 20.1), (float("nan"), 5.0)):

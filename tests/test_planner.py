@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from aerosurvey import planner, spatial
 from aerosurvey.planner import PlannerKind
 from aerosurvey.spatial import GridSpec, Waypoint
+import oracles
 from oracles import box_filter, edge_cost, enumerate_best_cost, king_neighbors, route_cost, sample_path
 
 
@@ -228,6 +229,64 @@ class TestMinCostRoute:
         g = grid(3, 3)
         assert self.indices(g, self.route(g, np.zeros(9), 2)) == [0, 1, 2]
         assert self.indices(g, self.route(g, np.zeros(9), 6)) == [0, 3, 6]
+
+
+# Grid shapes up to 12 x 12, with one-row and one-column grids drawn on purpose.
+LINE_AND_BOX_SHAPES = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 12)),
+    st.tuples(st.integers(1, 12), st.just(1)),
+    st.tuples(st.integers(1, 12), st.integers(1, 12)),
+)
+
+
+class TestRouteOracle:
+    @settings(max_examples=150)
+    @given(shape=LINE_AND_BOX_SHAPES, spacing=st.sampled_from([1.0, 7.3, 10.0]), seed=st.integers(0, 2**32 - 1))
+    def test_same_route_as_the_oracle(self, shape, spacing, seed):
+        # About 30 % zeros and values rounded to a tenth, so equal edge and
+        # path costs are common and the tie rule decides many routes.
+        g = grid(*shape, spacing=spacing)
+        rng = np.random.default_rng(seed)
+        u = np.round(rng.uniform(0.0, 1.0, g.num_points), 1)
+        u[rng.uniform(size=g.num_points) < 0.3] = 0.0
+        for src, dst in rng.integers(0, g.num_points, size=(8, 2)).tolist():
+            if src == dst:
+                want = [src]
+            else:
+                want = oracles.dijkstra(g, u.tolist(), src, dst)
+                assert planner._dijkstra(g, u, src, dst) == want
+            route = planner.min_cost_route(g, u, Waypoint(*spatial.index_to_point(g, src)), dst)
+            assert [(w.x, w.y) for w in route] == [tuple(spatial.index_to_point(g, i).tolist()) for i in want]
+
+
+class TestFiniteFields:
+    # A nan or an infinity anywhere in the field, the destination included,
+    # is rejected by name instead of failing inside the search or steering
+    # the box filter.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["destination", "everywhere"])
+    def test_min_cost_route_rejects_non_finite_fields(self, bad, where):
+        g = grid(4, 4)
+        u = np.full(16, 0.5)
+        if where == "destination":
+            u[15] = bad
+        else:
+            u[:] = bad
+        with pytest.raises(ValueError, match="uncertainty field must be finite"):
+            planner.min_cost_route(g, u, Waypoint(0.0, 0.0), 15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pick_destination_rejects_non_finite_fields(self, bad):
+        g = grid(4, 4)
+        u = np.zeros(16)
+        u[5] = bad
+        with pytest.raises(ValueError, match="grid index 5"):
+            planner.pick_destination(u, g)
+
+    def test_a_start_on_the_destination_is_checked_too(self):
+        g = grid(3, 3)
+        with pytest.raises(ValueError, match="finite"):
+            planner.min_cost_route(g, np.full(9, np.nan), Waypoint(0.0, 0.0), 0)
 
 
 class TestSweepRoutes:
