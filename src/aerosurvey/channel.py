@@ -63,7 +63,7 @@ class Transmitter:
 class ChannelParams:
     """Propagation and sensing parameters shared by every transmitter."""
 
-    transmitters: tuple[Transmitter, ...]
+    transmitters: tuple[Transmitter, ...] = ()
     frequency: float = 2.4e9
     pathloss_exponent: float = 2.0
     shadow_var: float = 9.0
@@ -199,7 +199,7 @@ def grid_prior(grid: GridSpec, shadow_var: float, corr_distance: float) -> GridP
     Only the (2R - 1) x (2C - 1) kernel table is built and cached, read-only;
     no N x N array is.
     """
-    kernel = ChannelParams((), shadow_var=shadow_var, corr_distance=corr_distance)
+    kernel = ChannelParams(shadow_var=shadow_var, corr_distance=corr_distance)
     rows, cols = grid.rows, grid.cols
     table = _kernel_at_offsets(*(np.abs(np.arange(1 - n, n)) for n in (rows, cols)), grid.spacing, kernel)
     table.flags.writeable = False
@@ -231,7 +231,7 @@ def circulant_root(grid: GridSpec, corr_distance: float) -> np.ndarray:
     Raises ValueError when no such torus has at most :data:`MAX_TORUS_POINTS`
     points: the torus side grows with ``corr_distance / spacing``.
     """
-    kernel = ChannelParams((), shadow_var=1.0, corr_distance=corr_distance)
+    kernel = ChannelParams(shadow_var=1.0, corr_distance=corr_distance)
     rows, cols = grid.rows, grid.cols
     shape = (max(2 * (rows - 1), 1), max(2 * (cols - 1), 1))
     while shape[0] * shape[1] <= MAX_TORUS_POINTS:

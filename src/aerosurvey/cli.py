@@ -6,13 +6,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
-from typing import Any
+from dataclasses import fields
+from operator import attrgetter
+from typing import Any, get_type_hints
 
 import numpy as np
 
 from .channel import ChannelParams, Transmitter
-from .harness import MonteCarloResult, SurveyConfig, SurveyRecord, monte_carlo, run_survey
+from .harness import MetricsRow, MonteCarloResult, SurveyConfig, monte_carlo, run_survey
 from .spatial import GridSpec, Waypoint
 
 __all__ = ["ConfigError", "load_config", "default_config", "write_grid", "main"]
@@ -22,33 +23,10 @@ class ConfigError(Exception):
     """Invalid or unreadable survey configuration."""
 
 
-_DEFAULTS: dict[str, Any] = {
-    "rows": 30,
-    "cols": 25,
-    "spacing": 10.0,
-    "altitude": 20.0,
-    "origin": [0.0, 0.0],
-    "transmitters": None,
-    "num_transmitters": 2,
-    "tx_height": 10.0,
-    "tx_power_dbm": 10.0,
-    "frequency": 2.4e9,
-    "pathloss_exponent": 2.0,
-    "shadow_var": 9.0,
-    "shadow_mean": 0.0,
-    "corr_distance": 50.0,
-    "fading_var": 0.0,
-    "noise_var": 0.0,
-    "r_min": -65.0,
-    "measurement_spacing": 5.0,
-    "planner": "min_cost",
-    "aggregation": "max",
-    "target": "service",
-    "max_measurements": 300,
-    "uncertainty_threshold": None,
-    "start_position": [0.0, 0.0],
-    "seed": 0,
-}
+# The default scenario's grid. GridSpec has no default shape or spacing, and
+# its altitude defaults to ground level; every other key left out of a config
+# takes the default of the dataclass field it names.
+_GRID_DEFAULTS = {"rows": 30, "cols": 25, "spacing": 10.0, "altitude": 20.0}
 
 
 def _fail(key: str, why: str):
@@ -89,65 +67,57 @@ def _parse_transmitters(raw, default_power: float) -> tuple[Transmitter, ...]:
     return tuple(txs)
 
 
-def default_config(overrides: dict[str, Any] | None = None) -> SurveyConfig:
-    """Build a SurveyConfig from defaults plus config-file style overrides.
+# How a JSON value becomes a field of each type. The transmitters are read in
+# ``default_config``; fields of other types (int, str, PlannerKind) take the
+# JSON value as it is, and their dataclass checks it.
+_FROM_JSON = {
+    float: _as_number,
+    float | None: lambda key, value: None if value is None else _as_number(key, value),
+    tuple[float, float]: _as_point,
+    Waypoint: lambda key, value: Waypoint(*_as_point(key, value)),
+}
 
+# Each config key is a field of one of these dataclasses, built and checked in
+# this order (SurveyConfig's grid and channel fields hold the other two), and
+# maps to its converter.
+_SECTIONS = {
+    cls: {
+        name: _FROM_JSON.get(hint, lambda key, value: value)
+        for name, hint in get_type_hints(cls).items()
+        if name not in ("grid", "channel")
+    }
+    for cls in (GridSpec, ChannelParams, SurveyConfig)
+}
+_KEYS = frozenset().union(*_SECTIONS.values())
+
+
+def default_config(overrides: dict[str, Any] | None = None) -> SurveyConfig:
+    """Build a SurveyConfig from config-file style overrides.
+
+    A key left out takes the default of the dataclass field it names, except
+    the grid's ``rows``, ``cols``, ``spacing`` and ``altitude``, which take
+    the default scenario's 30 x 25 grid at 10 m spacing and 20 m altitude.
     This converts JSON values to the types the dataclasses take; every range,
     choice and integer check lives in ``GridSpec``, ``ChannelParams`` and
     ``SurveyConfig``, whose errors become ``ConfigError``.
     """
-    merged = dict(_DEFAULTS)
-    if overrides:
-        unknown = set(overrides) - set(_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config key: '{sorted(unknown)[0]}'")
-        merged.update(overrides)
+    given = {**_GRID_DEFAULTS, **(overrides or {})}
+    unknown = set(given) - _KEYS
+    if unknown:
+        raise ConfigError(f"unknown config key: '{sorted(unknown)[0]}'")
+    # Read before any other value: transmitters without a power of their own take it.
+    tx_power = _as_number("tx_power_dbm", given.get("tx_power_dbm", SurveyConfig.tx_power_dbm))
+    raw_transmitters = given.pop("transmitters", None)  # null, like no key: drawn per run
 
-    def number(key: str) -> float:
-        return _as_number(key, merged[key])
+    def section(cls) -> dict[str, Any]:
+        return {name: convert(name, given[name]) for name, convert in _SECTIONS[cls].items() if name in given}
 
-    threshold = merged["uncertainty_threshold"]
-    tx_power = number("tx_power_dbm")
     try:
-        grid = GridSpec(
-            rows=merged["rows"],
-            cols=merged["cols"],
-            spacing=number("spacing"),
-            origin=_as_point("origin", merged["origin"]),
-            altitude=number("altitude"),
-        )
-        params = ChannelParams(
-            transmitters=(
-                ()
-                if merged["transmitters"] is None
-                else _parse_transmitters(merged["transmitters"], tx_power)
-            ),
-            frequency=number("frequency"),
-            pathloss_exponent=number("pathloss_exponent"),
-            shadow_var=number("shadow_var"),
-            shadow_mean=number("shadow_mean"),
-            corr_distance=number("corr_distance"),
-            fading_var=number("fading_var"),
-            noise_var=number("noise_var"),
-        )
-        return SurveyConfig(
-            grid=grid,
-            channel=params,
-            num_transmitters=merged["num_transmitters"],
-            tx_height=number("tx_height"),
-            tx_power_dbm=tx_power,
-            r_min=number("r_min"),
-            measurement_spacing=number("measurement_spacing"),
-            planner=merged["planner"],
-            aggregation=merged["aggregation"],
-            target=merged["target"],
-            max_measurements=merged["max_measurements"],
-            uncertainty_threshold=(
-                None if threshold is None else _as_number("uncertainty_threshold", threshold)
-            ),
-            start_position=Waypoint(*_as_point("start_position", merged["start_position"])),
-            seed=merged["seed"],
-        )
+        grid = GridSpec(**section(GridSpec))
+        if raw_transmitters is not None:
+            given["transmitters"] = _parse_transmitters(raw_transmitters, tx_power)
+        params = ChannelParams(**section(ChannelParams))
+        return SurveyConfig(grid=grid, channel=params, **section(SurveyConfig))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -194,10 +164,6 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.10g}"
-
-
 def write_grid(values, grid: GridSpec, path: str, fmt: str = "csv", comment: str | None = None) -> None:
     """Write a length-N grid field as a rows x cols CSV matrix or a plain PGM image.
 
@@ -233,50 +199,19 @@ def write_grid(values, grid: GridSpec, path: str, fmt: str = "csv", comment: str
         raise ValueError(f"unknown grid format: {fmt!r}")
 
 
-def _write_metrics(record: SurveyRecord, path: str) -> None:
-    lines = ["run,t,meters,total_unc_power,total_unc_service,service_error_rate"]
-    for r in record.metrics:
-        lines.append(
-            f"{r.run_id},{r.t},{_fmt(r.meters)},{_fmt(r.total_unc_power)},"
-            f"{_fmt(r.total_unc_service)},{_fmt(r.service_error_rate)}"
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_table(path: str, header: str, row_format: str, rows) -> None:
+    """Write a CSV file: ``header``, then ``row_format`` filled in with each row.
 
-
-def _write_trajectory(record: SurveyRecord, path: str) -> None:
-    lines = ["t,x,y"]
-    for t, m in enumerate(record.measurements):
-        lines.append(f"{t},{_fmt(m.position[0])},{_fmt(m.position[1])}")
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _write_montecarlo(result: MonteCarloResult, path: str) -> None:
-    header = (
-        "t,mean_meters,std_meters,mean_total_unc_power,std_total_unc_power,"
-        "mean_total_unc_service,std_total_unc_service,"
-        "mean_service_error_rate,std_service_error_rate"
-    )
+    The row formats print counters as integers and other numbers with 10
+    significant digits.
+    """
     lines = [header]
-    for i, t in enumerate(result.t):
-        lines.append(
-            ",".join(
-                [str(int(t))]
-                + [
-                    _fmt(arr[i])
-                    for arr in (
-                        result.mean_meters,
-                        result.std_meters,
-                        result.mean_total_unc_power,
-                        result.std_total_unc_power,
-                        result.mean_total_unc_service,
-                        result.std_total_unc_service,
-                        result.mean_service_error_rate,
-                        result.std_service_error_rate,
-                    )
-                ]
-            )
-        )
+    lines.extend(row_format.format(*row) for row in rows)
     _atomic_write(path, "\n".join(lines) + "\n")
+
+
+_METRICS_ROW = attrgetter(*(f.name for f in fields(MetricsRow)))
+_MC_COLUMNS = tuple(f.name for f in fields(MonteCarloResult)[2:])  # t, then each statistic
 
 
 def _parse_snapshots(raw: str | None, max_measurements: int) -> tuple[int, ...]:
@@ -295,31 +230,34 @@ def _parse_snapshots(raw: str | None, max_measurements: int) -> tuple[int, ...]:
     return values
 
 
-def _with_planner(cfg: SurveyConfig, name: str) -> SurveyConfig:
-    try:
-        return replace(cfg, planner=name)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _load_for(ns: argparse.Namespace) -> SurveyConfig:
-    """The config file (or the defaults) with --seed and --planner merged in, validated once."""
+def _raw_config(ns: argparse.Namespace) -> dict[str, Any]:
+    """The config file's object (empty without --config) with --seed and --planner merged in."""
     raw = _read_json(ns.config) if ns.config else {}
     if ns.seed is not None:
         raw["seed"] = ns.seed
     if getattr(ns, "planner", None) is not None:
         raw["planner"] = ns.planner
-    return default_config(raw)
+    return raw
 
 
 def cmd_survey(ns: argparse.Namespace) -> int:
-    cfg = _load_for(ns)
+    cfg = default_config(_raw_config(ns))
     snapshots = _parse_snapshots(ns.snapshots, cfg.max_measurements)
     record = run_survey(cfg, snapshots=snapshots)
     outdir = ns.out_dir
     os.makedirs(outdir, exist_ok=True)
-    _write_metrics(record, os.path.join(outdir, "metrics.csv"))
-    _write_trajectory(record, os.path.join(outdir, "trajectory.csv"))
+    _write_table(
+        os.path.join(outdir, "metrics.csv"),
+        "run,t,meters,total_unc_power,total_unc_service,service_error_rate",
+        "{},{}" + ",{:.10g}" * 4,
+        map(_METRICS_ROW, record.metrics),
+    )
+    _write_table(
+        os.path.join(outdir, "trajectory.csv"),
+        "t,x,y",
+        "{},{:.10g},{:.10g}",
+        ((t, *m.position) for t, m in enumerate(record.measurements)),
+    )
     grid = cfg.grid
     for t, snap in sorted(record.snapshots.items()):
         tag = f"snapshot_t{t:04d}"
@@ -347,7 +285,8 @@ def cmd_survey(ns: argparse.Namespace) -> int:
 
 
 def cmd_montecarlo(ns: argparse.Namespace) -> int:
-    cfg = _load_for(ns)
+    raw = _raw_config(ns)
+    cfg = default_config(raw)
     if ns.runs < 1:
         raise ConfigError("--runs must be at least 1")
     if ns.planners:
@@ -358,12 +297,17 @@ def cmd_montecarlo(ns: argparse.Namespace) -> int:
         names = [cfg.planner.value]
     if cfg.uncertainty_threshold is not None:
         _fail("uncertainty_threshold", "montecarlo needs fixed-length runs; remove the threshold")
-    configs = [_with_planner(cfg, name) for name in names]
+    configs = [default_config({**raw, "planner": name}) for name in names]
     os.makedirs(ns.out_dir, exist_ok=True)
     for run_cfg in configs:
         result = monte_carlo(run_cfg, ns.runs)
         name = run_cfg.planner.value
-        _write_montecarlo(result, os.path.join(ns.out_dir, f"montecarlo_{name}.csv"))
+        _write_table(
+            os.path.join(ns.out_dir, f"montecarlo_{name}.csv"),
+            ",".join(_MC_COLUMNS),
+            "{}" + ",{:.10g}" * (len(_MC_COLUMNS) - 1),
+            zip(*(getattr(result, column).tolist() for column in _MC_COLUMNS)),
+        )
         final = result.mean_total_unc_service[-1]
         print(f"montecarlo: planner={name} runs={ns.runs} final_unc_service={final:.4f}")
     return 0

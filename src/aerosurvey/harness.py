@@ -426,5 +426,6 @@ def monte_carlo(config: SurveyConfig, runs: int, workers: int = 1) -> MonteCarlo
     for i, name in enumerate(_MC_METRICS):
         data = np.array([run[i] for run in curves])
         out[f"mean_{name}"] = data.mean(axis=0)
-        out[f"std_{name}"] = data.std(axis=0)
+        # Deviations from the first run: a metric equal in every run gets exactly 0.
+        out[f"std_{name}"] = (data - data[0]).std(axis=0)
     return MonteCarloResult(planner=config.planner, runs=runs, **out)

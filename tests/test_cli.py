@@ -2,19 +2,28 @@
 
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import aerosurvey
-from aerosurvey import cli
+from aerosurvey.channel import ChannelParams
 from aerosurvey.cli import ConfigError, default_config, load_config, main, write_grid
+from aerosurvey.harness import SurveyConfig
 from aerosurvey.planner import PlannerKind
-from aerosurvey.spatial import GridSpec
+from aerosurvey.spatial import GridSpec, Waypoint
+
+# A config key is a field of GridSpec, ChannelParams or SurveyConfig, other
+# than SurveyConfig's own grid and channel.
+CONFIG_KEYS = {
+    f.name for cls in (GridSpec, ChannelParams, SurveyConfig) for f in fields(cls)
+} - {"grid", "channel"}
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -44,6 +53,32 @@ class TestConfigLoading:
         assert cfg.target == "service"
         assert cfg.max_measurements == 300
         assert cfg.seed == 0
+
+    def test_defaults_are_the_dataclass_defaults_on_the_default_grid(self):
+        grid = GridSpec(rows=30, cols=25, spacing=10.0, altitude=20.0)
+        assert default_config({}) == SurveyConfig(grid=grid, channel=ChannelParams())
+        assert default_config() == default_config({})
+
+    def test_every_key_set_to_its_default_gives_the_defaults(self):
+        cfg = default_config({})
+        values = {**vars(cfg.grid), **vars(cfg.channel), **vars(cfg)}
+
+        def as_json(value):
+            if isinstance(value, PlannerKind):
+                return value.value
+            if isinstance(value, Waypoint):
+                return [value.x, value.y]
+            if value == ():
+                return None  # no explicit transmitters
+            return list(value) if isinstance(value, tuple) else value
+
+        assert default_config({key: as_json(values[key]) for key in CONFIG_KEYS}) == cfg
+
+    def test_readme_table_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        first_cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+        assert {key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)} == CONFIG_KEYS
 
     def test_unknown_key_rejected_by_name(self, tmp_path):
         path = write_config(tmp_path, {"speeed": 4.0})
@@ -158,7 +193,7 @@ class TestConfigLoading:
             load_config(str(path))
 
     def test_every_key_has_a_bad_value(self):
-        assert {key for key, _ in self.BAD_VALUES} == set(cli._DEFAULTS)
+        assert {key for key, _ in self.BAD_VALUES} == CONFIG_KEYS
 
     def test_removed_speed_key_is_unknown(self):
         with pytest.raises(ConfigError, match="unknown config key: 'speed'"):

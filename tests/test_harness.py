@@ -682,6 +682,14 @@ class TestMonteCarlo:
             mc.std_total_unc_service, vals.std(axis=0, ddof=0), atol=1e-12
         )
 
+    def test_metrics_equal_in_every_run_have_zero_std(self):
+        # A sweep flies the same path, so its power uncertainty does not
+        # depend on the run. The mean of three equal floats need not equal
+        # them, so a deviation about the mean could read 1.1e-16.
+        mc = monte_carlo(make_config(planner=PlannerKind.GRID, max_measurements=25), 3)
+        assert not mc.std_total_unc_power.any()
+        assert not mc.std_meters.any()
+
     def test_rejects_more_than_one_worker(self):
         with pytest.raises(ValueError, match="workers"):
             monte_carlo(make_config(max_measurements=2), 2, workers=2)
