@@ -174,11 +174,13 @@ def write_grid(values, grid: GridSpec, path: str, fmt: str = "csv", comment: str
     if vals.size != grid.num_points:
         raise ValueError("value count does not match the grid")
     matrix = vals.reshape(grid.rows, grid.cols)
+    # Rows are formatted from Python floats and ints, which format as numpy
+    # scalars do (np.float64 formats through float.__format__) but faster.
     if fmt == "csv":
         lines = []
         if comment:
             lines.append(f"# {comment}")
-        for row in matrix:
+        for row in matrix.tolist():
             lines.append(",".join(f"{v:.6g}" for v in row))
         _atomic_write(path, "\n".join(lines) + "\n")
     elif fmt == "pgm":
@@ -192,8 +194,8 @@ def write_grid(values, grid: GridSpec, path: str, fmt: str = "csv", comment: str
             lines.append(f"# {comment}")
         lines.append(f"{grid.cols} {grid.rows}")
         lines.append("255")
-        for row in pixels:
-            lines.append(" ".join(str(int(v)) for v in row))
+        for row in pixels.tolist():
+            lines.append(" ".join(map(str, row)))
         _atomic_write(path, "\n".join(lines) + "\n")
     else:
         raise ValueError(f"unknown grid format: {fmt!r}")
@@ -290,7 +292,8 @@ def cmd_montecarlo(ns: argparse.Namespace) -> int:
     if ns.runs < 1:
         raise ConfigError("--runs must be at least 1")
     if ns.planners:
-        names = [p.strip() for p in ns.planners.split(",") if p.strip()]
+        # A planner named twice runs once; the first naming sets the order.
+        names = list(dict.fromkeys(p.strip() for p in ns.planners.split(",") if p.strip()))
         if not names:
             raise ConfigError("--planners must name at least one planner")
     else:

@@ -1,7 +1,10 @@
 """Normalized per-point map uncertainty and multi-transmitter aggregation.
 
 Every field is a plain array in [0, 1]: one value per grid point, or one row
-of them per transmitter.
+of them per transmitter. A leading block axis stacks the fields of several
+posteriors, so one call evaluates a block of measurements: the fields are
+element-wise and ``aggregate`` reduces along the transmitter axis only, so
+each stack of a block gets the values a call on it alone would give.
 """
 
 from __future__ import annotations
@@ -55,15 +58,18 @@ def service_uncertainty(probabilities) -> np.ndarray:
 def aggregate(field, mode: str = "max") -> np.ndarray:
     """Combine a field's per-transmitter rows point-wise with ``max`` or ``mean``.
 
-    Every row of ``field`` is one transmitter; a 1-D field is one transmitter.
+    Every row of a (K, N) ``field`` is one transmitter, and a 1-D field is
+    one transmitter; a (B, K, N) block aggregates each of its B stacks to
+    give (B, N). The rows are combined in order along axis -2, as for one
+    stack, so each stack's result is the same to the bit.
     """
     stacked = np.atleast_2d(np.asarray(field, dtype=float))
-    if stacked.shape[0] == 0:
+    if stacked.shape[-2] == 0:
         raise ValueError("nothing to aggregate")
     if mode == "max":
-        return stacked.max(axis=0)
+        return stacked.max(axis=-2)
     if mode == "mean":
-        return stacked.mean(axis=0)
+        return stacked.mean(axis=-2)
     raise ValueError(f"unknown aggregation mode: {mode!r}")
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import aerosurvey
+from aerosurvey import cli
 from aerosurvey.channel import ChannelParams
 from aerosurvey.cli import ConfigError, default_config, load_config, main, write_grid
 from aerosurvey.harness import SurveyConfig
@@ -659,6 +660,29 @@ class TestMonteCarloCommand:
         assert main(argv + ["--out-dir", str(out)]) == 1
         assert "zigzag" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_repeated_planner_runs_once(self, tmp_path, capsys, monkeypatch):
+        # A planner named twice runs once, in the order first named.
+        calls = []
+        real = cli.monte_carlo
+
+        def spy(config, runs):
+            calls.append(config.planner)
+            return real(config, runs)
+
+        monkeypatch.setattr(cli, "monte_carlo", spy)
+        cfg = write_config(tmp_path, {"rows": 4, "cols": 4, "max_measurements": 10})
+        out = tmp_path / "mc"
+        argv = ["montecarlo", "--config", cfg, "--runs", "2", "--planners", "grid,grid", "--out-dir", str(out)]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in printed] == [["montecarlo:", "planner=grid"]]
+        assert calls == [PlannerKind.GRID]
+        assert os.listdir(out) == ["montecarlo_grid.csv"]
+        calls.clear()
+        argv[-3] = "random,grid,random"
+        assert main(argv) == 0
+        assert calls == [PlannerKind.RANDOM, PlannerKind.GRID]
 
     def test_defaults_to_config_planner(self, tmp_path):
         cfg = write_config(tmp_path, dict(SMALL, planner="spiral"))

@@ -315,24 +315,30 @@ class TestRunSurvey:
                 np.testing.assert_allclose(got[head:], want[head:], rtol=0, atol=1e-9, err_msg=where)
 
     def test_one_power_field_per_measurement(self, monkeypatch):
-        # All transmitters share one covariance, so one power field serves them all.
+        # All transmitters share one covariance, so one power field serves
+        # them all: the metric pass evaluates one row of N variances per
+        # measurement, however its blocks split the survey.
         calls = []
         real = harness.unc.power_uncertainty
 
         def counted(state, params):
-            calls.append(state)
+            calls.append(np.shape(state))
             return real(state, params)
 
         monkeypatch.setattr(harness.unc, "power_uncertainty", counted)
         cfg = make_config(num_transmitters=3, max_measurements=10, planner=PlannerKind.GRID)
         rec = run_survey(cfg)
-        assert len(calls) == len(rec.measurements)
+        assert all(len(shape) == 2 and shape[1] == cfg.grid.num_points for shape in calls), calls
+        assert sum(shape[0] for shape in calls) == len(rec.measurements)
 
     def test_fields_computed_once_per_posterior(self, monkeypatch):
-        # Each measurement's fields feed the metrics and the next plan; only
-        # snapshots compute them again, and only snapshots evaluate the (K, N)
-        # service probabilities their files hold. Under max aggregation every
-        # other pass evaluates N values. The planner picks one destination per route.
+        # Each measurement's fields are evaluated once, as one row of a block
+        # pass, which feeds both the metrics and the next plan; only snapshots
+        # compute them again, and only snapshots evaluate the (K, N) service
+        # probabilities their files hold. Under max aggregation a block row is
+        # N values, under mean K rows of N. A pass runs when its block is full,
+        # when the planner asks for its field, or at the end, never more often.
+        # The planner picks one destination per route.
         calls = {"service_probability": [], "service_uncertainty": [], "pick_destination": [], "min_cost_route": []}
 
         def counting(module, name):
@@ -353,10 +359,20 @@ class TestRunSurvey:
                 found.clear()
             cfg = make_config(rows=10, cols=10, seed=11, max_measurements=300, num_transmitters=3, aggregation=aggregation)
             rec = run_survey(cfg, snapshots=(0, 7, 100))
-            passes, files = len(rec.measurements) + len(rec.snapshots), len(rec.snapshots)
+            measured, files = len(rec.measurements), len(rec.snapshots)
             assert files == 3
-            assert calls["service_uncertainty"] == [field_shape] * passes, aggregation
-            assert sorted(calls["service_probability"]) == sorted([field_shape] * passes + [(3, 100)] * files)
+            # A snapshot evaluates one field_shape; a block pass, (rows, *field_shape).
+            entropy = calls["service_uncertainty"]
+            blocks = [shape for shape in entropy if shape != field_shape]
+            assert all(shape[1:] == field_shape for shape in blocks), (aggregation, blocks)
+            assert sum(1 if shape == field_shape else shape[0] for shape in entropy) == measured + files
+            assert len(entropy) - len(blocks) == files
+            capacity = max(1, harness.BLOCK_VALUES // cfg.grid.num_points)
+            assert 1 < len(blocks) <= len(calls["pick_destination"]) + -(-measured // capacity) + 1
+            # (K, N) probabilities: each snapshot's file, and under mean its field too.
+            probs = calls["service_probability"]
+            assert probs.count((3, 100)) == files * (1 if aggregation == "max" else 2), aggregation
+            assert sorted(shape for shape in probs if shape != (3, 100) and shape != (100,)) == sorted(blocks)
             assert len(calls["min_cost_route"]) > 0
             assert len(calls["pick_destination"]) == len(calls["min_cost_route"])
 
@@ -568,6 +584,21 @@ _ORACLE_SURVEYS = {
 }
 
 
+# Surveys whose records must not depend on how the metric pass splits them
+# into blocks: each planner kind that plans differently, a threshold stop,
+# three transmitters under mean aggregation with fading, the power target,
+# and a one-point grid.
+_BLOCK_SURVEYS = {
+    "min_cost": dict(max_measurements=60),
+    "grid": dict(planner=PlannerKind.GRID, max_measurements=60),
+    "random": dict(planner=PlannerKind.RANDOM, max_measurements=60),
+    "threshold": dict(uncertainty_threshold=0.2, max_measurements=400),
+    "mean_three": dict(num_transmitters=3, aggregation="mean", fading_var=1.0, max_measurements=60),
+    "power": dict(target="power", max_measurements=60),
+    "point": dict(rows=1, cols=1, max_measurements=20),
+}
+
+
 class TestFlightAndFilter:
     @pytest.mark.parametrize("kind", ALL_PLANNERS)
     @pytest.mark.parametrize("survey", list(_ORACLE_SURVEYS))
@@ -589,6 +620,45 @@ class TestFlightAndFilter:
         if survey == "threshold" and kind is not PlannerKind.RANDOM:
             # Random routes stay above the threshold within the budget.
             assert len(got.metrics) < cfg.max_measurements + 1
+
+    @pytest.mark.parametrize("survey", list(_BLOCK_SURVEYS))
+    def test_block_capacity_leaves_the_record_unchanged(self, survey, monkeypatch):
+        # The metric pass evaluates up to max(1, BLOCK_VALUES // N) measurements
+        # at once. A block of one row is a pass per measurement, and one of
+        # more rows than the survey has passes only when the planner asks for
+        # its field and at the end. Every capacity gives the per-step oracle's
+        # record to the bit; a threshold survey passes after every measurement.
+        cfg = make_config(**_BLOCK_SURVEYS[survey])
+        n, measured = cfg.grid.num_points, cfg.max_measurements + 1
+        wanted = (0, 3, 17, 40)
+        want = oracles.survey_oracle(cfg, snapshots=wanted)
+        shapes = []
+        real = harness.unc.power_uncertainty
+
+        def counted(var, params):
+            shapes.append(np.shape(var))
+            return real(var, params)
+
+        monkeypatch.setattr(harness.unc, "power_uncertainty", counted)
+        for capacity in (1, 2, max(1, harness.BLOCK_VALUES // n), measured + 1):
+            monkeypatch.setattr(harness, "BLOCK_VALUES", capacity * n)
+            shapes.clear()
+            got = run_survey(cfg, snapshots=wanted)
+            where = (survey, capacity)
+            assert _bits([astuple(row) for row in got.metrics]) == _bits([astuple(row) for row in want.metrics]), where
+            assert got.waypoints == want.waypoints, where
+            assert _bits([m.position + m.rss for m in got.measurements]) == _bits(
+                [m.position + m.rss for m in want.measurements]
+            ), where
+            assert got.snapshots.keys() == want.snapshots.keys(), where
+            for t, snap in got.snapshots.items():
+                for name in ("posterior_means", "service_prob", "power_unc", "service_unc"):
+                    assert _bits(getattr(snap, name)) == _bits(getattr(want.snapshots[t], name)), (where, t, name)
+            # Snapshots evaluate one (N,) field each; a pass, (rows, N).
+            rows = [shape[0] for shape in shapes if len(shape) == 2]
+            assert len(shapes) - len(rows) == len(got.snapshots), where
+            assert sum(rows) == len(got.measurements), where
+            assert max(rows) <= (1 if cfg.uncertainty_threshold is not None else capacity), where
 
     # No shrinking: when the reach is wrong, each example tried flies up to
     # 10,001 idle episodes, and shrinking took minutes to report a failure.
