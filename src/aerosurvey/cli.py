@@ -16,7 +16,7 @@ from .channel import ChannelParams, Transmitter
 from .harness import MetricsRow, MonteCarloResult, SurveyConfig, monte_carlo, run_survey
 from .spatial import GridSpec, Waypoint
 
-__all__ = ["ConfigError", "load_config", "default_config", "write_grid", "main"]
+__all__ = ["ConfigError", "default_config", "write_grid", "main"]
 
 
 class ConfigError(Exception):
@@ -135,11 +135,6 @@ def _read_json(path: str) -> dict[str, Any]:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return raw
-
-
-def load_config(path: str) -> SurveyConfig:
-    """Load a survey configuration from a JSON file; unknown keys are rejected."""
-    return default_config(_read_json(path))
 
 
 def _atomic_write(path: str, text: str) -> None:

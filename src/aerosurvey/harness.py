@@ -31,8 +31,6 @@ __all__ = [
     "Snapshot",
     "SurveyRecord",
     "MonteCarloResult",
-    "service_error_rate",
-    "service_uncertainty_field",
     "run_survey",
     "monte_carlo",
 ]
@@ -147,6 +145,11 @@ class SurveyConfig:
         dz = 0.0 if self.channel.transmitters else self.grid.altitude - self.tx_height
         if not np.isfinite((xmax - xmin) * (xmax - xmin) + (ymax - ymin) * (ymax - ymin) + dz * dz):
             raise ValueError("squared link distances overflow: shrink the grid or altitude - tx_height")
+        if self.grid.num_points == 1 and not self.channel.transmitters and dz * dz == 0.0:
+            raise ValueError(
+                "on a one-point grid every drawn transmitter sits on the grid point: "
+                "tx_height must differ from altitude"
+            )
         if not self.grid.contains(self.start_position.x, self.start_position.y):
             raise ValueError("start_position lies outside the grid rectangle")
         try:
@@ -220,72 +223,22 @@ class SurveyRecord:
     snapshots: dict[int, Snapshot] = field(default_factory=dict)
 
 
-def _rows(means) -> np.ndarray:
-    """``means`` as a float array of at least 2-D: one row of N as (1, N), a stack or block as it is."""
-    m = np.asarray(means, dtype=float)
-    return m if m.ndim >= 2 else np.atleast_2d(m)
-
-
 def _service_errors(means, served, r_min: float):
     """How many grid points' thresholded service estimate disagrees with truth.
 
     ``means`` is a (K, N) stack of posterior means, which gives one count,
     or a (B, K, N) block of them, which gives one per stack, a (B,) array;
-    ``served`` is the true service mask.
+    ``served`` is the true service mask, one boolean per grid point. A point
+    counts as served when any transmitter serves it: on the estimated map
+    when its posterior mean clears ``r_min`` (a service probability of at
+    least 1/2 at any variance, up to the rounding of the normal CDF within
+    about 1e-16 of the threshold), and on the true map when its true power
+    does.
     """
     # What ndarray.any(axis=-2) runs, without its Python wrapper. Along an
     # axis, add.reduce counts in a fraction of count_nonzero's call cost.
     wrong = np.logical_or.reduce(means >= r_min, axis=-2) != served
     return np.add.reduce(wrong, axis=-1, dtype=np.intp)
-
-
-def service_error_rate(means, served, r_min: float) -> float:
-    """Fraction of grid points whose thresholded service estimate disagrees with truth.
-
-    ``means`` holds one row of N posterior means per transmitter (or one
-    transmitter's N means) and ``served`` is the true service mask, one
-    boolean per grid point. A point counts as served when any transmitter
-    serves it: on the estimated map when its posterior mean clears
-    ``r_min`` (a service probability of at least 1/2 at any variance, up to
-    the rounding of the normal CDF within about 1e-16 of the threshold), and
-    on the true map when its true power does.
-    """
-    m = _rows(means)
-    truth = np.asarray(served, dtype=bool)
-    if m.shape[1] != truth.shape[0]:
-        raise ValueError("mean vector length does not match the grid")
-    return float(_service_errors(m, truth, r_min) / truth.size)
-
-
-def service_uncertainty_field(means, var, r_min: float, aggregation: str) -> np.ndarray:
-    """Service uncertainty per grid point, aggregated over transmitters.
-
-    ``means`` is the (K, N) stack of posterior means and ``var`` the N
-    variances they share; a (B, K, N) block of stacks with their (B, N)
-    variances gives a (B, N) field. Under ``mean`` aggregation the K
-    per-transmitter entropies are averaged. Under ``max`` only one
-    transmitter per point is evaluated: with a shared variance, a point's
-    entropy is even in ``mean - r_min`` and falls as it moves away from zero,
-    so the largest is that of the mean nearest ``r_min`` (the first such
-    transmitter on ties).
-    """
-    means = _rows(means)
-    var = np.asarray(var, dtype=float)
-    if aggregation != "max":
-        # Each stack's variances broadcast over its K rows.
-        probs = estimator.service_probability(means, var[..., None, :], r_min)
-        return unc.aggregate(unc.service_uncertainty(probs), aggregation)
-    # A running argmin over the K rows: argmin(axis=-2) across the rows of a
-    # C-order array costs several times as much. The last row needs no
-    # running minimum after it.
-    dist = np.abs(means - r_min)
-    nearest, best = means[..., 0, :], dist[..., 0, :]
-    last = means.shape[-2] - 1
-    for k in range(1, last + 1):
-        nearest = np.where(dist[..., k, :] < best, means[..., k, :], nearest)
-        if k < last:
-            best = np.minimum(dist[..., k, :], best)
-    return unc.service_uncertainty(estimator.service_probability(nearest, var, r_min))
 
 
 def _fields(means, var, params: channel.ChannelParams, config: SurveyConfig):
@@ -295,7 +248,7 @@ def _fields(means, var, params: channel.ChannelParams, config: SurveyConfig):
     block with (B, N) variances gives two (B, N) fields.
     """
     power_unc = unc.power_uncertainty(var, params)
-    service_unc = service_uncertainty_field(means, var, config.r_min, config.aggregation)
+    service_unc = unc.service_uncertainty_field(means, var, config.r_min, config.aggregation)
     return power_unc, service_unc
 
 
@@ -387,25 +340,20 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
     )
     n = grid.num_points
     capacity = 1 if threshold is not None else max(1, BLOCK_VALUES // n)
-    if capacity > 1:
-        block_means = np.empty((capacity, *posterior.means.shape))
-        block_var = np.empty((capacity, n))
+    block_means = np.empty((capacity, *posterior.means.shape))
+    block_var = np.empty((capacity, n))
     pending = []  # (t, meters) of the measurements whose metrics are not yet logged
     target_unc = target_total = None  # the planner's field and its total, of the latest posterior
 
     def evaluate() -> None:
         """Log the metrics of every pending measurement, in one pass over its rows."""
         nonlocal target_unc, target_total
-        if capacity > 1:
-            means, var = block_means[: len(pending)], block_var[: len(pending)]
-        else:
-            # The one pending measurement is the posterior as it stands.
-            means, var = posterior.means[None], posterior.var[None]
+        means, var = block_means[: len(pending)], block_var[: len(pending)]
         power_unc, service_unc = _fields(means, var, params, config)
-        # Summed along the last axis, each row is summed pairwise on its own,
-        # as total_uncertainty sums one field. A float divided by n in Python
-        # rounds as numpy's division does, and the count's division is the
-        # one service_error_rate makes.
+        # Each total is its row's mean over the grid, to the bit: summed along
+        # the last axis, each row is summed pairwise on its own, as
+        # ndarray.mean sums one field, and a float or an integer count divided
+        # by n in Python rounds as numpy's division does.
         power_sums = np.add.reduce(power_unc, axis=-1).tolist()
         service_sums = np.add.reduce(service_unc, axis=-1).tolist()
         errors = _service_errors(means, served, config.r_min).tolist()
@@ -439,9 +387,8 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
         m = channel.take_measurement(gt, point, params, rng, taps=taps)
         posterior.condition(taps, m.rss)
         record.measurements.append(m)
-        if capacity > 1:
-            block_means[len(pending)] = posterior.means
-            block_var[len(pending)] = posterior.var
+        block_means[len(pending)] = posterior.means
+        block_var[len(pending)] = posterior.var
         pending.append((t, meters))
         last = t >= config.max_measurements
         if last or len(pending) == capacity:

@@ -21,6 +21,10 @@ __all__ = [
 # rounding in segment lengths neither drops nor adds a sample.
 _ARC_TOL = 1e-9
 
+# Slack (meters) by which a point may lie outside the grid rectangle and still
+# count as inside it.
+_BOUNDS_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -65,8 +69,9 @@ class GridSpec:
             oy + (self.rows - 1) * self.spacing,
         )
 
-    def contains(self, x: float, y: float, tol: float = 1e-9) -> bool:
+    def contains(self, x: float, y: float) -> bool:
         xmin, ymin, xmax, ymax = self.bounds()
+        tol = _BOUNDS_TOL
         return (xmin - tol) <= x <= (xmax + tol) and (ymin - tol) <= y <= (ymax + tol)
 
 

@@ -1,10 +1,13 @@
 """Normalized per-point map uncertainty and multi-transmitter aggregation.
 
-Every field is a plain array in [0, 1]: one value per grid point, or one row
-of them per transmitter. A leading block axis stacks the fields of several
-posteriors, so one call evaluates a block of measurements: the fields are
-element-wise and ``aggregate`` reduces along the transmitter axis only, so
-each stack of a block gets the values a call on it alone would give.
+This module turns a posterior's means and variances into the uncertainty
+fields the planner and the survey metrics read. Every field is a plain array
+in [0, 1]: one value per grid point, or one row of them per transmitter. A
+leading block axis stacks the fields of several posteriors, so one call
+evaluates a block of measurements: the fields are element-wise and the
+aggregation reduces along the transmitter axis only, so each stack of a block
+gets the values a call on it alone would give. A map's total uncertainty is
+the mean of its aggregated field over the grid.
 """
 
 from __future__ import annotations
@@ -12,13 +15,13 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import xlogy
 
+from . import estimator
 from .channel import ChannelParams
 
 __all__ = [
     "power_uncertainty",
     "service_uncertainty",
-    "aggregate",
-    "total_uncertainty",
+    "service_uncertainty_field",
 ]
 
 _LN2 = np.log(2.0)
@@ -55,28 +58,36 @@ def service_uncertainty(probabilities) -> np.ndarray:
     return np.minimum(np.maximum(ent, 0.0), 1.0)
 
 
-def aggregate(field, mode: str = "max") -> np.ndarray:
-    """Combine a field's per-transmitter rows point-wise with ``max`` or ``mean``.
+def service_uncertainty_field(means, var, r_min: float, aggregation: str) -> np.ndarray:
+    """Service uncertainty per grid point, aggregated over transmitters.
 
-    Every row of a (K, N) ``field`` is one transmitter, and a 1-D field is
-    one transmitter; a (B, K, N) block aggregates each of its B stacks to
-    give (B, N). The rows are combined in order along axis -2, as for one
-    stack, so each stack's result is the same to the bit.
+    ``means`` is the (K, N) stack of posterior means and ``var`` the N
+    variances they share; a (B, K, N) block of stacks with their (B, N)
+    variances gives a (B, N) field. Under ``mean`` aggregation the K
+    per-transmitter entropies are averaged. Under ``max`` only one
+    transmitter per point is evaluated: with a shared variance, a point's
+    entropy is even in ``mean - r_min`` and falls as it moves away from zero,
+    so the largest is that of the mean nearest ``r_min`` (the first such
+    transmitter on ties).
     """
-    stacked = np.atleast_2d(np.asarray(field, dtype=float))
-    if stacked.shape[-2] == 0:
-        raise ValueError("nothing to aggregate")
-    if mode == "max":
-        return stacked.max(axis=-2)
-    if mode == "mean":
-        return stacked.mean(axis=-2)
-    raise ValueError(f"unknown aggregation mode: {mode!r}")
-
-
-def total_uncertainty(field) -> float:
-    """Spatial mean of an uncertainty field."""
-    vals = np.asarray(field, dtype=float)
-    if vals.size == 0:
-        raise ValueError("empty uncertainty field")
-    # The sum ndarray.mean takes, without its Python wrapper.
-    return float(np.add.reduce(vals, axis=None) / vals.size)
+    means = np.asarray(means, dtype=float)
+    var = np.asarray(var, dtype=float)
+    # The service probabilities are read through the estimator module, so
+    # that a probe or spy installed on it sees every call.
+    if aggregation == "mean":
+        # Each stack's variances broadcast over its K rows.
+        probs = estimator.service_probability(means, var[..., None, :], r_min)
+        return service_uncertainty(probs).mean(axis=-2)
+    if aggregation != "max":
+        raise ValueError(f"unknown aggregation mode: {aggregation!r}")
+    # A running argmin over the K rows: argmin(axis=-2) across the rows of a
+    # C-order array costs several times as much. The last row needs no
+    # running minimum after it.
+    dist = np.abs(means - r_min)
+    nearest, best = means[..., 0, :], dist[..., 0, :]
+    last = means.shape[-2] - 1
+    for k in range(1, last + 1):
+        nearest = np.where(dist[..., k, :] < best, means[..., k, :], nearest)
+        if k < last:
+            best = np.minimum(dist[..., k, :], best)
+    return service_uncertainty(estimator.service_probability(nearest, var, r_min))

@@ -365,7 +365,7 @@ def service_uncertainty(probabilities) -> np.ndarray:
 
 
 def total_uncertainty(field) -> float:
-    """Readable reference for :func:`aerosurvey.uncertainty.total_uncertainty`."""
+    """Spatial mean of an uncertainty field: the total a survey logs."""
     vals = np.asarray(field, dtype=float)
     if vals.size == 0:
         raise ValueError("empty uncertainty field")
@@ -373,10 +373,10 @@ def total_uncertainty(field) -> float:
 
 
 def service_error_rate(means, served, r_min: float) -> float:
-    """Readable reference for :func:`aerosurvey.harness.service_error_rate`.
+    """Fraction of grid points whose thresholded service estimate disagrees with truth.
 
     A point is estimated served when some transmitter's posterior mean clears
-    ``r_min``.
+    ``r_min``. This is the rate a survey logs.
     """
     m = np.atleast_2d(np.asarray(means, dtype=float))
     truth = np.asarray(served, dtype=bool)
@@ -392,7 +392,9 @@ def survey_oracle(config: harness.SurveyConfig, run_id: int = 0, snapshots=()) -
     Plans each episode, flies it segment by segment and measures at every
     sample, with the flight and the filter interleaved in one function. It
     calls the package's channel, estimator, planner and uncertainty functions
-    in the same order as ``run_survey``, so its record matches bit for bit.
+    in the same order as ``run_survey`` and takes its totals and error rates
+    from :func:`total_uncertainty` and :func:`service_error_rate`, one
+    measurement at a time, so its record matches bit for bit.
     """
     rng = np.random.default_rng([config.seed, run_id])
     grid = config.grid
@@ -421,7 +423,7 @@ def survey_oracle(config: harness.SurveyConfig, run_id: int = 0, snapshots=()) -
     def fields():
         """The power and service uncertainty fields (N,) of the current posterior."""
         power_unc = unc.power_uncertainty(posterior.var, params)
-        service_unc = harness.service_uncertainty_field(
+        service_unc = unc.service_uncertainty_field(
             posterior.means, posterior.var, config.r_min, config.aggregation
         )
         return power_unc, service_unc
@@ -448,8 +450,8 @@ def survey_oracle(config: harness.SurveyConfig, run_id: int = 0, snapshots=()) -
         posterior.condition(taps, m.rss)
         power_unc, service_unc = fields()
         target_unc = power_unc if config.target == "power" else service_unc
-        power_total = unc.total_uncertainty(power_unc)
-        service_total = unc.total_uncertainty(service_unc)
+        power_total = total_uncertainty(power_unc)
+        service_total = total_uncertainty(service_unc)
         record.measurements.append(m)
         record.metrics.append(
             harness.MetricsRow(
@@ -458,7 +460,7 @@ def survey_oracle(config: harness.SurveyConfig, run_id: int = 0, snapshots=()) -
                 meters=meters,
                 total_unc_power=power_total,
                 total_unc_service=service_total,
-                service_error_rate=harness.service_error_rate(posterior.means, served, config.r_min),
+                service_error_rate=service_error_rate(posterior.means, served, config.r_min),
             )
         )
         if t >= config.max_measurements:

@@ -15,7 +15,7 @@ import pytest
 import aerosurvey
 from aerosurvey import cli
 from aerosurvey.channel import ChannelParams
-from aerosurvey.cli import ConfigError, default_config, load_config, main, write_grid
+from aerosurvey.cli import ConfigError, default_config, main, write_grid
 from aerosurvey.harness import SurveyConfig
 from aerosurvey.planner import PlannerKind
 from aerosurvey.spatial import GridSpec, Waypoint
@@ -33,9 +33,14 @@ def write_config(tmp_path, data, name="config.json"):
     return str(path)
 
 
+def config_from_file(path):
+    """The config the CLI builds from the file at ``path``, with no --seed or --planner."""
+    return default_config(cli._read_json(path))
+
+
 class TestConfigLoading:
     def test_empty_object_gives_default_scenario(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, {}))
+        cfg = config_from_file(write_config(tmp_path, {}))
         assert cfg.grid.rows == 30
         assert cfg.grid.cols == 25
         assert cfg.grid.spacing == 10.0
@@ -84,28 +89,28 @@ class TestConfigLoading:
     def test_unknown_key_rejected_by_name(self, tmp_path):
         path = write_config(tmp_path, {"speeed": 4.0})
         with pytest.raises(ConfigError, match="speeed"):
-            load_config(path)
+            config_from_file(path)
 
     def test_negative_spacing_names_field(self, tmp_path):
         path = write_config(tmp_path, {"spacing": -1})
         with pytest.raises(ConfigError, match="spacing"):
-            load_config(path)
+            config_from_file(path)
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\n  'single': 1\n}")
         with pytest.raises(ConfigError, match="line 2"):
-            load_config(str(path))
+            config_from_file(str(path))
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
-            load_config("/nonexistent/config.json")
+            config_from_file("/nonexistent/config.json")
 
     def test_non_object_root_rejected(self, tmp_path):
         path = tmp_path / "arr.json"
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="object"):
-            load_config(str(path))
+            config_from_file(str(path))
 
     def test_explicit_transmitters(self, tmp_path):
         path = write_config(
@@ -117,7 +122,7 @@ class TestConfigLoading:
                 ]
             },
         )
-        cfg = load_config(path)
+        cfg = config_from_file(path)
         assert cfg.channel.num_transmitters == 2
         assert cfg.channel.transmitters[0].power_dbm == 12.0
         # unset power falls back to the scenario transmit power
@@ -126,14 +131,14 @@ class TestConfigLoading:
     def test_bad_transmitter_entry(self, tmp_path):
         path = write_config(tmp_path, {"transmitters": [{"position": [1, 2]}]})
         with pytest.raises(ConfigError, match="transmitters"):
-            load_config(path)
+            config_from_file(path)
 
     def test_stop_criterion_required(self, tmp_path):
         path = write_config(
             tmp_path, {"max_measurements": None, "uncertainty_threshold": None}
         )
         with pytest.raises(ConfigError):
-            load_config(path)
+            config_from_file(path)
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0, 1.5, float("nan")])
     def test_threshold_outside_unit_interval_rejected(self, threshold):
@@ -191,7 +196,7 @@ class TestConfigLoading:
         path = tmp_path / "config.json"
         path.write_text('{"max_measurements": 5, "measurement_spacing": %s}' % text)
         with pytest.raises(ConfigError, match="measurement_spacing"):
-            load_config(str(path))
+            config_from_file(str(path))
 
     def test_every_key_has_a_bad_value(self):
         assert {key for key, _ in self.BAD_VALUES} == CONFIG_KEYS
@@ -454,6 +459,16 @@ class TestSurveyCommand:
             out = tmp_path / command[0]
             assert main(command + ["--config", cfg, "--out-dir", str(out)]) == 1
             assert "coincides with the transmitter" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_transmitters_drawn_onto_a_one_point_grid_exit_one(self, tmp_path, capsys):
+        # Every transmitter drawn over a one-point grid lands on its point, at
+        # zero link distance when tx_height equals the altitude.
+        cfg = write_config(tmp_path, {"rows": 1, "cols": 1, "altitude": 10, "tx_height": 10, "max_measurements": 3})
+        for command in (["survey"], ["montecarlo", "--runs", "2"]):
+            out = tmp_path / command[0]
+            assert main(command + ["--config", cfg, "--out-dir", str(out)]) == 1
+            assert "one-point grid" in capsys.readouterr().err
             assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -11,9 +11,9 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aerosurvey import channel, estimator, harness
+from aerosurvey import channel, estimator, harness, uncertainty
 from aerosurvey.channel import ChannelParams, Transmitter
-from aerosurvey.harness import SurveyConfig, monte_carlo, run_survey, service_error_rate
+from aerosurvey.harness import SurveyConfig, monte_carlo, run_survey
 from aerosurvey.planner import PlannerKind
 from aerosurvey.spatial import GridSpec, Waypoint
 import oracles
@@ -57,6 +57,11 @@ _EPISODES = harness.MAX_IDLE_EPISODES + 1
 _lattice_means = st.one_of(st.integers(-80, 80).map(lambda i: -65.0 + i / 4), st.floats(-200.0, 80.0))
 
 
+def service_error_rate(means, served, r_min: float) -> float:
+    """The error rate ``run_survey`` logs for one (K, N) stack: its error count over N."""
+    return harness._service_errors(means, served, r_min).tolist() / served.size
+
+
 class TestServiceErrorRate:
     def _served(self, powers, r_min=-65.0):
         """True service mask: any transmitter clears the threshold."""
@@ -75,8 +80,6 @@ class TestServiceErrorRate:
         served = self._served(np.array([[-60.0, -70.0, -50.0, -80.0]]))
         means = np.array([[-60.0, -80.0, -70.0, -50.0]])
         assert service_error_rate(means, served, -65.0) == 0.5
-        with pytest.raises(ValueError, match="length"):
-            service_error_rate(means[:, :3], served, -65.0)
 
     def test_any_transmitter_serves(self):
         served = self._served(np.array([[-80.0, -80.0], [-50.0, -80.0]]))
@@ -89,11 +92,14 @@ class TestServiceErrorRate:
         served=arrays(bool, 40),
     )
     def test_matches_oracle(self, means, var, served):
-        # The threshold rule exactly; and the probability rule (p >= 1/2 on the
-        # posterior) away from 0 < |z| < 1e-15, where the normal CDF rounds to 1/2.
-        for m in (means, means[0]):
-            got = service_error_rate(m, served, -65.0)
-            assert type(got) is float and got == oracles.service_error_rate(m, served, -65.0)
+        # The threshold rule exactly, for a stack and for each stack of a
+        # block; and the probability rule (p >= 1/2 on the posterior) away
+        # from 0 < |z| < 1e-15, where the normal CDF rounds to 1/2.
+        stacks = (means, means[:, ::-1])
+        got = service_error_rate(means, served, -65.0)
+        assert type(got) is float and got == oracles.service_error_rate(means, served, -65.0)
+        counts = harness._service_errors(np.stack(stacks), served, -65.0).tolist()
+        assert [count / 40 for count in counts] == [oracles.service_error_rate(m, served, -65.0) for m in stacks]
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.abs(means + 65.0) / np.sqrt(var)
         clear = ~((z > 0) & (z < 1e-15)).any(axis=0)
@@ -110,7 +116,7 @@ class TestServiceUncertaintyField:
     def test_matches_per_transmitter_oracle(self, means, var, aggregation):
         # The oracle evaluates every transmitter; the slack covers the
         # rounding of 1 - p where the CDF saturates toward 1.
-        got = harness.service_uncertainty_field(means, var, -65.0, aggregation)
+        got = uncertainty.service_uncertainty_field(means, var, -65.0, aggregation)
         per_tx = oracles.service_uncertainty(oracles.service_probability(means, var, -65.0))
         want = per_tx.max(axis=0) if aggregation == "max" else per_tx.mean(axis=0)
         assert got.shape == (30,) and not np.signbit(got).any()
@@ -128,13 +134,13 @@ class TestServiceUncertaintyField:
 
         monkeypatch.setattr(estimator, "service_probability", spy)
         means = np.array([[-60.0, -70.0, -66.0, -64.0], [-66.0, -60.0, -64.0, -90.0]])
-        field = harness.service_uncertainty_field(means, np.array([4.0, 4.0, 0.0, 1.0]), -65.0, "max")
+        field = uncertainty.service_uncertainty_field(means, np.array([4.0, 4.0, 0.0, 1.0]), -65.0, "max")
         np.testing.assert_array_equal(seen[0], [-66.0, -70.0, -66.0, -64.0])
         assert len(seen) == 1 and field[2] == 0.0
 
     def test_rejects_unknown_aggregation(self):
         with pytest.raises(ValueError, match="median"):
-            harness.service_uncertainty_field(np.zeros((2, 3)), np.ones(3), -65.0, "median")
+            uncertainty.service_uncertainty_field(np.zeros((2, 3)), np.ones(3), -65.0, "median")
 
 
 class TestRunSurvey:
@@ -565,6 +571,11 @@ class TestRunSurvey:
         # Above the survey altitude, or between nodes, a transmitter is fine.
         make_config(rows=5, cols=5, altitude=20.0, transmitters=on_node)
         make_config(rows=5, cols=5, altitude=10.0, transmitters=(Transmitter((15.0, 10.0, 10.0), 10.0),))
+        # A one-point grid draws every transmitter onto its point, so the drawn
+        # transmitters need another height than the grid's.
+        with pytest.raises(ValueError, match="one-point grid"):
+            make_config(rows=1, cols=1, altitude=10.0, tx_height=10.0)
+        make_config(rows=1, cols=1, altitude=10.0, tx_height=10.0, transmitters=(Transmitter((3.0, 0.0, 10.0), 10.0),))
 
 
 def _bits(values) -> bytes:

@@ -1,5 +1,6 @@
 """Package-level checks: exported names, what importing loads, and the test settings."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -20,6 +21,30 @@ def test_every_exported_name_exists(name):
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def _names_read_in_the_package() -> set[str]:
+    """Every bare name and attribute name that code under the package reads."""
+    read = set()
+    for path in Path(aerosurvey.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return read
+
+
+@pytest.mark.parametrize("name", [f"aerosurvey.{m}" for m in MODULES])
+def test_every_exported_name_is_read_in_the_package(name):
+    # A name that no code in the package reads has only tests for callers,
+    # and code whose only callers are tests belongs in tests/. This is a
+    # floor, not a proof: names are matched bare, so reading any variable or
+    # attribute of the same name counts, and a field read such as
+    # MetricsRow.service_error_rate would hide a function of that name.
+    read = _names_read_in_the_package()
+    unread = [n for n in importlib.import_module(name).__all__ if n not in read]
+    assert unread == []
 
 
 # The scipy subpackages the program may load: ndtr and xlogy, dsyrk, and the

@@ -93,8 +93,8 @@ class TestServiceUncertainty:
         got = uncertainty.service_uncertainty(p)
         want = oracles.service_uncertainty(p)
         np.testing.assert_array_equal(got, want)
-        got_total = uncertainty.total_uncertainty(uncertainty.aggregate(got, mode))
-        assert got_total == oracles.total_uncertainty(uncertainty.aggregate(want, mode))
+        aggregate = np.max if mode == "max" else np.mean
+        assert oracles.total_uncertainty(aggregate(got, axis=0)) == oracles.total_uncertainty(aggregate(want, axis=0))
 
     @given(
         p=arrays(
@@ -110,84 +110,75 @@ class TestServiceUncertainty:
         assert np.all(a >= 0.0) and np.all(a <= 1.0)
 
 
+# Three points against r_min = -65 dBm at unit variance: a mean on the
+# threshold gives p = 1/2, one bit, and a mean 100 dB away p = 0 or 1, none.
+_THREE_POINTS = np.array([[-65.0, -165.0, 35.0], [35.0, -65.0, 35.0]])
+
+
 class TestAggregate:
+    # The aggregation rule, which only service_uncertainty_field applies.
     def test_single_field_identity(self):
-        f = np.array([0.2, 0.7])
-        for field in (f, f[None]):
-            got = uncertainty.aggregate(field, "max")
-            np.testing.assert_array_equal(got, f)
+        means, var = np.array([[-66.0, -60.0, -70.0]]), np.array([4.0, 1.0, 9.0])
+        one = uncertainty.service_uncertainty(estimator.service_probability(means[0], var, -65.0))
+        for mode in ("max", "mean"):
+            np.testing.assert_array_equal(uncertainty.service_uncertainty_field(means, var, -65.0, mode), one)
 
     def test_max_elementwise(self):
-        f = np.array([[0.2, 0.9], [0.5, 0.1]])
-        got = uncertainty.aggregate(f, "max")
-        np.testing.assert_allclose(got, [0.5, 0.9])
+        got = uncertainty.service_uncertainty_field(_THREE_POINTS, np.ones(3), -65.0, "max")
+        np.testing.assert_allclose(got, [1.0, 1.0, 0.0])
 
     def test_mean_elementwise(self):
-        f = np.array([[0.2, 0.9], [0.5, 0.1]])
-        got = uncertainty.aggregate(f, "mean")
-        np.testing.assert_allclose(got, [0.35, 0.5])
-
-    def test_rejects_empty_field(self):
-        with pytest.raises(ValueError):
-            uncertainty.aggregate(np.empty((0, 3)), "max")
-
-    def test_stacked_field_equals_its_rows(self):
-        # Row-by-row reductions are the reference for the stacked (K, N) field.
-        values = np.array([[0.2, 0.9, 0.4], [0.5, 0.1, 0.4], [0.3, 0.3, 0.8]])
-        got_max = uncertainty.aggregate(values, "max")
-        got_mean = uncertainty.aggregate(values, "mean")
-        np.testing.assert_array_equal(got_max, np.maximum(np.maximum(values[0], values[1]), values[2]))
-        np.testing.assert_allclose(got_mean, (values[0] + values[1] + values[2]) / 3, rtol=0, atol=1e-15)
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            uncertainty.aggregate(np.array([0.2]), "median")
+        got = uncertainty.service_uncertainty_field(_THREE_POINTS, np.ones(3), -65.0, "mean")
+        np.testing.assert_allclose(got, [0.5, 0.5, 0.0])
 
     @given(
-        vals=st.lists(
-            st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)),
-            min_size=2,
-            max_size=5,
-        )
+        means=arrays(
+            float, st.tuples(st.integers(1, 3), st.integers(1, 3), st.just(20)), elements=st.floats(-120.0, 0.0)
+        ),
+        var=arrays(float, st.just(20), elements=st.floats(0.0, 100.0)),
+        mode=st.sampled_from(["max", "mean"]),
     )
-    def test_max_dominates_mean(self, vals):
-        field = np.array(vals)
-        hi = uncertainty.aggregate(field, "max")
-        avg = uncertainty.aggregate(field, "mean")
+    def test_stacked_field_equals_its_rows(self, means, var, mode):
+        # Each stack of a (B, K, N) block gets the field a call on it alone gives.
+        block_var = np.repeat(var[None], len(means), axis=0)
+        got = uncertainty.service_uncertainty_field(means, block_var, -65.0, mode)
+        assert got.shape == (len(means), 20)
+        for b, stack in enumerate(means):
+            np.testing.assert_array_equal(got[b], uncertainty.service_uncertainty_field(stack, var, -65.0, mode))
+
+    @given(
+        means=arrays(float, st.tuples(st.integers(2, 5), st.just(3)), elements=st.floats(-120.0, 0.0)),
+        var=arrays(float, st.just(3), elements=st.floats(0.0, 100.0)),
+    )
+    def test_max_dominates_mean(self, means, var):
+        hi = uncertainty.service_uncertainty_field(means, var, -65.0, "max")
+        avg = uncertainty.service_uncertainty_field(means, var, -65.0, "mean")
         assert np.all(hi >= avg - 1e-12)
 
 
 class TestTotalUncertainty:
+    # A map's total uncertainty is its field's mean over the grid. The survey
+    # sums it in its metric pass; this is the reference its loop oracle logs.
     def test_all_ones(self):
-        assert uncertainty.total_uncertainty(np.ones(5)) == 1.0
+        assert oracles.total_uncertainty(np.ones(5)) == 1.0
 
     def test_all_zeros(self):
-        assert uncertainty.total_uncertainty(np.zeros(5)) == 0.0
+        assert oracles.total_uncertainty(np.zeros(5)) == 0.0
 
     def test_known_mean(self):
         f = np.array([1.0, 0.0, 0.5, 0.5])
-        assert uncertainty.total_uncertainty(f) == pytest.approx(0.5)
+        assert oracles.total_uncertainty(f) == pytest.approx(0.5)
 
     def test_rejects_empty_field(self):
         with pytest.raises(ValueError):
-            uncertainty.total_uncertainty(np.array([]))
-
-    @given(
-        field=arrays(
-            float, st.tuples(st.integers(1, 3), st.integers(1, 200)), elements=st.floats(0.0, 1.0)
-        )
-    )
-    def test_matches_oracle(self, field):
-        for f in (field, field[0]):
-            got = uncertainty.total_uncertainty(f)
-            assert type(got) is float and got == oracles.total_uncertainty(f)
+            oracles.total_uncertainty(np.array([]))
 
     def test_monotone_in_components(self):
         base = np.array([0.1, 0.4, 0.7])
-        lo = uncertainty.total_uncertainty(base)
+        lo = oracles.total_uncertainty(base)
         raised = base.copy()
         raised[1] += 0.2
-        hi = uncertainty.total_uncertainty(raised)
+        hi = oracles.total_uncertainty(raised)
         assert hi > lo
 
 
