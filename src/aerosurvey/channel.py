@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -396,16 +397,11 @@ def true_power(gt: GroundTruth, point, taps=None) -> np.ndarray:
     return gt.powers[:, index] @ weights
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(NamedTuple):
     """One received-signal-strength sample: position plus per-transmitter dBm."""
 
     position: tuple[float, float]
     rss: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "position", tuple(map(float, self.position)))
-        object.__setattr__(self, "rss", tuple(map(float, self.rss)))
 
 
 def take_measurement(
@@ -419,5 +415,5 @@ def take_measurement(
     gen = np.random.default_rng(rng)
     noise = math.sqrt(params.noise_var) * gen.standard_normal(params.num_transmitters)
     rss = true_power(gt, point, taps) + noise
-    # Measurement converts the position and the values to float tuples.
-    return Measurement(position=(point[0], point[1]), rss=rss.tolist())
+    x, y = point
+    return Measurement((float(x), float(y)), tuple(rss.tolist()))

@@ -7,13 +7,12 @@ import json
 import os
 import sys
 from dataclasses import fields
-from operator import attrgetter
 from typing import Any, get_type_hints
 
 import numpy as np
 
 from .channel import ChannelParams, Transmitter
-from .harness import MetricsRow, MonteCarloResult, SurveyConfig, monte_carlo, run_survey
+from .harness import MonteCarloResult, SurveyConfig, monte_carlo, run_survey
 from .spatial import GridSpec, Waypoint
 
 __all__ = ["ConfigError", "default_config", "write_grid", "main"]
@@ -207,7 +206,6 @@ def _write_table(path: str, header: str, row_format: str, rows) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-_METRICS_ROW = attrgetter(*(f.name for f in fields(MetricsRow)))
 _MC_COLUMNS = tuple(f.name for f in fields(MonteCarloResult)[2:])  # t, then each statistic
 
 
@@ -247,7 +245,7 @@ def cmd_survey(ns: argparse.Namespace) -> int:
         os.path.join(outdir, "metrics.csv"),
         "run,t,meters,total_unc_power,total_unc_service,service_error_rate",
         "{},{}" + ",{:.10g}" * 4,
-        map(_METRICS_ROW, record.metrics),
+        record.metrics,
     )
     _write_table(
         os.path.join(outdir, "trajectory.csv"),

@@ -18,6 +18,7 @@ aggregates the metric curves per measurement index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,10 +80,10 @@ def _idle_reach(grid: spatial.GridSpec, kind: planner.PlannerKind, start: spatia
     each axis. Every episode after the first starts on a grid point.
     """
     episodes = MAX_IDLE_EPISODES + 1
-    here = np.array([start.x, start.y])
+    here = np.array(start)
     sweep = _sweep_route(grid, kind)
     if sweep is not None:
-        coords = spatial.as_coords(sweep)
+        coords = np.array(sweep)
         length = float(np.hypot(*np.diff(coords, axis=0).T).sum())
         hop = float(np.hypot(*(coords[0] - here)))
         back = float(np.hypot(*(coords[0] - coords[-1])))
@@ -90,9 +91,9 @@ def _idle_reach(grid: spatial.GridSpec, kind: planner.PlannerKind, start: spatia
     if kind is planner.PlannerKind.RANDOM:
         xmin, ymin, xmax, ymax = grid.bounds()
         return episodes * float(np.hypot(xmax - xmin, ymax - ymin))
-    ox, oy = grid.origin
-    dx = np.diff(ox + np.arange(grid.cols) * grid.spacing).max(initial=0.0)
-    dy = np.diff(oy + np.arange(grid.rows) * grid.spacing).max(initial=0.0)
+    points = spatial.grid_points(grid)
+    dx = np.diff(points[: grid.cols, 0]).max(initial=0.0)
+    dy = np.diff(points[:: grid.cols, 1]).max(initial=0.0)
     hop = float(np.hypot(*(spatial.index_to_point(grid, spatial.point_to_index(grid, here)) - here)))
     return hop + episodes * (grid.num_points - 1) * float(np.hypot(dx, dy))
 
@@ -178,8 +179,7 @@ class SurveyConfig:
             channel.circulant_root(self.grid, self.channel.corr_distance)
 
 
-@dataclass(frozen=True)
-class MetricsRow:
+class MetricsRow(NamedTuple):
     """Metrics logged after incorporating measurement ``t``."""
 
     run_id: int
@@ -265,7 +265,7 @@ def _flight(config: SurveyConfig, rng: np.random.Generator, waypoints: list[spat
     sample, the next one without a sample raises RuntimeError.
     """
     grid = config.grid
-    pos = (float(config.start_position.x), float(config.start_position.y))
+    pos = config.start_position
     yield pos, 0.0
     while grid.num_points == 1:
         yield pos, 0.0
@@ -273,7 +273,6 @@ def _flight(config: SurveyConfig, rng: np.random.Generator, waypoints: list[spat
     sampler = spatial.PathSampler(config.measurement_spacing)
     idle = 0  # consecutive episodes that took no measurement
     while True:
-        here = spatial.Waypoint(*pos)
         if sweep is not None:
             route = sweep
         elif config.planner is planner.PlannerKind.RANDOM:
@@ -281,20 +280,19 @@ def _flight(config: SurveyConfig, rng: np.random.Generator, waypoints: list[spat
         else:
             field = target()
             dest = planner.pick_destination(field, grid, exclude=spatial.point_to_index(grid, pos))
-            route = planner.min_cost_route(grid, field, here, dest)
-        if (route[0].x, route[0].y) != pos:
-            route = [here] + route
-        corners = [(float(w.x), float(w.y)) for w in route]
+            route = planner.min_cost_route(grid, field, pos, dest)
+        if route[0] != pos:
+            route = [pos, *route]
         idle += 1
-        for a, b, corner in zip(corners, corners[1:], route[1:]):
+        for a, b in zip(route, route[1:]):
             for sample in sampler.segment(a, b):
                 idle = 0
                 yield sample
             if a != b:
-                waypoints.append(corner)
+                waypoints.append(b)
         if idle > MAX_IDLE_EPISODES:
             raise RuntimeError(f"no measurement in {MAX_IDLE_EPISODES} consecutive planner episodes")
-        pos = corners[-1]
+        pos = route[-1]
 
 
 def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRecord:
@@ -403,7 +401,11 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
 
 @dataclass
 class MonteCarloResult:
-    """Per-measurement-index metric statistics over independent runs."""
+    """Per-measurement-index metric statistics over independent runs.
+
+    A dataclass, not a named tuple like MetricsRow:
+    bench/tests/test_bench.py assigns to a copy's fields.
+    """
 
     planner: planner.PlannerKind
     runs: int
@@ -416,9 +418,6 @@ class MonteCarloResult:
     std_total_unc_service: np.ndarray
     mean_service_error_rate: np.ndarray
     std_service_error_rate: np.ndarray
-
-
-_MC_METRICS = ("meters", "total_unc_power", "total_unc_service", "service_error_rate")
 
 
 def monte_carlo(config: SurveyConfig, runs: int, workers: int = 1) -> MonteCarloResult:
@@ -439,17 +438,11 @@ def monte_carlo(config: SurveyConfig, runs: int, workers: int = 1) -> MonteCarlo
     if config.uncertainty_threshold is not None:
         raise ValueError("monte_carlo needs fixed-length runs; unset uncertainty_threshold")
 
-    def metric_curves(k: int) -> list[list[float]]:
-        # Only the curves are kept, so a finished run's record is freed.
-        rows = run_survey(config, run_id=k).metrics
-        return [[getattr(row, name) for row in rows] for name in _MC_METRICS]
-
-    curves = [metric_curves(k) for k in range(runs)]
-
-    out = {"t": np.arange(config.max_measurements + 1)}
-    for i, name in enumerate(_MC_METRICS):
-        data = np.array([run[i] for run in curves])
-        out[f"mean_{name}"] = data.mean(axis=0)
+    # A (runs, T, 4) array of each row's metrics after run_id and t; only the
+    # rows are kept, so a finished run's record is freed.
+    data = np.array([[row[2:] for row in run_survey(config, run_id=k).metrics] for k in range(runs)])
+    stats = []
+    for metric in np.moveaxis(data, -1, 0):
         # Deviations from the first run: a metric equal in every run gets exactly 0.
-        out[f"std_{name}"] = (data - data[0]).std(axis=0)
-    return MonteCarloResult(planner=config.planner, runs=runs, **out)
+        stats += [metric.mean(axis=0), (metric - metric[0]).std(axis=0)]
+    return MonteCarloResult(config.planner, runs, np.arange(config.max_measurements + 1), *stats)

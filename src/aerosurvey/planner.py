@@ -172,11 +172,9 @@ def min_cost_route(
     if not 0 <= destination < grid.num_points:
         raise IndexError(f"destination {destination} out of range [0, {grid.num_points})")
     u = _finite_field(uncertainty, grid)
-    src = point_to_index(grid, (start.x, start.y))
+    src = point_to_index(grid, start)
     path = [src] if src == destination else _dijkstra(grid, u, src, destination)
-    # The coordinates index_to_point gives, without an array per node.
-    (ox, oy), cols, spacing = grid.origin, grid.cols, grid.spacing
-    return [Waypoint(ox + (g % cols) * spacing, oy + (g // cols) * spacing) for g in path]
+    return [index_to_point(grid, g) for g in path]
 
 
 def grid_route(grid: GridSpec) -> list[Waypoint]:
@@ -185,8 +183,7 @@ def grid_route(grid: GridSpec) -> list[Waypoint]:
     for r in range(grid.rows):
         cols = (0, grid.cols - 1) if r % 2 == 0 else (grid.cols - 1, 0)
         for c in cols:
-            p = index_to_point(grid, r * grid.cols + c)
-            wp = Waypoint(p[0], p[1])
+            wp = index_to_point(grid, r * grid.cols + c)
             if not wps or wps[-1] != wp:
                 wps.append(wp)
     return wps
@@ -201,8 +198,7 @@ def spiral_route(grid: GridSpec) -> list[Waypoint]:
     wps: list[Waypoint] = []
 
     def emit(r: int, c: int) -> None:
-        p = index_to_point(grid, r * grid.cols + c)
-        wp = Waypoint(p[0], p[1])
+        wp = index_to_point(grid, r * grid.cols + c)
         if not wps or wps[-1] != wp:
             wps.append(wp)
 
@@ -234,5 +230,4 @@ def spiral_route(grid: GridSpec) -> list[Waypoint]:
 
 def random_route(grid: GridSpec, rng: np.random.Generator) -> list[Waypoint]:
     """A uniform random grid point, to be flown to in a straight line."""
-    p = index_to_point(grid, int(rng.integers(grid.num_points)))
-    return [Waypoint(p[0], p[1])]
+    return [index_to_point(grid, int(rng.integers(grid.num_points)))]

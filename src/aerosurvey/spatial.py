@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,21 +75,20 @@ class GridSpec:
         return (xmin - tol) <= x <= (xmax + tol) and (ymin - tol) <= y <= (ymax + tol)
 
 
-@dataclass(frozen=True)
-class Waypoint:
+class Waypoint(NamedTuple):
     """One corner of a flight polyline, in meters."""
 
     x: float
     y: float
 
 
-def index_to_point(grid: GridSpec, g: int) -> np.ndarray:
+def index_to_point(grid: GridSpec, g: int) -> Waypoint:
     """Planar coordinates of grid index ``g``."""
     if not 0 <= g < grid.num_points:
         raise IndexError(f"grid index {g} out of range [0, {grid.num_points})")
     row, col = divmod(int(g), grid.cols)
     ox, oy = grid.origin
-    return np.array([ox + col * grid.spacing, oy + row * grid.spacing])
+    return Waypoint(ox + col * grid.spacing, oy + row * grid.spacing)
 
 
 def point_to_index(grid: GridSpec, point: Sequence[float]) -> int:
@@ -113,11 +112,6 @@ def grid_points(grid: GridSpec) -> np.ndarray:
     points = points.reshape(grid.num_points, 2)
     points.flags.writeable = False
     return points
-
-
-def as_coords(waypoints: Iterable[Waypoint]) -> np.ndarray:
-    """Waypoint sequence as an (M, 2) array of coordinates."""
-    return np.array([(w.x, w.y) for w in waypoints], dtype=float).reshape(-1, 2)
 
 
 class PathSampler:

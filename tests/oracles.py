@@ -502,7 +502,7 @@ def survey_oracle(config: harness.SurveyConfig, run_id: int = 0, snapshots=()) -
     idle = 0  # consecutive episodes that took no measurement
     while not stop:
         route = plan_episode()
-        coords = spatial.as_coords(route)
+        coords = np.array(route, dtype=float)
         t_start = t
         for a, b, corner in zip(coords[:-1], coords[1:], route[1:]):
             for point, meters in sampler.segment(a, b):

@@ -198,6 +198,10 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="measurement_spacing"):
             config_from_file(str(path))
 
+    def test_largest_finite_numbers_accepted(self):
+        for value in (sys.float_info.max, -sys.float_info.max):
+            assert default_config({"r_min": value}).r_min == value
+
     def test_every_key_has_a_bad_value(self):
         assert {key for key, _ in self.BAD_VALUES} == CONFIG_KEYS
 

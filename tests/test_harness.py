@@ -2,7 +2,7 @@
 
 import os
 import tracemalloc
-from dataclasses import astuple, replace
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -274,6 +274,15 @@ class TestRunSurvey:
         for row in rec.metrics[:-1]:
             assert row.total_unc_service > 0.45
 
+    def test_threshold_stop_at_a_total_equal_to_the_threshold(self):
+        # The threshold is a total the same survey logs without one, at a t
+        # where the total first falls that low: the survey stops at that t.
+        totals = [row.total_unc_service for row in run_survey(make_config(max_measurements=40)).metrics]
+        t = next(t for t in range(10, 41) if totals[t] < min(totals[:t]))
+        rec = run_survey(make_config(max_measurements=40, uncertainty_threshold=totals[t]))
+        assert [row.t for row in rec.metrics] == list(range(t + 1))
+        assert [row.total_unc_service for row in rec.metrics] == totals[: t + 1]
+
     def test_single_point_grid_measures_in_place(self):
         cfg = make_config(
             rows=1,
@@ -478,6 +487,8 @@ class TestRunSurvey:
             (PlannerKind.MIN_COST, 2, 3, (3.0, 4.0), 5.0 + _EPISODES * 5 * float(np.hypot(10.0, 10.0))),
             (PlannerKind.MIN_COST, 1, 4, (3.0, 0.0), 3.0 + _EPISODES * 3 * 10.0),
             (PlannerKind.MIN_COST, 4, 1, (0.0, 3.0), 3.0 + _EPISODES * 3 * 10.0),
+            # The same reach from a start whose nearest node is not the origin.
+            (PlannerKind.MIN_COST, 2, 3, (13.0, 4.0), 5.0 + _EPISODES * 5 * float(np.hypot(10.0, 10.0))),
         ],
     )
     def test_planned_spacing_limit(self, kind, rows, cols, start, reach):
@@ -540,10 +551,13 @@ class TestRunSurvey:
             make_config(uncertainty_threshold=0.0)
         with pytest.raises(ValueError, match="uncertainty_threshold"):
             make_config(uncertainty_threshold=1.01)
+        make_config(uncertainty_threshold=1.0)
         with pytest.raises(ValueError):
             make_config(measurement_spacing=0.0)
         with pytest.raises(ValueError, match="measurement_spacing"):
             make_config(measurement_spacing=float("inf"))
+        with pytest.raises(ValueError, match="positive and finite"):
+            make_config(measurement_spacing=float("inf"), max_measurements=0)
         with pytest.raises(ValueError):
             make_config(start_position=Waypoint(-5.0, 0.0))
         with pytest.raises(ValueError):
@@ -554,6 +568,26 @@ class TestRunSurvey:
             make_config(tx_height=-5.0)
         with pytest.raises(ValueError, match="tx_height"):
             replace(make_config(), tx_height=-5.0)
+        # Off the origin the grid's extent is xmax - xmin, not xmax + xmin.
+        # A 3 x 3 grid of 10 m at (1000, 1000) has a 28 m diagonal, so 10,001
+        # random episodes reach some 283 km, short of 1,000 km; its coordinates'
+        # sums would reach 20,000 km.
+        far = GridSpec(rows=3, cols=3, spacing=10.0, origin=(1000.0, 1000.0))
+        with pytest.raises(ValueError, match="second measurement"):
+            make_config(
+                grid=far, planner=PlannerKind.RANDOM, start_position=Waypoint(1000.0, 1000.0), measurement_spacing=1e6
+            )
+        # From -1e154 to 1e154 the squared extent overflows, though xmax + xmin
+        # is 0; so do two squared terms of 1e308 each, in any pair.
+        for rows, cols, spacing, origin, altitude in [
+            (1, 2, 2e154, (-1e154, 0.0), 20.0),
+            (2, 1, 2e154, (0.0, -1e154), 20.0),
+            (2, 2, 1e154, (0.0, 0.0), 20.0),
+            (1, 2, 1e154, (0.0, 0.0), 1e154),
+        ]:
+            wide = GridSpec(rows=rows, cols=cols, spacing=spacing, origin=origin, altitude=altitude)
+            with pytest.raises(ValueError, match="overflow"):
+                make_config(grid=wide)
         # Integer fields take ints only: no floats, no bools.
         cfg = make_config()
         for name in ("rows", "cols"):
@@ -621,7 +655,7 @@ class TestFlightAndFilter:
         assert _bits([m.position + m.rss for m in got.measurements]) == _bits(
             [m.position + m.rss for m in want.measurements]
         )
-        assert _bits([astuple(row) for row in got.metrics]) == _bits([astuple(row) for row in want.metrics])
+        assert _bits([tuple(row) for row in got.metrics]) == _bits([tuple(row) for row in want.metrics])
         assert got.waypoints == want.waypoints
         assert _bits(got.posterior.means) == _bits(want.posterior.means)
         assert got.snapshots.keys() == want.snapshots.keys()
@@ -656,7 +690,7 @@ class TestFlightAndFilter:
             shapes.clear()
             got = run_survey(cfg, snapshots=wanted)
             where = (survey, capacity)
-            assert _bits([astuple(row) for row in got.metrics]) == _bits([astuple(row) for row in want.metrics]), where
+            assert _bits([tuple(row) for row in got.metrics]) == _bits([tuple(row) for row in want.metrics]), where
             assert got.waypoints == want.waypoints, where
             assert _bits([m.position + m.rss for m in got.measurements]) == _bits(
                 [m.position + m.rss for m in want.measurements]

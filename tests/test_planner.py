@@ -64,7 +64,7 @@ class TestPickDestination:
 
     @pytest.mark.parametrize("exclude", [-1, 9])
     def test_exclude_outside_the_grid_rejected(self, exclude):
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match="exclude"):
             planner.pick_destination(np.zeros(9), grid(3, 3), exclude=exclude)
 
     @given(
@@ -180,8 +180,14 @@ class TestMinCostRoute:
     def test_destination_out_of_range_rejected(self):
         g = grid()
         for dst in (-1, 9):
-            with pytest.raises(IndexError):
+            with pytest.raises(IndexError, match="destination"):
                 self.route(g, np.ones(9), dst)
+
+    def test_floor_applies_to_each_edge_integral(self):
+        # Via node 1 each 10 m edge integrates 5 m x 2e-7 = 1e-6, the floor,
+        # so the two edges cost 2e6 against the floored diagonal's 1e6.
+        route = self.route(grid(2, 2), np.array([0.0, 2e-7, 0.0, 0.0]), 3)
+        assert route == [(0.0, 0.0), (10.0, 10.0)]
 
     def test_off_grid_start_snaps_to_nearest(self):
         g = grid(3, 3)
@@ -213,7 +219,7 @@ class TestMinCostRoute:
         g = grid(*shape)
         u = np.random.default_rng(seed).integers(0, 3, g.num_points) / 2.0
         src, dst = (e % g.num_points for e in ends)
-        start = spatial.index_to_point(g, src) + 0.3 * g.spacing
+        start = np.add(spatial.index_to_point(g, src), 0.3 * g.spacing)
         route = self.route(g, u, dst, pos=start)
         idx = self.indices(g, route)
         assert idx[0] == src and idx[-1] == dst
@@ -256,7 +262,7 @@ class TestRouteOracle:
                 want = oracles.dijkstra(g, u.tolist(), src, dst)
                 assert planner._dijkstra(g, u, src, dst) == want
             route = planner.min_cost_route(g, u, Waypoint(*spatial.index_to_point(g, src)), dst)
-            assert [(w.x, w.y) for w in route] == [tuple(spatial.index_to_point(g, i).tolist()) for i in want]
+            assert [(w.x, w.y) for w in route] == [tuple(spatial.index_to_point(g, i)) for i in want]
 
 
 class TestFiniteFields:

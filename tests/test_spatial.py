@@ -32,6 +32,21 @@ class TestGridSpec:
         assert not g.contains(-1.0, 0.0)
         assert not g.contains(0.0, 20.1)
 
+    def test_contains_up_to_the_bounds_slack_and_not_a_step_past_it(self):
+        g = grid(3, 4, 10.0, origin=(5.0, -7.0))
+        xmin, ymin, xmax, ymax = g.bounds()
+        tol = spatial._BOUNDS_TOL
+        lo_x, hi_x, lo_y, hi_y = xmin - tol, xmax + tol, ymin - tol, ymax + tol
+        x, y = 15.0, 3.0  # inside along the other axis
+        for edge, past in [
+            ((lo_x, y), (np.nextafter(lo_x, -np.inf), y)),
+            ((hi_x, y), (np.nextafter(hi_x, np.inf), y)),
+            ((x, lo_y), (x, np.nextafter(lo_y, -np.inf))),
+            ((x, hi_y), (x, np.nextafter(hi_y, np.inf))),
+        ]:
+            assert g.contains(*edge), edge
+            assert not g.contains(*past), past
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GridSpec(rows=0, cols=3, spacing=10.0)
@@ -70,6 +85,9 @@ class TestIndexing:
         assert spatial.point_to_index(g, (10.0, 10.0)) == 4
         assert spatial.point_to_index(g, (12.0, 9.0)) == 4
         assert spatial.point_to_index(g, (21.0, 21.0)) == 8
+        # Outside the grid the nearest node is on its edge.
+        assert spatial.point_to_index(g, (-50.0, 500.0)) == 6
+        assert spatial.point_to_index(g, (500.0, -50.0)) == 2
 
     @given(
         rows=st.integers(1, 12),
