@@ -13,9 +13,13 @@ writes one mutant at a time into the copy and runs the tests against it in
 one pytest process, with ``-x``. A mutant is killed when the tests fail or
 time out, and survives when they pass. ``src`` itself is never written.
 
-Sites are found with the standard library's ``ast`` and edited in the
-source text, so every other byte of the module, line numbers included, stays
-as it is.
+Sites are found with the standard library's ``ast``. A mutant swaps one
+operator node in a fresh parse of the module and writes ``ast.unparse`` of
+it to the copy; each module to be mutated is written through
+``ast.unparse`` unmutated before the check, so the check and the mutants
+run the same text. A site is named by the line and column, in the original
+module, where the operand right of its operator starts; no two operators
+share that operand. ``ast`` counts the column in UTF-8 bytes.
 
 The file's name keeps pytest from collecting it. Run it from the checkout::
 
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import bisect
 import os
 import random
 import shutil
@@ -47,31 +50,44 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "aerosurvey"
 MODULES = ("channel", "cli", "estimator", "harness", "planner", "spatial", "uncertainty")
-DEFAULT_DESELECT = (
+DESELECT = (
     "tests/test_acceptance.py::test_06_uncertainty_planner_beats_baselines_in_monte_carlo",
     "tests/test_golden.py",
 )
+TIMEOUT = 600.0  # seconds before a test run counts as killed: a mutant may loop forever
 
-# Each operator type, its text and the text its mutant puts in its place.
-_SWAPS = {
-    ast.Lt: ("<", "<="),
-    ast.LtE: ("<=", "<"),
-    ast.Gt: (">", ">="),
-    ast.GtE: (">=", ">"),
-    ast.Eq: ("==", "!="),
-    ast.NotEq: ("!=", "=="),
-    ast.Add: ("+", "-"),
-    ast.Sub: ("-", "+"),
-    ast.Mult: ("*", "/"),
-    ast.Div: ("/", "*"),
+_SYMBOLS = {
+    ast.Lt: "<",
+    ast.LtE: "<=",
+    ast.Gt: ">",
+    ast.GtE: ">=",
+    ast.Eq: "==",
+    ast.NotEq: "!=",
+    ast.Add: "+",
+    ast.Sub: "-",
+    ast.Mult: "*",
+    ast.Div: "/",
 }
+_PAIRS = ((ast.Lt, ast.LtE), (ast.Gt, ast.GtE), (ast.Eq, ast.NotEq), (ast.Add, ast.Sub), (ast.Mult, ast.Div))
+_SWAPS = {a: b for pair in _PAIRS for a, b in (pair, pair[::-1])}
+
+
+def _operators(node: ast.AST) -> list[tuple[ast.AST, ast.AST]]:
+    """Each operator of ``node`` with the operand to its right."""
+    if isinstance(node, ast.BinOp):
+        return [(node.op, node.right)]
+    if isinstance(node, ast.AugAssign):
+        return [(node.op, node.value)]
+    return list(zip(node.ops, node.comparators)) if isinstance(node, ast.Compare) else []
 
 
 @dataclass(frozen=True)
 class Mutant:
     module: str
-    line: int  # 1-based
-    col: int  # 0-based offset of the operator in its line
+    node: int  # index of the expression in ``ast.walk`` order
+    op: int  # index of the operator among the expression's operators
+    line: int  # of the operand right of the operator
+    col: int  # 0-based, in UTF-8 bytes
     old: str
     new: str
 
@@ -79,69 +95,26 @@ class Mutant:
         return f"{self.module}.py:{self.line}:{self.col + 1} {self.old!r} -> {self.new!r}"
 
     def apply(self, source: str) -> str:
-        lines = source.splitlines(keepends=True)
-        text = lines[self.line - 1]
-        if text[self.col : self.col + len(self.old)] != self.old:
-            raise ValueError(f"{self} does not match line {self.line}: {text!r}")
-        lines[self.line - 1] = text[: self.col] + self.new + text[self.col + len(self.old) :]
-        return "".join(lines)
-
-
-def _offsets(source: str) -> list[int]:
-    """Offset in ``source`` of the start of each line; index 1 is line 1."""
-    starts, total = [0, 0], 0
-    for line in source.splitlines(keepends=True):
-        total += len(line)
-        starts.append(total)
-    return starts
-
-
-def _find_operator(source: str, starts: list[int], begin, end, text: str):
-    """(line, col) of operator ``text`` in the gap between two operands, or None.
-
-    The gap may hold brackets, whitespace, line continuations and comments
-    besides the operator; anything else there means the site was misread.
-    """
-    lo = starts[begin[0]] + begin[1]
-    gap = source[lo : starts[end[0]] + end[1]]
-    # Comments blanked out, so offsets in ``code`` are offsets in ``gap``.
-    code = "\n".join(line.split("#", 1)[0].ljust(len(line)) for line in gap.split("\n"))
-    if "".join(code.split()).replace("(", "").replace(")", "").replace("\\", "") != text:
-        return None
-    pos = lo + code.index(text)
-    line = bisect.bisect_right(starts, pos, lo=1) - 1
-    return line, pos - starts[line]
+        tree = ast.parse(source)
+        node = list(ast.walk(tree))[self.node]
+        if isinstance(node, ast.Compare):
+            node.ops[self.op] = _SWAPS[type(node.ops[self.op])]()
+        else:
+            node.op = _SWAPS[type(node.op)]()
+        return ast.unparse(tree)
 
 
 def mutants(module: str) -> list[Mutant]:
     """Every operator mutant of ``module``, in source order."""
     source = (ROOT / PACKAGE / f"{module}.py").read_text(encoding="utf-8")
-    starts = _offsets(source)
     found = []
-
-    def add(op, left, right, augmented=False):
-        swap = _SWAPS.get(type(op))
-        if swap is None:
-            return
-        old, new = swap
-        if augmented:
-            old, new = old + "=", new + "="
-        where = _find_operator(
-            source, starts, (left.end_lineno, left.end_col_offset), (right.lineno, right.col_offset), old
-        )
-        if where is not None:
-            found.append(Mutant(module, where[0], where[1], old, new))
-
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.BinOp):
-            add(node.op, node.left, node.right)
-        elif isinstance(node, ast.AugAssign):
-            add(node.op, node.target, node.value, augmented=True)
-        elif isinstance(node, ast.Compare):
-            operands = [node.left, *node.comparators]
-            for op, left, right in zip(node.ops, operands, operands[1:]):
-                add(op, left, right)
-    return sorted(set(found), key=lambda m: (m.line, m.col))
+    for k, node in enumerate(ast.walk(ast.parse(source))):
+        suffix = "=" if isinstance(node, ast.AugAssign) else ""
+        for i, (op, right) in enumerate(_operators(node)):
+            if type(op) in _SWAPS:
+                old, new = _SYMBOLS[type(op)], _SYMBOLS[_SWAPS[type(op)]]
+                found.append(Mutant(module, k, i, right.lineno, right.col_offset, old + suffix, new + suffix))
+    return sorted(found, key=lambda m: (m.line, m.col))
 
 
 def _test_files(module: str) -> list[str]:
@@ -150,15 +123,15 @@ def _test_files(module: str) -> list[str]:
     return ([own] if own in files else []) + [f for f in files if f != own]
 
 
-def _run_tests(copy: Path, tests: list[str], deselect: list[str], timeout: float) -> tuple[str, float, str]:
+def _run_tests(copy: Path, tests: list[str]) -> tuple[str, float, str]:
     """Run pytest in ``copy``: ("passed" | "failed" | "timeout" | "error: ...", seconds, last output line)."""
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-    for item in deselect:
+    for item in DESELECT:
         cmd += ["--deselect", item]
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     start = time.perf_counter()
     try:
-        proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=timeout)
+        proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "timeout", time.perf_counter() - start, ""
     seconds = time.perf_counter() - start
@@ -175,8 +148,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="seed of the sample")
     parser.add_argument("--site", action="append", default=[], help="only mutants at MODULE.py:LINE")
     parser.add_argument("--tests", nargs="+", help="pytest arguments to run instead of the default files")
-    parser.add_argument("--deselect", action="append", help="test ids to leave out (default: acceptance 6, golden)")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds before a test run counts as killed")
     parser.add_argument("--list", action="store_true", help="print the chosen mutants and run nothing")
     ns = parser.parse_args(argv)
 
@@ -186,7 +157,8 @@ def main(argv=None) -> int:
         if ns.site:
             found = [m for m in found if f"{m.module}.py:{m.line}" in ns.site]
         if ns.sample and len(found) > ns.sample:
-            found = sorted(random.Random(f"{ns.seed}:{module}").sample(found, ns.sample), key=lambda m: (m.line, m.col))
+            drawn = random.Random(f"{ns.seed}:{module}").sample(range(len(found)), ns.sample)
+            found = [found[i] for i in sorted(drawn)]
         chosen += found
     if ns.list or not chosen:
         for m in chosen:
@@ -194,26 +166,28 @@ def main(argv=None) -> int:
         print(f"{len(chosen)} mutants")
         return 0
 
-    deselect = list(DEFAULT_DESELECT if ns.deselect is None else ns.deselect)
     counts = {"killed": 0, "survived": 0}
     with tempfile.TemporaryDirectory(prefix="mutation_sweep_") as tmp:
         copy = Path(tmp)
         ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")
         shutil.copytree(ROOT, copy, ignore=ignore, dirs_exist_ok=True)
+        sources = {}
+        for module in {m.module for m in chosen}:
+            sources[module] = (ROOT / PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+            (copy / PACKAGE / f"{module}.py").write_text(ast.unparse(ast.parse(sources[module])), encoding="utf-8")
 
-        baseline_tests = ns.tests or _test_files(chosen[0].module)
-        status, seconds, tail = _run_tests(copy, baseline_tests, deselect, ns.timeout)
+        status, seconds, tail = _run_tests(copy, ns.tests or _test_files(chosen[0].module))
         print(f"unmutated: {status} in {seconds:.1f} s: {tail}", flush=True)
         if status != "passed":
             return 2
         for m in chosen:
             path = copy / PACKAGE / f"{m.module}.py"
-            original = path.read_text(encoding="utf-8")
-            path.write_text(m.apply(original), encoding="utf-8")
+            unmutated = path.read_text(encoding="utf-8")
+            path.write_text(m.apply(sources[m.module]), encoding="utf-8")
             try:
-                status, seconds, _ = _run_tests(copy, ns.tests or _test_files(m.module), deselect, ns.timeout)
+                status, seconds, _ = _run_tests(copy, ns.tests or _test_files(m.module))
             finally:
-                path.write_text(original, encoding="utf-8")
+                path.write_text(unmutated, encoding="utf-8")
             verdict = "survived" if status == "passed" else "killed"
             counts[verdict] += 1
             note = "" if status in ("passed", "failed") else f" ({status})"
