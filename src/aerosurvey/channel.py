@@ -386,14 +386,14 @@ def interpolation_taps(grid: GridSpec, point) -> tuple[np.ndarray, np.ndarray]:
     return index, weights
 
 
-def true_power(gt: GroundTruth, point, taps=None) -> np.ndarray:
+def true_power(gt: GroundTruth, taps) -> np.ndarray:
     """True power at a planar point, one value per transmitter (dBm).
 
-    Off-grid points are interpolated from the grid values through
-    :func:`interpolation_taps`; on-grid points reproduce the stored values
-    exactly. ``taps``, when given, are that function's result at ``point``.
+    ``taps`` are :func:`interpolation_taps` at the point: off-grid points are
+    interpolated from the grid values, and on-grid points reproduce the stored
+    values exactly.
     """
-    index, weights = interpolation_taps(gt.grid, point) if taps is None else taps
+    index, weights = taps
     return gt.powers[:, index] @ weights
 
 
@@ -405,15 +405,14 @@ class Measurement(NamedTuple):
 
 
 def take_measurement(
-    gt: GroundTruth, point, params: ChannelParams, rng: np.random.Generator | int, taps=None
+    gt: GroundTruth, point, params: ChannelParams, rng: np.random.Generator | int, taps
 ) -> Measurement:
     """Measure the true field at ``point`` with additive white sensor noise.
 
-    ``taps``, when given, are the interpolation taps at ``point``, so a
-    caller that already holds them does not compute them twice.
+    ``taps`` are :func:`interpolation_taps` at ``point``.
     """
     gen = np.random.default_rng(rng)
     noise = math.sqrt(params.noise_var) * gen.standard_normal(params.num_transmitters)
-    rss = true_power(gt, point, taps) + noise
+    rss = true_power(gt, taps) + noise
     x, y = point
     return Measurement((float(x), float(y)), tuple(rss.tolist()))

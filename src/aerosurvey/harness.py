@@ -37,9 +37,10 @@ __all__ = [
 ]
 
 # A survey's flight fails once its planner has flown this many episodes in a
-# row without taking a measurement. A config whose spacing exceeds what one
-# more than this many episodes can fly (see ``_idle_reach``) is rejected up
-# front instead, so only a planner that stalls can meet this at run time.
+# row without taking a measurement. A config whose spacing exceeds one fewer
+# than this many of the grid's shortest steps is rejected up front instead
+# (see ``SurveyConfig``), so only a planner that stalls can meet this at run
+# time.
 MAX_IDLE_EPISODES = 10_000
 
 # The metric pass of a survey on N grid points evaluates up to
@@ -65,37 +66,6 @@ def _sweep_route(grid: spatial.GridSpec, kind: planner.PlannerKind) -> list[spat
     if kind is planner.PlannerKind.SPIRAL:
         return planner.spiral_route(grid)
     return None
-
-
-def _idle_reach(grid: spatial.GridSpec, kind: planner.PlannerKind, start: spatial.Waypoint) -> float:
-    """How far, at most, the first ``MAX_IDLE_EPISODES + 1`` episodes fly from ``start``.
-
-    Every episode of a grid or spiral sweep flies the whole sweep, so for
-    them the reach is exact: the hop from the start to the sweep's first
-    waypoint, k sweep lengths, and k - 1 return legs from the sweep's end to
-    its start. A random episode flies straight to a grid point, so at most the
-    grid diagonal. A min_cost episode flies to the grid point nearest its
-    start, then along a simple king-move path: at most N - 1 moves, none
-    longer than the longest step between neighbouring node coordinates along
-    each axis. Every episode after the first starts on a grid point.
-    """
-    episodes = MAX_IDLE_EPISODES + 1
-    here = np.array(start)
-    sweep = _sweep_route(grid, kind)
-    if sweep is not None:
-        coords = np.array(sweep)
-        length = float(np.hypot(*np.diff(coords, axis=0).T).sum())
-        hop = float(np.hypot(*(coords[0] - here)))
-        back = float(np.hypot(*(coords[0] - coords[-1])))
-        return hop + episodes * length + (episodes - 1) * back
-    if kind is planner.PlannerKind.RANDOM:
-        xmin, ymin, xmax, ymax = grid.bounds()
-        return episodes * float(np.hypot(xmax - xmin, ymax - ymin))
-    points = spatial.grid_points(grid)
-    dx = np.diff(points[: grid.cols, 0]).max(initial=0.0)
-    dy = np.diff(points[:: grid.cols, 1]).max(initial=0.0)
-    hop = float(np.hypot(*(spatial.index_to_point(grid, spatial.point_to_index(grid, here)) - here)))
-    return hop + episodes * (grid.num_points - 1) * float(np.hypot(dx, dy))
 
 
 @dataclass(frozen=True)
@@ -160,16 +130,20 @@ class SurveyConfig:
             raise ValueError(f"unknown planner: {self.planner!r}; expected one of {names}") from None
         object.__setattr__(self, "planner", kind)
         if self.grid.num_points > 1 and self.max_measurements > 0:
-            # A threshold might stop the survey before it flies, but a config
-            # that could not go on if it did not is rejected all the same. The
-            # slack covers the path sampler's 1e-9 m tolerance, a start up to
-            # 1e-9 m outside the grid, and rounding in the lengths flown.
-            reach = _idle_reach(self.grid, kind, self.start_position)
-            if self.measurement_spacing > reach * (1.0 + 1e-6) + 1e-6:
+            # Every planner episode ends on a grid node other than the one it
+            # started on, so each episode after the first flies at least the
+            # shortest step between two nodes. The MAX_IDLE_EPISODES + 1
+            # episodes the idle guard lets fly cover MAX_IDLE_EPISODES steps,
+            # one more than the limit, to spare for rounding in the lengths
+            # flown. A threshold might stop the survey before it flies, but
+            # the config is held to the rule all the same.
+            points = spatial.grid_points(self.grid)
+            cols = self.grid.cols
+            step = float(np.concatenate([np.diff(points[:cols, 0]), np.diff(points[::cols, 1])]).min())
+            if self.measurement_spacing > (MAX_IDLE_EPISODES - 1) * step:
                 raise ValueError(
-                    f"measurement_spacing {self.measurement_spacing:g} m exceeds the {reach:g} m that "
-                    f"{MAX_IDLE_EPISODES + 1} {kind.value} episodes can fly: the survey would never "
-                    "take a second measurement"
+                    f"measurement_spacing {self.measurement_spacing:g} m exceeds {MAX_IDLE_EPISODES - 1} "
+                    f"grid steps of {step:g} m: the survey might never take a second measurement"
                 )
         for tx in self.channel.transmitters:
             channel.grid_base_powers(self.grid, self.channel, tx)  # raises if one sits on a grid point
@@ -258,11 +232,12 @@ def _flight(config: SurveyConfig, rng: np.random.Generator, waypoints: list[spat
     The first is the start position at 0 m; a one-point grid has nowhere to
     fly, so its flight yields the start forever. Otherwise the flight plans
     one episode at a time, once the one before is flown out: a sweep flies its
-    fixed route, ``random`` draws a grid point from ``rng`` (after the noise
-    of the sample before it), and ``min_cost`` routes over ``target()``, the
-    planner's field of the latest posterior. Each corner flown is appended to
-    ``waypoints``. After ``MAX_IDLE_EPISODES`` episodes in a row without a
-    sample, the next one without a sample raises RuntimeError.
+    fixed route, ``random`` draws a grid point other than the one it is on
+    from ``rng`` (after the noise of the sample before it), and ``min_cost``
+    routes over ``target()``, the planner's field of the latest posterior.
+    Each corner flown is appended to ``waypoints``. After
+    ``MAX_IDLE_EPISODES`` episodes in a row without a sample, the next one
+    without a sample raises RuntimeError.
     """
     grid = config.grid
     pos = config.start_position
@@ -276,7 +251,7 @@ def _flight(config: SurveyConfig, rng: np.random.Generator, waypoints: list[spat
         if sweep is not None:
             route = sweep
         elif config.planner is planner.PlannerKind.RANDOM:
-            route = planner.random_route(grid, rng)
+            route = planner.random_route(grid, rng, pos)
         else:
             field = target()
             dest = planner.pick_destination(field, grid, exclude=spatial.point_to_index(grid, pos))
@@ -382,7 +357,7 @@ def run_survey(config: SurveyConfig, run_id: int = 0, snapshots=()) -> SurveyRec
                 service_unc=service_unc,
             )
         taps = channel.interpolation_taps(grid, point)
-        m = channel.take_measurement(gt, point, params, rng, taps=taps)
+        m = channel.take_measurement(gt, point, params, rng, taps)
         posterior.condition(taps, m.rss)
         record.measurements.append(m)
         block_means[len(pending)] = posterior.means

@@ -228,6 +228,13 @@ def spiral_route(grid: GridSpec) -> list[Waypoint]:
     return wps
 
 
-def random_route(grid: GridSpec, rng: np.random.Generator) -> list[Waypoint]:
-    """A uniform random grid point, to be flown to in a straight line."""
-    return [index_to_point(grid, int(rng.integers(grid.num_points)))]
+def random_route(grid: GridSpec, rng: np.random.Generator, here: Waypoint) -> list[Waypoint]:
+    """A uniform random grid point other than ``here``, to be flown to in a straight line.
+
+    Draws again while the point drawn equals ``here``; a one-point grid has
+    no other point, so it returns its only one.
+    """
+    while True:
+        point = index_to_point(grid, int(rng.integers(grid.num_points)))
+        if point != here or grid.num_points == 1:
+            return [point]

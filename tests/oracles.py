@@ -294,29 +294,6 @@ def interpolation_taps(grid: GridSpec, point) -> tuple[np.ndarray, np.ndarray]:
     return index, np.outer(weights(fy - r0), weights(fx - c0)).ravel()
 
 
-def scalar_interpolation_taps(grid: GridSpec, point) -> tuple[np.ndarray, np.ndarray]:
-    """Taps oracle for :func:`aerosurvey.channel.interpolation_taps`, in Python scalars.
-
-    It clamps the block's four rows and four columns in Python, builds the
-    index array from their 16 sums, and takes the weights' outer product
-    with ``np.multiply.outer``.
-    """
-    x, y = float(point[0]), float(point[1])
-    if not grid.contains(x, y):
-        raise ValueError(f"point ({x}, {y}) lies outside the grid rectangle")
-    ox, oy = grid.origin
-    cmax, rmax = grid.cols - 1, grid.rows - 1
-    fx = min(max((x - ox) / grid.spacing, 0.0), float(cmax))
-    fy = min(max((y - oy) / grid.spacing, 0.0), float(rmax))
-    c0 = min(math.floor(fx), cmax)
-    r0 = min(math.floor(fy), rmax)
-    cs = [min(max(c, 0), cmax) for c in range(c0 - 1, c0 + 3)]
-    rs = [min(max(r, 0), rmax) * grid.cols for r in range(r0 - 1, r0 + 3)]
-    index = np.array([r + c for r in rs for c in cs])
-    weights = np.multiply.outer(channel._catmull_rom_weights(fy - r0), channel._catmull_rom_weights(fx - c0)).ravel()
-    return index, weights
-
-
 def sample_path(waypoints: Iterable[Waypoint] | np.ndarray, delta: float) -> np.ndarray:
     """Points every ``delta`` meters of arc length along a polyline.
 
@@ -489,7 +466,9 @@ def survey_oracle(config: harness.SurveyConfig, run_id: int = 0, snapshots=()) -
         if sweep is not None:
             route = sweep
         elif config.planner is planner.PlannerKind.RANDOM:
-            route = planner.random_route(grid, rng)
+            # One draw, which may be the point the drone is on: the episode
+            # then flies nowhere, and the next one draws again.
+            route = [spatial.index_to_point(grid, int(rng.integers(grid.num_points)))]
         else:
             current_idx = spatial.point_to_index(grid, pos)
             dest = planner.pick_destination(target_unc, grid, exclude=current_idx)

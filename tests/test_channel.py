@@ -556,7 +556,7 @@ class TestInterpolationTaps:
         origin=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
         fractions=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=20),
     )
-    def test_same_bytes_as_the_scalar_oracle(self, shape, spacing, origin, fractions):
+    def test_same_bytes_as_the_oracle_on_random_grids(self, shape, spacing, origin, fractions):
         # Random points, every node, the four edges and the four corners, the
         # far corner (xmax, ymax) among them.
         g = GridSpec(rows=shape[0], cols=shape[1], spacing=spacing, origin=origin)
@@ -568,7 +568,7 @@ class TestInterpolationTaps:
         points += [(xmin, ymin), (xmax, ymin), (xmin, ymax), (xmax, ymax)]
         for point in points:
             index, weights = channel.interpolation_taps(g, point)
-            want_index, want_weights = oracles.scalar_interpolation_taps(g, point)
+            want_index, want_weights = oracles.interpolation_taps(g, point)
             assert index.dtype == want_index.dtype and weights.dtype == want_weights.dtype
             assert index.tobytes() == want_index.tobytes(), point
             assert weights.tobytes() == want_weights.tobytes(), point
@@ -587,21 +587,21 @@ class TestTruePower:
         gt = channel.sample_ground_truth(g, p, np.random.default_rng(3))
         pts = spatial.grid_points(g)
         for i in range(g.num_points):
-            got = channel.true_power(gt, pts[i])
+            got = channel.true_power(gt, channel.interpolation_taps(g, pts[i]))
             assert got[0] == pytest.approx(gt.powers[0, i], abs=1e-9)
 
     def test_constant_field_reproduced(self):
         g = GridSpec(rows=4, cols=4, spacing=10.0)
         gt = GroundTruth(grid=g, powers=np.full((1, 16), 7.0))
         for x, y in [(5.0, 5.0), (12.3, 17.9), (0.0, 30.0), (29.9, 0.1)]:
-            assert channel.true_power(gt, (x, y))[0] == pytest.approx(7.0, abs=1e-12)
+            assert channel.true_power(gt, channel.interpolation_taps(g, (x, y)))[0] == pytest.approx(7.0, abs=1e-12)
 
     def test_linear_field_midpoint_is_mean(self):
         g = GridSpec(rows=4, cols=4, spacing=10.0)
         pts = spatial.grid_points(g)
         vals = 0.5 * pts[:, 0] + 2.0  # linear in x only
         gt = GroundTruth(grid=g, powers=vals[None, :])
-        got = channel.true_power(gt, (15.0, 10.0))[0]
+        got = channel.true_power(gt, channel.interpolation_taps(g, (15.0, 10.0)))[0]
         assert got == pytest.approx(0.5 * 15.0 + 2.0, abs=1e-9)
 
     def test_matches_separable_horner_reference(self):
@@ -619,13 +619,8 @@ class TestTruePower:
         points += [(-3.0, 4.0), (47.0, 44.0), (47.0, 10.0), (20.0, 44.0)]
         for point in points:
             want = catmull_rom_power(g, gt.powers, point)
-            np.testing.assert_allclose(channel.true_power(gt, point), want, rtol=0, atol=1e-12)
-
-    def test_outside_bounds_rejected(self):
-        g = GridSpec(rows=3, cols=3, spacing=10.0)
-        gt = GroundTruth(grid=g, powers=np.zeros((1, 9)))
-        with pytest.raises(ValueError):
-            channel.true_power(gt, (-5.0, 0.0))
+            got = channel.true_power(gt, channel.interpolation_taps(g, point))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestTakeMeasurement:
@@ -635,8 +630,9 @@ class TestTakeMeasurement:
             transmitters=(Transmitter((15.0, 15.0, 10.0), 10.0),), noise_var=0.0
         )
         gt = channel.sample_ground_truth(g, p, np.random.default_rng(0))
-        m = channel.take_measurement(gt, (12.0, 8.0), p, np.random.default_rng(1))
-        np.testing.assert_allclose(m.rss, channel.true_power(gt, (12.0, 8.0)))
+        taps = channel.interpolation_taps(g, (12.0, 8.0))
+        m = channel.take_measurement(gt, (12.0, 8.0), p, np.random.default_rng(1), taps)
+        np.testing.assert_allclose(m.rss, channel.true_power(gt, taps))
 
     def test_seeded_noise_reproducible(self):
         g = GridSpec(rows=3, cols=3, spacing=10.0, altitude=20.0)
@@ -644,11 +640,14 @@ class TestTakeMeasurement:
             transmitters=(Transmitter((15.0, 15.0, 10.0), 10.0),), noise_var=0.25
         )
         gt = channel.sample_ground_truth(g, p, np.random.default_rng(0))
-        a = channel.take_measurement(gt, (5.0, 5.0), p, np.random.default_rng(9))
-        b = channel.take_measurement(gt, (5.0, 5.0), p, np.random.default_rng(9))
+        taps = channel.interpolation_taps(g, (5.0, 5.0))
+        a = channel.take_measurement(gt, (5.0, 5.0), p, np.random.default_rng(9), taps)
+        b = channel.take_measurement(gt, (5.0, 5.0), p, np.random.default_rng(9), taps)
         assert a.rss == b.rss
 
-    def test_given_taps_change_nothing(self):
+    def test_rss_is_the_true_power_plus_seeded_noise(self):
+        # The position is the point, and each rss, to the bit, the true power
+        # the taps give plus the noise the generator draws for it.
         g = GridSpec(rows=4, cols=4, spacing=10.0, altitude=20.0)
         p = make_params(
             transmitters=(Transmitter((15.0, 15.0, 10.0), 10.0), Transmitter((2.0, 28.0, 10.0), 8.0)),
@@ -657,9 +656,9 @@ class TestTakeMeasurement:
         gt = channel.sample_ground_truth(g, p, np.random.default_rng(0))
         point = (12.5, 8.25)
         taps = channel.interpolation_taps(g, point)
-        a = channel.take_measurement(gt, point, p, np.random.default_rng(9))
-        b = channel.take_measurement(gt, point, p, np.random.default_rng(9), taps=taps)
-        assert a == b
+        m = channel.take_measurement(gt, point, p, np.random.default_rng(9), taps)
+        noise = 0.5 * np.random.default_rng(9).standard_normal(2)
+        assert m == channel.Measurement(point, tuple((channel.true_power(gt, taps) + noise).tolist()))
 
     def test_noise_variance_statistics(self):
         g = GridSpec(rows=3, cols=3, spacing=10.0, altitude=20.0)
@@ -669,9 +668,8 @@ class TestTakeMeasurement:
         gt = channel.sample_ground_truth(g, p, np.random.default_rng(0))
         rng = np.random.default_rng(21)
         n = 10_000
-        vals = np.array(
-            [channel.take_measurement(gt, (5.0, 5.0), p, rng).rss[0] for _ in range(n)]
-        )
+        taps = channel.interpolation_taps(g, (5.0, 5.0))
+        vals = np.array([channel.take_measurement(gt, (5.0, 5.0), p, rng, taps).rss[0] for _ in range(n)])
         sample_var = float(np.var(vals))
         # variance of the variance estimator for a normal sample: 2 var^2 / n
         se = np.sqrt(2.0 * 16.0 / n)

@@ -401,12 +401,24 @@ class TestSurveyCommand:
         assert not os.path.exists(tmp_path / "o")
 
     def test_sweep_within_reach_measures_twice(self, tmp_path):
-        # A 2 x 2 grid sweep flies 30 m per episode and a 10 m return leg
-        # between episodes, so 10,001 episodes reach 400,030 m: a spacing of
-        # 350,000 m yields its second measurement before the idle guard.
+        # Every episode flies at least one 10 m grid step, so the 10,001
+        # episodes the idle guard allows reach a spacing of 9,999 steps.
         cfg = write_config(
             tmp_path,
-            {"rows": 2, "cols": 2, "planner": "grid", "measurement_spacing": 350000, "max_measurements": 1},
+            {"rows": 2, "cols": 2, "planner": "grid", "measurement_spacing": 99990, "max_measurements": 1},
+        )
+        out = tmp_path / "o"
+        assert main(["survey", "--config", cfg, "--out-dir", str(out)]) == 0
+        assert len((out / "metrics.csv").read_text().strip().splitlines()) == 1 + 2
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 2)])
+    def test_random_within_reach_measures_twice(self, tmp_path, shape):
+        # A random episode never draws the node it is on, so each flies at
+        # least one step, and 90,000 m lies within 9,999 of them.
+        rows, cols = shape
+        cfg = write_config(
+            tmp_path,
+            {"rows": rows, "cols": cols, "planner": "random", "measurement_spacing": 90000, "max_measurements": 1},
         )
         out = tmp_path / "o"
         assert main(["survey", "--config", cfg, "--out-dir", str(out)]) == 0
@@ -414,8 +426,7 @@ class TestSurveyCommand:
 
     @pytest.mark.parametrize("planner", ["grid", "spiral"])
     def test_sweep_that_never_measures_exits_one(self, tmp_path, capsys, planner):
-        # A sweep flies its fixed route every episode, so a spacing beyond the
-        # idle guard's reach is rejected before the survey flies.
+        # A spacing beyond 9,999 grid steps is rejected before the survey flies.
         cfg = write_config(
             tmp_path,
             {"rows": 4, "cols": 4, "measurement_spacing": 1e12, "max_measurements": 1, "planner": planner},
@@ -427,17 +438,18 @@ class TestSurveyCommand:
 
     @pytest.mark.parametrize("planner", ["min_cost", "random"])
     def test_planned_run_that_never_measures_exits_one(self, tmp_path, capsys, planner):
-        # Min-cost and random episodes are bounded by N - 1 king moves and the
-        # grid diagonal, so a spacing beyond what the idle guard's episodes
-        # can fly is rejected before the survey flies.
-        cfg = write_config(
-            tmp_path,
-            {"rows": 4, "cols": 4, "measurement_spacing": 1e12, "max_measurements": 1, "planner": planner},
-        )
-        code = main(["survey", "--config", cfg, "--out-dir", str(tmp_path / "o")])
-        assert code == 1
-        assert "second measurement" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "o")
+        # A spacing beyond 9,999 grid steps is rejected before the survey
+        # flies: far beyond, and at 300,000 m on a 2 x 2 grid, where a
+        # min_cost survey could fly 10,001 episodes without measuring again.
+        for rows, spacing in ((4, 1e12), (2, 300000)):
+            cfg = write_config(
+                tmp_path,
+                {"rows": rows, "cols": rows, "measurement_spacing": spacing, "max_measurements": 1, "planner": planner},
+            )
+            code = main(["survey", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+            assert code == 1
+            assert "second measurement" in capsys.readouterr().err
+            assert not os.path.exists(tmp_path / "o")
 
     def test_min_cost_on_line_grid_runs(self, tmp_path):
         for rows, cols in ((1, 10), (10, 1)):

@@ -113,8 +113,8 @@ class TestObservationCoefficients:
         rng = np.random.default_rng(7)
         for _ in range(50):
             point = (float(rng.uniform(0.0, 30.0)), float(rng.uniform(0.0, 30.0)))
-            index, weights = channel.interpolation_taps(g, point)
-            m = channel.take_measurement(gt, point, p, rng)
+            index, weights = taps = channel.interpolation_taps(g, point)
+            m = channel.take_measurement(gt, point, p, rng, taps)
             assert m.rss == tuple(gt.powers[:, index] @ weights)
 
     def test_on_grid_with_fading_still_snaps(self):
@@ -241,7 +241,10 @@ class TestSurveyPosterior:
         gt = channel.sample_ground_truth(g, p, rng)
         xmin, ymin, xmax, ymax = g.bounds()
         points = rng.uniform((xmin, ymin), (xmax, ymax), size=(count, 2))
-        return [(point, channel.take_measurement(gt, point, p, rng).rss) for point in points]
+        return [
+            (point, channel.take_measurement(gt, point, p, rng, channel.interpolation_taps(g, point)).rss)
+            for point in points
+        ]
 
     def test_matches_dense_oracle_around_the_fold(self):
         # Just before the first re-base, with U full, just after it, and just

@@ -3,15 +3,14 @@
 import os
 import tracemalloc
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aerosurvey import channel, estimator, harness, uncertainty
+from aerosurvey import channel, estimator, harness, spatial, uncertainty
 from aerosurvey.channel import ChannelParams, Transmitter
 from aerosurvey.harness import SurveyConfig, monte_carlo, run_survey
 from aerosurvey.planner import PlannerKind
@@ -45,10 +44,6 @@ def make_config(**kw):
     )
     defaults.update(kw)
     return SurveyConfig(**defaults)
-
-
-# Episodes a min_cost or random survey flies before its idle guard fails it.
-_EPISODES = harness.MAX_IDLE_EPISODES + 1
 
 
 # Means on a quarter-dB lattice around -65 dBm hit the threshold exactly and
@@ -277,11 +272,14 @@ class TestRunSurvey:
     def test_threshold_stop_at_a_total_equal_to_the_threshold(self):
         # The threshold is a total the same survey logs without one, at a t
         # where the total first falls that low: the survey stops at that t.
-        totals = [row.total_unc_service for row in run_survey(make_config(max_measurements=40)).metrics]
-        t = next(t for t in range(10, 41) if totals[t] < min(totals[:t]))
-        rec = run_survey(make_config(max_measurements=40, uncertainty_threshold=totals[t]))
-        assert [row.t for row in rec.metrics] == list(range(t + 1))
-        assert [row.total_unc_service for row in rec.metrics] == totals[: t + 1]
+        # The threshold applies to the total of the planner's target.
+        for target, column in (("service", "total_unc_service"), ("power", "total_unc_power")):
+            cfg = make_config(max_measurements=40, target=target)
+            totals = [getattr(row, column) for row in run_survey(cfg).metrics]
+            t = next(t for t in range(10, 41) if totals[t] < min(totals[:t]))
+            rec = run_survey(replace(cfg, uncertainty_threshold=totals[t]))
+            assert [row.t for row in rec.metrics] == list(range(t + 1)), target
+            assert [getattr(row, column) for row in rec.metrics] == totals[: t + 1], target
 
     def test_single_point_grid_measures_in_place(self):
         cfg = make_config(
@@ -451,63 +449,27 @@ class TestRunSurvey:
 
     def test_stalled_planner_stops(self, monkeypatch):
         # A planner that keeps the drone where it is never moves or measures.
-        monkeypatch.setattr(harness.planner, "random_route", lambda grid, rng: [Waypoint(0.0, 0.0)])
+        monkeypatch.setattr(harness.planner, "random_route", lambda grid, rng, here: [Waypoint(0.0, 0.0)])
         with pytest.raises(RuntimeError, match="no measurement in 10000"):
             run_survey(make_config(planner=PlannerKind.RANDOM))
 
     def test_sweep_spacing_limit(self):
-        # On a 2 x 2 grid of 10 m both sweeps fly three 10 m edges per
-        # episode, and every episode after the first flies a 10 m return leg
-        # to the sweep's start first. So the survey still measures at the end
-        # of its 10,001st episode; beyond that, give or take one part in a
-        # million, the config is rejected before anything flies.
-        reach = _EPISODES * 30.0 + (_EPISODES - 1) * 10.0
-        limit = reach * (1.0 + 1e-6) + 1e-6
+        # On a 2 x 2 grid of 10 m the limit is 9,999 steps, 99,990 m, though
+        # a sweep, which flies 30 m per episode and a 10 m return leg between
+        # episodes, would measure again at up to 400,030 m. At the limit both
+        # sweeps measure twice; a spacing one ulp past it is rejected before
+        # anything flies, although the sweep would finish.
+        limit = (harness.MAX_IDLE_EPISODES - 1) * 10.0
         for kind in (PlannerKind.GRID, PlannerKind.SPIRAL):
             cfg = make_config(rows=2, cols=2, spacing=10.0, planner=kind, max_measurements=1)
-            rec = run_survey(replace(cfg, measurement_spacing=reach))
+            rec = run_survey(replace(cfg, measurement_spacing=limit))
             assert len(rec.measurements) == 2, kind
-            assert rec.metrics[-1].meters == reach
-            replace(cfg, measurement_spacing=limit)
+            assert rec.metrics[-1].meters == limit
             with pytest.raises(ValueError, match="measurement_spacing"):
                 replace(cfg, measurement_spacing=np.nextafter(limit, np.inf))
             # Runs that never fly are not limited.
             replace(cfg, measurement_spacing=1e12, max_measurements=0)
             make_config(rows=1, cols=1, planner=kind, measurement_spacing=1e12)
-
-    @pytest.mark.parametrize(
-        "kind, rows, cols, start, reach",
-        [
-            # 10,001 random episodes fly at most 10,001 grid diagonals.
-            (PlannerKind.RANDOM, 2, 3, (3.0, 4.0), _EPISODES * float(np.hypot(20.0, 10.0))),
-            (PlannerKind.RANDOM, 1, 4, (3.0, 0.0), _EPISODES * 30.0),
-            # 10,001 min_cost episodes fly at most the hop from the start to
-            # its nearest node plus 10,001 paths of N - 1 king moves; a line
-            # has no diagonal moves.
-            (PlannerKind.MIN_COST, 2, 3, (3.0, 4.0), 5.0 + _EPISODES * 5 * float(np.hypot(10.0, 10.0))),
-            (PlannerKind.MIN_COST, 1, 4, (3.0, 0.0), 3.0 + _EPISODES * 3 * 10.0),
-            (PlannerKind.MIN_COST, 4, 1, (0.0, 3.0), 3.0 + _EPISODES * 3 * 10.0),
-            # The same reach from a start whose nearest node is not the origin.
-            (PlannerKind.MIN_COST, 2, 3, (13.0, 4.0), 5.0 + _EPISODES * 5 * float(np.hypot(10.0, 10.0))),
-        ],
-    )
-    def test_planned_spacing_limit(self, kind, rows, cols, start, reach):
-        # A spacing beyond the reach, give or take one part in a million, is
-        # rejected before anything flies: the survey could never take a
-        # second measurement.
-        cfg = make_config(
-            rows=rows, cols=cols, spacing=10.0, planner=kind, max_measurements=1, start_position=Waypoint(*start)
-        )
-        limit = reach * (1.0 + 1e-6) + 1e-6
-        replace(cfg, measurement_spacing=limit)
-        with pytest.raises(ValueError, match="second measurement"):
-            replace(cfg, measurement_spacing=np.nextafter(limit, np.inf))
-        # Runs that never fly are not limited; runs that a threshold may stop
-        # before they fly are.
-        replace(cfg, measurement_spacing=1e12, max_measurements=0)
-        with pytest.raises(ValueError, match="second measurement"):
-            replace(cfg, measurement_spacing=1e12, uncertainty_threshold=0.5)
-        make_config(rows=1, cols=1, planner=kind, measurement_spacing=1e12)
 
     def test_long_planned_spacing_within_reach_runs(self):
         # Far longer than any one route, yet reached within the idle guard.
@@ -568,10 +530,10 @@ class TestRunSurvey:
             make_config(tx_height=-5.0)
         with pytest.raises(ValueError, match="tx_height"):
             replace(make_config(), tx_height=-5.0)
-        # Off the origin the grid's extent is xmax - xmin, not xmax + xmin.
-        # A 3 x 3 grid of 10 m at (1000, 1000) has a 28 m diagonal, so 10,001
-        # random episodes reach some 283 km, short of 1,000 km; its coordinates'
-        # sums would reach 20,000 km.
+        # Off the origin the step is still the 10 m between neighbours, not a
+        # node's coordinate: a 3 x 3 grid at (1000, 1000) is limited to
+        # 99,990 m, short of 1,000 km, where a step of 1,000 m would reach
+        # 9,999 km.
         far = GridSpec(rows=3, cols=3, spacing=10.0, origin=(1000.0, 1000.0))
         with pytest.raises(ValueError, match="second measurement"):
             make_config(
@@ -705,37 +667,56 @@ class TestFlightAndFilter:
             assert sum(rows) == len(got.measurements), where
             assert max(rows) <= (1 if cfg.uncertainty_threshold is not None else capacity), where
 
-    # No shrinking: when the reach is wrong, each example tried flies up to
-    # 10,001 idle episodes, and shrinking took minutes to report a failure.
-    @settings(max_examples=8, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    # No shrinking: when the rule is unsound, each example tried flies 10,001
+    # idle episodes before its idle guard fails it.
+    @settings(max_examples=12, phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(
         shape=st.tuples(st.integers(1, 3), st.integers(1, 3)).filter(lambda s: s[0] * s[1] > 1),
+        spacing=st.sampled_from([10.0, 7.3]),
+        origin=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
         kind=st.sampled_from(ALL_PLANNERS),
         start=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-        threshold=st.sampled_from([None, 0.5]),
+        on_node=st.booleans(),
+        threshold=st.sampled_from([None, 1e-12]),
     )
-    def test_configs_past_the_reach_are_rejected_and_would_idle(self, shape, kind, start, threshold):
-        # A spacing just past what 10,001 episodes can fly is rejected up
-        # front, with or without a threshold; built anyway, the survey never
-        # takes its second measurement and its idle guard fails it.
+    @example((1, 2), 10.0, (0.0, 0.0), PlannerKind.RANDOM, (0.3, 0.0), False, None)
+    @example((2, 1), 10.0, (0.0, 0.0), PlannerKind.RANDOM, (0.0, 1.0), True, None)
+    @example((1, 2), 7.3, (5.0, -2.0), PlannerKind.MIN_COST, (1.0, 0.0), True, 1e-12)
+    @example((2, 1), 10.0, (0.0, 0.0), PlannerKind.GRID, (0.0, 0.6), False, 1e-12)
+    def test_every_planner_measures_twice_at_the_spacing_limit(
+        self, shape, spacing, origin, kind, start, on_node, threshold
+    ):
+        # The limit is 9,999 times the shortest distance between two grid
+        # nodes. At it the survey takes its second measurement, from any start
+        # and with any planner; one ulp past it the config is rejected up
+        # front, with or without a threshold (no power uncertainty falls to
+        # this one, so it never stops the survey). On a line of two nodes
+        # every episode from a node flies exactly one step, the least any
+        # episode flies.
         rows, cols = shape
-        grid = GridSpec(rows=rows, cols=cols, spacing=10.0, altitude=20.0)
-        here = Waypoint(start[0] * (cols - 1) * 10.0, start[1] * (rows - 1) * 10.0)
-        reach = harness._idle_reach(grid, kind, here)
-        past = dict(
-            rows=rows,
-            cols=cols,
+        grid = GridSpec(rows=rows, cols=cols, spacing=spacing, origin=origin, altitude=20.0)
+        xmin, ymin, xmax, ymax = grid.bounds()
+        here = Waypoint(xmin + start[0] * (xmax - xmin), ymin + start[1] * (ymax - ymin))
+        if on_node:
+            here = spatial.index_to_point(grid, spatial.point_to_index(grid, here))
+        points = spatial.grid_points(grid)
+        i, j = np.triu_indices(grid.num_points, k=1)
+        step = float(np.hypot(*(points[j] - points[i]).T).min())
+        limit = (harness.MAX_IDLE_EPISODES - 1) * step
+        cfg = make_config(
+            grid=grid,
             planner=kind,
             start_position=here,
             max_measurements=1,
-            measurement_spacing=np.nextafter(reach * (1.0 + 1e-6) + 1e-6, np.inf),
+            target="power",
+            uncertainty_threshold=threshold,
+            measurement_spacing=limit,
         )
+        rec = run_survey(cfg)
+        assert len(rec.measurements) == 2
+        assert rec.metrics[-1].meters == pytest.approx(limit, rel=1e-12)
         with pytest.raises(ValueError, match="second measurement"):
-            make_config(uncertainty_threshold=threshold, **past)
-        with mock.patch.object(harness, "_idle_reach", return_value=np.inf):
-            cfg = make_config(**past)
-        with pytest.raises(RuntimeError, match="no measurement in 10000"):
-            run_survey(cfg)
+            replace(cfg, measurement_spacing=np.nextafter(limit, np.inf))
 
 
 class TestEqualTimeFairness:

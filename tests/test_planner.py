@@ -367,22 +367,43 @@ class TestSweepRoutes:
 class TestRandomRoute:
     def test_reproducible_with_seed(self):
         g = grid(3, 3)
-        a = planner.random_route(g, np.random.default_rng(5))
-        b = planner.random_route(g, np.random.default_rng(5))
+        here = Waypoint(10.0, 10.0)
+        a = planner.random_route(g, np.random.default_rng(5), here)
+        b = planner.random_route(g, np.random.default_rng(5), here)
         assert [(w.x, w.y) for w in a] == [(w.x, w.y) for w in b]
 
     def test_single_point_grid(self):
+        # The only point is where the drone is; there is no other to draw.
         g = GridSpec(rows=1, cols=1, spacing=10.0)
-        route = planner.random_route(g, np.random.default_rng(0))
+        route = planner.random_route(g, np.random.default_rng(0), Waypoint(0.0, 0.0))
         assert [(w.x, w.y) for w in route] == [(0.0, 0.0)]
 
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (2, 2), (3, 3)])
+    def test_never_returns_here_and_draws_until_it_moves(self, shape):
+        # From every node, the point returned is another one, and the
+        # generator is left where drawing indices until one differs from
+        # here's leaves it: the draws of a zero-length episode and the next.
+        g = GridSpec(rows=shape[0], cols=shape[1], spacing=10.0, origin=(-7.5, 3.25))
+        for g_here in range(g.num_points):
+            here = spatial.index_to_point(g, g_here)
+            rng, draws = np.random.default_rng(g_here), np.random.default_rng(g_here)
+            for _ in range(50):
+                (dest,) = planner.random_route(g, rng, here)
+                assert dest != here
+                index = g_here
+                while index == g_here:
+                    index = int(draws.integers(g.num_points))
+                assert dest == spatial.index_to_point(g, index)
+                assert rng.bit_generator.state == draws.bit_generator.state
+
     def test_destination_uniform_over_grid(self):
+        # From off the nodes every point may be drawn, with equal chance.
         g = grid(3, 3)
         rng = np.random.default_rng(123)
         n = 10_000
         counts = np.zeros(9)
         for _ in range(n):
-            (dest,) = planner.random_route(g, rng)
+            (dest,) = planner.random_route(g, rng, Waypoint(5.0, 5.0))
             counts[spatial.point_to_index(g, (dest.x, dest.y))] += 1
         freq = counts / n
         se = np.sqrt((1 / 9) * (8 / 9) / n)
